@@ -16,16 +16,18 @@ Search notes, which justify the pruned mode:
 * Irredundant sequences are order-sensitive, so their search keeps every
   orbit minimum as a candidate at each level and instead collapses repeated
   stabilizer subgroups: the set of reachable lengths below a node depends
-  only on the node's pointwise stabilizer, identified exactly by its sorted
-  element table when the order is small enough to enumerate.
+  only on the node's pointwise stabilizer.  The memo buckets stabilizers by
+  order and orbit partition and confirms a match by membership, since a
+  group of equal order that contains the other's generators is that group.
 
-All searches are pure functions of immutable groups and are deterministic;
-node budgets abort with ``BudgetExceeded`` rather than truncate a result.
+All searches are pure functions of immutable groups and are deterministic.
+They run on explicit stacks, so their depth is not bounded by Python's
+recursion limit.  Node budgets abort with ``BudgetExceeded`` rather than
+truncate a result.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +54,6 @@ __all__ = [
     "indicator_vectors",
     "grid_minimal_base",
 ]
-
-_MEMO_ORDER_LIMIT = 3000
-
 
 class SizeSet:
     """A sorted set of base cardinalities."""
@@ -212,6 +211,66 @@ def is_independent_set(G: PermGroup, points) -> bool:
     )
 
 
+# -- the independent-set walker -----------------------------------------
+
+
+def _no_cut(depth: int, order: int, counts) -> bool:
+    return False
+
+
+def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest_first: bool,
+                      cut, visit) -> None:
+    """Depth-first over independent point sets with strict stabilizer descent.
+
+    Runs on an explicit stack, and a node's next candidate is evaluated only
+    after the previous child's subtree is done, so the hooks see every
+    earlier result.  Candidates are per-level orbit minima, one per
+    stabilizer class (pruned), or every larger moved point (exhaustive);
+    ascending, or largest orbit first.  ``cut(depth, order, counts)`` prunes
+    a node that has candidates.  ``visit(points, x, hx_order, counts)`` sees
+    each independent candidate ``x`` and returns whether to descend into it,
+    which it must not at ``hx_order == 1``.
+    """
+    pick = _minima_candidates if pruned else _point_candidates
+    classes = G.stabilizer_class_labels() if pruned else None
+    stack = []
+
+    def enter(points, H, dels):
+        counter.tick()
+        labels, counts = H.orbit_partition()
+        cands = pick(labels, counts, points[-1] if points else -1)
+        h_ord = H.order()
+        if cands.size == 0 or cut(len(points), h_ord, counts):
+            return
+        if largest_first:
+            cands = cands[np.lexsort((cands, -counts[labels[cands]]))]
+        parts = [K.orbit_partition() for K in dels]
+        stack.append((points, H, h_ord, labels, counts, dels, parts, iter(cands.tolist()), set()))
+
+    enter((), G, ())
+    while stack:
+        points, H, h_ord, labels, counts, dels, parts, cands, seen = stack[-1]
+        for x in cands:
+            if pruned:
+                c = int(classes[x])
+                if c in seen:
+                    continue  # equal point stabilizer: interchangeable with an earlier candidate
+                seen.add(c)
+            hx_order = h_ord // int(counts[labels[x]])
+            if any(K.order() // int(cnt[lab[x]]) <= hx_order for K, (lab, cnt) in zip(dels, parts)):
+                continue
+            if visit(points, x, hx_order, counts):
+                Hx = H.point_stabilizer(x)
+                dels_x = tuple(
+                    K if int(cnt[lab[x]]) == 1 else K.point_stabilizer(x)
+                    for K, (lab, cnt) in zip(dels, parts)
+                ) + (H,)
+                enter(points + (x,), Hx, dels_x)
+                break
+        else:
+            stack.pop()
+
+
 # -- minimal bases ------------------------------------------------------
 
 
@@ -228,48 +287,17 @@ def minimal_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witnesse
     _check_mode(mode)
     counter = _as_budget(budget)
     G.order()
-    pruned = mode == "pruned"
-    pick = _minima_candidates if pruned else _point_candidates
-    classes = G.stabilizer_class_labels() if pruned else None
     found: dict[int, tuple[int, ...]] = {}
 
-    def recurse(points, last, H, dels):
-        counter.tick()
-        labels_h, counts_h = H.orbit_partition()
-        cands = pick(labels_h, counts_h, last)
-        if cands.size == 0:
-            return
-        parts = [K.orbit_partition() for K in dels]
-        h_ord = H.order()
-        seen_classes = set()
-        for xi in cands:
-            x = int(xi)
-            if pruned:
-                c = int(classes[x])
-                if c in seen_classes:
-                    continue  # equal point stabilizer: interchangeable with an earlier candidate
-                seen_classes.add(c)
-            hx_order = h_ord // int(counts_h[labels_h[x]])
-            independent = True
-            for K, (lab_k, cnt_k) in zip(dels, parts):
-                if K.order() // int(cnt_k[lab_k[x]]) <= hx_order:
-                    independent = False
-                    break
-            if not independent:
-                continue
-            if hx_order == 1:
-                size = len(points) + 1
-                if size not in found:
-                    found[size] = points + (x,)
-                continue
-            Hx = H.point_stabilizer(x)
-            dels_x = tuple(
-                K if int(cnt_k[lab_k[x]]) == 1 else K.point_stabilizer(x)
-                for K, (lab_k, cnt_k) in zip(dels, parts)
-            ) + (H,)
-            recurse(points + (x,), x, Hx, dels_x)
+    def visit(points, x, hx_order, counts):
+        if hx_order > 1:
+            return True
+        found.setdefault(len(points) + 1, points + (x,))
+        return False
 
-    recurse((), -1, G, ())
+    _walk_independent(
+        G, counter, pruned=mode == "pruned", largest_first=False, cut=_no_cut, visit=visit
+    )
     sizes = SizeSet(found)
     if witnesses:
         return sizes, {s: found[s] for s in sorted(found)}
@@ -286,7 +314,6 @@ def min_base_size(G: PermGroup, budget=None) -> int:
     _require_nontrivial(G)
     counter = _as_budget(budget)
     G.order()
-    classes = G.stabilizer_class_labels()
     best: int | None = None
 
     def bound_steps(order: int, max_orbit: int) -> int:
@@ -297,49 +324,19 @@ def min_base_size(G: PermGroup, budget=None) -> int:
             k += 1
         return k
 
-    def recurse(depth, last, H, dels):
-        nonlocal best
-        counter.tick()
-        labels_h, counts_h = H.orbit_partition()
-        cands = _minima_candidates(labels_h, counts_h, last)
-        if cands.size == 0:
-            return
-        max_orbit = int(counts_h.max())
-        if best is not None and depth + bound_steps(H.order(), max_orbit) >= best:
-            return
-        parts = [K.orbit_partition() for K in dels]
-        h_ord = H.order()
-        sizes_at = counts_h[labels_h[cands]]
-        order_ix = np.lexsort((cands, -sizes_at))
-        seen_classes = set()
-        for oi in order_ix:
-            x = int(cands[oi])
-            c = int(classes[x])
-            if c in seen_classes:
-                continue
-            seen_classes.add(c)
-            hx_order = h_ord // int(sizes_at[oi])
-            independent = True
-            for K, (lab_k, cnt_k) in zip(dels, parts):
-                if K.order() // int(cnt_k[lab_k[x]]) <= hx_order:
-                    independent = False
-                    break
-            if not independent:
-                continue
-            if hx_order == 1:
-                if best is None or depth + 1 < best:
-                    best = depth + 1
-                continue
-            if best is not None and depth + 1 + bound_steps(hx_order, max_orbit) >= best:
-                continue
-            Hx = H.point_stabilizer(x)
-            dels_x = tuple(
-                K if int(cnt_k[lab_k[x]]) == 1 else K.point_stabilizer(x)
-                for K, (lab_k, cnt_k) in zip(dels, parts)
-            ) + (H,)
-            recurse(depth + 1, x, Hx, dels_x)
+    def cut(depth, order, counts):
+        return best is not None and depth + bound_steps(order, int(counts.max())) >= best
 
-    recurse(0, -1, G, ())
+    def visit(points, x, hx_order, counts):
+        nonlocal best
+        depth = len(points) + 1
+        if hx_order == 1:
+            if best is None or depth < best:
+                best = depth
+            return False
+        return best is None or depth + bound_steps(hx_order, int(counts.max())) < best
+
+    _walk_independent(G, counter, pruned=True, largest_first=True, cut=cut, visit=visit)
     assert best is not None  # every non-trivial group has a base
     return best
 
@@ -353,59 +350,47 @@ def height(G: PermGroup, mode: str = "pruned", budget=None) -> int:
     _check_mode(mode)
     counter = _as_budget(budget)
     G.order()
-    pruned = mode == "pruned"
-    pick = _minima_candidates if pruned else _point_candidates
-    classes = G.stabilizer_class_labels() if pruned else None
     best = 0
 
-    def recurse(depth, last, H, dels):
+    def visit(points, x, hx_order, counts):
         nonlocal best
-        counter.tick()
-        labels_h, counts_h = H.orbit_partition()
-        cands = pick(labels_h, counts_h, last)
-        parts = [K.orbit_partition() for K in dels]
-        h_ord = H.order()
-        seen_classes = set()
-        for xi in cands:
-            x = int(xi)
-            if pruned:
-                c = int(classes[x])
-                if c in seen_classes:
-                    continue
-                seen_classes.add(c)
-            hx_order = h_ord // int(counts_h[labels_h[x]])
-            independent = True
-            for K, (lab_k, cnt_k) in zip(dels, parts):
-                if K.order() // int(cnt_k[lab_k[x]]) <= hx_order:
-                    independent = False
-                    break
-            if not independent:
-                continue
-            if depth + 1 > best:
-                best = depth + 1
-            if hx_order == 1:
-                continue
-            Hx = H.point_stabilizer(x)
-            dels_x = tuple(
-                K if int(cnt_k[lab_k[x]]) == 1 else K.point_stabilizer(x)
-                for K, (lab_k, cnt_k) in zip(dels, parts)
-            ) + (H,)
-            recurse(depth + 1, x, Hx, dels_x)
+        best = max(best, len(points) + 1)
+        return hx_order > 1
 
-    recurse(0, -1, G, ())
+    _walk_independent(
+        G, counter, pruned=mode == "pruned", largest_first=False, cut=_no_cut, visit=visit
+    )
     return best
 
 
 # -- irredundant bases --------------------------------------------------
 
 
-def _element_digest(H: PermGroup) -> bytes:
-    # exact subgroup identity: hash of the sorted element table
-    blobs = sorted(p.images.tobytes() for p in H.chain().elements())
-    h = hashlib.sha256()
-    for b in blobs:
-        h.update(b)
-    return h.digest()
+class _SubgroupMemo:
+    """Values keyed by subgroups of one group.
+
+    Subgroups are bucketed by order and orbit partition, and a hit is
+    confirmed by membership: a group of the stored order that contains every
+    stored generator is the stored group.
+    """
+
+    __slots__ = ("_buckets",)
+
+    def __init__(self):
+        self._buckets: dict[tuple[int, bytes], list[tuple[tuple, frozenset[int]]]] = {}
+
+    @staticmethod
+    def _key(H: PermGroup) -> tuple[int, bytes]:
+        return H.order(), H.orbit_partition()[0].tobytes()
+
+    def get(self, H: PermGroup) -> frozenset[int] | None:
+        for gens, value in self._buckets.get(self._key(H), ()):
+            if all(H.contains(g) for g in gens):
+                return value
+        return None
+
+    def put(self, H: PermGroup, value: frozenset[int]) -> None:
+        self._buckets.setdefault(self._key(H), []).append((H.generators, value))
 
 
 def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witnesses: bool = False):
@@ -414,7 +399,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     Ordered sequences with strict stabilizer descent.  Pruned mode restricts
     candidates to per-level orbit minima; exhaustive mode takes every moved
     point.  Nodes with equal pointwise stabilizers share their futures, so
-    small stabilizers are memoized by their exact element table.
+    every stabilizer's lengths are memoized.
     """
     _require_nontrivial(G)
     _check_mode(mode)
@@ -423,36 +408,44 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     pruned = mode == "pruned"
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
-    memo: dict[tuple[int, bytes], frozenset[int]] = {}
+    memo = _SubgroupMemo()
 
-    def explore(H: PermGroup) -> frozenset[int]:
-        counter.tick()
-        sig = None
-        h_ord = H.order()
-        if h_ord <= _MEMO_ORDER_LIMIT:
-            sig = (h_ord, _element_digest(H))
-            hit = memo.get(sig)
-            if hit is not None:
-                return hit
-        labels, counts = H.orbit_partition()
-        out = set()
-        seen_classes = set()
-        for xi in pick(labels, counts, -1):
-            x = int(xi)
-            if pruned:
-                c = int(classes[x])
-                if c in seen_classes:
+    def explore(root: PermGroup) -> frozenset[int]:
+        # explicit stack; ``lengths`` carries a finished subtree (or memo
+        # hit) up to the frame below it
+        stack = []
+
+        def enter(H):
+            counter.tick()
+            hit = memo.get(H)
+            if hit is None:
+                labels, counts = H.orbit_partition()
+                cands = iter(pick(labels, counts, -1).tolist())
+                stack.append((H, labels, counts, cands, set(), set()))
+            return hit
+
+        lengths = enter(root)
+        while stack:
+            H, labels, counts, cands, seen, out = stack[-1]
+            if lengths is not None:
+                out.update(l + 1 for l in lengths)
+                lengths = None
+            for x in cands:
+                if pruned:
+                    c = int(classes[x])
+                    if c in seen:
+                        continue
+                    seen.add(c)
+                if H.order() // int(counts[labels[x]]) == 1:
+                    out.add(1)
                     continue
-                seen_classes.add(c)
-            hx_order = h_ord // int(counts[labels[x]])
-            if hx_order == 1:
-                out.add(1)
+                lengths = enter(H._point_stabilizer_chained(x))
+                break
             else:
-                out.update(l + 1 for l in explore(H._point_stabilizer_chained(x)))
-        res = frozenset(out)
-        if sig is not None:
-            memo[sig] = res
-        return res
+                stack.pop()
+                lengths = frozenset(out)
+                memo.put(H, lengths)
+        return lengths
 
     lengths = explore(G)
     sizes = SizeSet(lengths)

@@ -5,7 +5,8 @@ JSON-first: every command prints a canonical JSON document on stdout
 renderings of that JSON behind ``--table``, and timings go to stderr.
 
 Exit codes: 0 pass, 1 suite failure or detected anomaly, 2 usage or spec
-error, 3 search budget exceeded.
+error, 3 search budget exceeded, 4 internal error (a broken invariant such
+as a chain-order mismatch, or ``RecursionError``).
 """
 
 from __future__ import annotations
@@ -265,6 +266,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except RuntimeError as exc:  # after BudgetExceeded, which subclasses it
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return 4
     except SpecError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

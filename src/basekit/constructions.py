@@ -291,34 +291,21 @@ def _wreath_subgroup_gens(n: int, k: int) -> list[Perm]:
     return gens
 
 
-def _wreath_decompose(g: Perm, n: int, k: int):
-    # g = (y_0, ..., y_{k-1}; rot^j): block b maps to block b+j with y_b inside
-    j = g[0] // n
-    ys = []
-    for b in range(k):
-        off = b * n
-        ys.append(tuple(g[off + v] % n for v in range(n)))
-    return j, ys
-
-
 def coset_action(
     W: PermGroup,
     H: PermGroup,
     expected_index: int,
     max_index: int = 5000,
-    signature=None,
-    exact_signature: bool = False,
 ) -> PermGroup:
     """Right-multiplication action of W on the right cosets of H.
 
-    Breadth-first enumeration with a quadratic scan: a candidate ``Wg`` is
-    matched against known representatives ``r`` by testing ``g * r^{-1}``
-    for membership in H via H's stabilizer chain.  ``signature`` may supply
-    a left-H-invariant fingerprint ``f(g, g_inverse) -> bytes`` to bucket
-    that scan; with ``exact_signature`` the fingerprint is trusted to
-    separate cosets and the membership test is skipped.  Point 0 is the
-    coset H; further cosets are numbered in discovery order over
-    representatives times generators (generator list order).
+    Breadth-first enumeration: a candidate ``Hg`` is matched against known
+    representatives ``r`` by testing ``g * r^{-1}`` for membership in H via
+    H's stabilizer chain.  The scan is bucketed by a fingerprint that is
+    constant on each coset: the H-orbit label of every point's image under
+    ``g^{-1}``.
+    Point 0 is the coset H; further cosets are numbered in discovery order
+    over representatives times generators (generator list order).
     """
     if expected_index > max_index:
         raise BudgetExceeded(
@@ -326,15 +313,14 @@ def coset_action(
         )
     degree = W.degree
     h_chain = H.chain()
-    if signature is None:
-        h_labels, _ = H.orbit_partition()
+    h_labels, _ = H.orbit_partition()
 
-        def signature(g, ginv, _labels=h_labels):
-            return _labels[ginv.images].tobytes()
+    def signature(ginv: Perm) -> bytes:
+        return h_labels[ginv.images].tobytes()
 
     reps: list[Perm] = [Perm.identity(degree)]
     inv_reps: list[Perm] = [Perm.identity(degree)]
-    buckets: dict[bytes, list[int]] = {signature(reps[0], inv_reps[0]): [0]}
+    buckets: dict[bytes, list[int]] = {signature(inv_reps[0]): [0]}
     images = [[-1] for _ in W.generators]
 
     qi = 0
@@ -343,17 +329,12 @@ def coset_action(
         for gi, s in enumerate(W.generators):
             cand = rep * s
             cand_inv = cand.inverse()
-            sig = signature(cand, cand_inv)
+            sig = signature(cand_inv)
             target = None
-            bucket = buckets.get(sig)
-            if bucket is not None:
-                if exact_signature:
-                    target = bucket[0]
-                else:
-                    for idx in bucket:
-                        if h_chain.contains(cand * inv_reps[idx]):
-                            target = idx
-                            break
+            for idx in buckets.get(sig, ()):
+                if h_chain.contains(cand * inv_reps[idx]):
+                    target = idx
+                    break
             if target is None:
                 target = len(reps)
                 if target >= max_index:
@@ -375,19 +356,8 @@ def coset_action(
     return PermGroup(expected_index, [Perm(col) for col in images])
 
 
-def wreath_coset_action(
-    n: int,
-    k: int,
-    method: str = "chain",
-    max_index: int = 5000,
-) -> PermGroup:
+def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
     """S_n wr C_k acting on the right cosets of S_n^(k-2) x Stab(n-1) x 1.
-
-    The default identifies cosets through chain membership tests;
-    ``method="triples"`` instead uses the exact invariant (rotation
-    exponent, image of the stabilized point in block k-2, block k-1
-    component), a bijection onto the cosets.  Both produce identical
-    numberings.
 
     The minimal base sizes are {2, n-1} for k=2, {3, n} for k=3 and
     {4, n+1, 2n-2} for k=4, so the first gapped spectra are {2, 4} at
@@ -395,25 +365,12 @@ def wreath_coset_action(
     """
     if n < 3 or k < 2:
         raise ValueError("need n >= 3 and k >= 2")
-    if method not in ("chain", "triples"):
-        raise ValueError(f"unknown method {method!r}")
     expected = math.factorial(n) * n * k
     W = wreath_imprimitive(n, k)
     degree = n * k
     h_order = math.factorial(n) ** (k - 2) * math.factorial(n - 1)
     H = PermGroup(degree, _wreath_subgroup_gens(n, k), order_hint=h_order)
-
-    if method == "triples":
-
-        def signature(g, ginv):
-            j, ys = _wreath_decompose(g, n, k)
-            return bytes([j, ys[k - 2][n - 1]]) + bytes(ys[k - 1])
-
-        action = coset_action(
-            W, H, expected, max_index, signature=signature, exact_signature=True
-        )
-    else:
-        action = coset_action(W, H, expected, max_index)
+    action = coset_action(W, H, expected, max_index)
     return PermGroup(
         expected, action.generators, order_hint=math.factorial(n) ** k * k
     )

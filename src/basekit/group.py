@@ -367,7 +367,8 @@ class PermGroup:
         Points with equal labels have literally equal point stabilizers, so
         they are interchangeable in bases and independent sets.  Computed
         orbit by orbit: the fixed-point set of one representative stabilizer
-        is carried around the orbit by transversal elements, and a fixed
+        is carried around the orbit by transversal elements (those of the
+        first level of the chain based at the representative), and a fixed
         point with the same orbit length has the same (not just containing)
         stabilizer.
         """
@@ -380,28 +381,12 @@ class PermGroup:
         out = np.full(degree, -1, dtype=np.int64)
         for rep in np.nonzero(part_labels == ar)[0]:
             rep = int(rep)
-            stab = self.point_stabilizer(rep)
-            if stab.generators:
-                fixmask = np.ones(degree, dtype=bool)
-                for g in stab.generators:
-                    fixmask &= g.images == ar
-                fixed = np.nonzero(fixmask)[0]
-            else:
-                fixed = ar
-            # transversal of rep's orbit
-            trans = {rep: Perm.identity(degree)}
-            queue = [rep]
-            qi = 0
-            while qi < len(queue):
-                beta = queue[qi]
-                qi += 1
-                u = trans[beta]
-                for s in self.generators:
-                    gamma = int(s.images[beta])
-                    if gamma not in trans:
-                        trans[gamma] = u * s
-                        queue.append(gamma)
-            for x, u in trans.items():
+            chain = self.stabilizer_chain((rep,))
+            fixmask = np.ones(degree, dtype=bool)
+            for g in chain.level_generators(1):
+                fixmask &= g.images == ar
+            fixed = np.nonzero(fixmask)[0]
+            for x, u in chain.levels[0].transversal.items():
                 cls = u.images[fixed]
                 out[x] = int(cls[orbsize[cls] == orbsize[x]].min())
         out.setflags(write=False)

@@ -174,3 +174,38 @@ def minimal_trivial_families(subgroups):
             ):
                 sizes.add(r)
     return sizes
+
+
+def wreath_coset_images(n, k, gens):
+    """S_n wr C_k on the right cosets of S_n^(k-2) x Stab(n-1) x 1.
+
+    ``gens`` generate the imprimitive wreath product on n*k points, block b
+    being the points b*n .. b*n+n-1.  A coset Hg is identified by the triple
+    (rotation exponent of g, image of the last point of block k-2 within its
+    block, g's component on block k-1), a bijection onto the cosets.  Cosets
+    are numbered breadth-first from H over representatives times
+    generators, in list order.  Returns one image list per generator.
+    """
+
+    def triple(g):
+        return (
+            g[0] // n,
+            g[(k - 2) * n + n - 1] % n,
+            tuple(g[(k - 1) * n + v] % n for v in range(n)),
+        )
+
+    gens = [tuple(g) for g in gens]
+    reps = [tuple(range(n * k))]
+    number = {triple(reps[0]): 0}
+    images = [[] for _ in gens]
+    qi = 0
+    while qi < len(reps):
+        for col, g in zip(images, gens):
+            cand = compose(reps[qi], g)
+            t = triple(cand)
+            if t not in number:
+                number[t] = len(reps)
+                reps.append(cand)
+            col.append(number[t])
+        qi += 1
+    return images

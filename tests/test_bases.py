@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import basekit
 from basekit import (
     BudgetExceeded,
     Perm,
@@ -30,6 +35,7 @@ from basekit import (
     symmetric,
     theorem2_group,
 )
+from basekit.bases import _SubgroupMemo
 
 import bruteforce as bf
 
@@ -189,6 +195,44 @@ def test_budget_exceeded_is_an_error_not_a_truncation():
     shared = SearchBudget(10**6)
     minimal_base_sizes(G, budget=shared)
     assert 0 < shared.used < 10**6
+
+
+_SPARE_FRAMES_SCRIPT = """
+import inspect, sys
+from basekit import height, irredundant_base_sizes, minimal_base_sizes, symmetric
+G = symmetric(14)
+sys.setrecursionlimit(len(inspect.stack()) + 16)
+print(minimal_base_sizes(G).to_list(), irredundant_base_sizes(G).to_list(), height(G))
+"""
+
+
+def test_searches_run_within_a_few_spare_frames():
+    # S14's searches descend 13 levels; explicit stacks keep the Python stack
+    # shallow however deep the stabilizer chain goes.  A fresh interpreter,
+    # because a test runner's own C-level calls use up recursion depth that
+    # inspect.stack() does not list.
+    env = dict(os.environ, PYTHONPATH=str(Path(basekit.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPARE_FRAMES_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[13] [13] 13\n"
+
+
+def test_subgroup_memo_needs_equal_subgroups():
+    # C4 and V4 on 4 points share the order and the orbit partition
+    c4 = PermGroup(4, [Perm([1, 2, 3, 0])])
+    v4 = PermGroup(4, [Perm([1, 0, 3, 2]), Perm([2, 3, 0, 1])])
+    assert c4.order() == v4.order() == 4
+    assert c4.orbits() == v4.orbits() == [[0, 1, 2, 3]]
+    memo = _SubgroupMemo()
+    memo.put(c4, frozenset({1}))
+    assert memo.get(v4) is None
+    # the same C4 from a different generator is a hit
+    assert memo.get(PermGroup(4, [Perm([3, 0, 1, 2])])) == frozenset({1})
+    memo.put(v4, frozenset({2}))
+    assert memo.get(v4) == frozenset({2})
+    assert memo.get(c4) == frozenset({1})
 
 
 def test_witnesses_are_real_bases():

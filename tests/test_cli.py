@@ -78,6 +78,18 @@ def test_exit_code_3_on_budget():
     assert "budget" in err
 
 
+def test_exit_code_4_on_internal_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stabilizer chain order 5 != expected 6")
+
+    monkeypatch.setattr("basekit.cli.minimal_base_sizes", broken)
+    code, out, err = run_cli(["analyze", '{"type":"sym","n":3}'])
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: stabilizer chain order 5 != expected 6\n"
+    assert "Traceback" not in err
+
+
 def test_exit_code_2_on_unknown_suite():
     code, _, _ = run_cli(["verify", "nonsense"])
     assert code == 2

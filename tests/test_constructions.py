@@ -218,12 +218,14 @@ def test_wreath_coset_spectra_bruteforce():
     assert bf.minimal_trivial_families(classes) == {2, 3}
 
 
-def test_wreath_coset_methods_agree():
+def test_wreath_coset_numbering_matches_triples_oracle():
+    # chain membership tests against an exact coset invariant
     for n, k in ((4, 2), (4, 3)):
-        a = wreath_coset_action(n, k, method="chain")
-        b = wreath_coset_action(n, k, method="triples")
-        assert a.degree == b.degree
-        assert all(x == y for x, y in zip(a.generators, b.generators))
+        gens = [g.to_list() for g in wreath_imprimitive(n, k).generators]
+        want = bf.wreath_coset_images(n, k, gens)
+        assert len(want[0]) == math.factorial(n) * n * k
+        got = [g.to_list() for g in wreath_coset_action(n, k).generators]
+        assert got == want, (n, k)
 
 
 def test_wreath_coset_index_ceiling():
@@ -231,8 +233,6 @@ def test_wreath_coset_index_ceiling():
         wreath_coset_action(6, 4)
     with pytest.raises(ValueError):
         wreath_coset_action(2, 3)
-    with pytest.raises(ValueError):
-        wreath_coset_action(4, 3, method="bogus")
 
 
 def test_generic_coset_action():
