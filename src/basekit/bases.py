@@ -439,7 +439,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
                 if H.order() // int(counts[labels[x]]) == 1:
                     out.add(1)
                     continue
-                lengths = enter(H._point_stabilizer_chained(x))
+                lengths = enter(H.point_stabilizer(x))
                 break
             else:
                 stack.pop()
@@ -470,7 +470,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
                     continue
                 if rem == 1:
                     continue
-                Hx = H._point_stabilizer_chained(x)
+                Hx = H.point_stabilizer(x)
                 if (rem - 1) in explore(Hx):
                     seq.append(x)
                     H = Hx

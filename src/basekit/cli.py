@@ -5,8 +5,9 @@ JSON-first: every command prints a canonical JSON document on stdout
 renderings of that JSON behind ``--table``, and timings go to stderr.
 
 Exit codes: 0 pass, 1 suite failure or detected anomaly, 2 usage or spec
-error, 3 search budget exceeded, 4 internal error (a broken invariant such
-as a chain-order mismatch, or ``RecursionError``).
+error (a spec nested too deeply to decode or evaluate included), 3 search
+budget exceeded, 4 internal error (a broken invariant such as a chain-order
+mismatch, or ``RecursionError``).
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def _load_spec(arg: str) -> dict:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError(f"spec is nested too deeply to decode: {exc}") from exc
     if not isinstance(spec, dict):
         raise SpecError("a group spec is a JSON object")
     return spec

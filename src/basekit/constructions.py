@@ -449,10 +449,35 @@ def _need(spec: dict, key: str, kind=int):
         raise SpecError(f"bad value for {key!r}: {spec[key]!r}") from exc
 
 
+MAX_SPEC_DEPTH = 32
+
+
+def _spec_depth(spec) -> int:
+    """Nesting depth of ``factors`` lists (1 for a spec without factors).
+
+    Iterative, and stops once past ``MAX_SPEC_DEPTH``.
+    """
+    deepest = 0
+    stack = [(spec, 1)]
+    while stack and deepest <= MAX_SPEC_DEPTH:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        factors = node.get("factors") if isinstance(node, dict) else None
+        if isinstance(factors, list):
+            stack.extend((f, depth + 1) for f in factors)
+    return deepest
+
+
 def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
-    """Evaluate a group-spec document (see the JSON schema in the README)."""
+    """Evaluate a group-spec document (see the JSON schema in the README).
+
+    Specs may nest ``factors`` at most ``MAX_SPEC_DEPTH`` levels deep; a
+    deeper spec is a ``SpecError``, since evaluation recurses per level.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise SpecError("a group spec is an object with a 'type' field")
+    if _spec_depth(spec) > MAX_SPEC_DEPTH:
+        raise SpecError(f"spec nests factors more than {MAX_SPEC_DEPTH} levels deep")
     t = spec["type"]
     try:
         if t == "sym":

@@ -12,6 +12,20 @@ as soon as the transversal sizes multiply up to it.  This is sound because
 the products of one transversal element per level are pairwise distinct
 group elements, so the product of orbit sizes can never exceed the group
 order and reaches it exactly when the strong generating set is complete.
+
+Point stabilizers are derived from the parent's chain rather than rebuilt.
+Let level ``i`` be the first level with a basic orbit of more than one
+point, ``b`` its base point and ``t_x`` its transversal element taking ``b``
+to ``x``.  Then ``H_b`` is the group of the chain's suffix from level
+``i + 1``, and ``H_x = t_x^-1 H_b t_x`` for every other ``x`` in the basic
+orbit.  A derived group therefore keeps the shared suffix plus a conjugator
+``u`` (the group is ``u^-1 <suffix> u``), its conjugated generators and its
+order; no level or transversal is copied, and membership sifts
+``u p u^-1`` through the suffix.  Stabilizing a derived group composes
+conjugators: ``H_x = (t_y u)^-1 <suffix> (t_y u)`` with ``y = x^(u^-1)``.
+Only a point outside that first basic orbit (moved by the group, but in
+another orbit) falls back to a fresh ``build_chain`` with the point as base
+prefix and the known order as early-exit hint.
 """
 
 from __future__ import annotations
@@ -226,6 +240,14 @@ def build_chain(
     return chain
 
 
+def _first_moving_level(chain: StabilizerChain) -> int:
+    """Index of the first level whose basic orbit has more than one point."""
+    i = 0
+    while len(chain.levels[i].transversal) == 1:
+        i += 1
+    return i
+
+
 def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
     """Label every point with the smallest point of its orbit.
 
@@ -254,13 +276,17 @@ class PermGroup:
 
     The trivial group is an empty generator list (the identity is never
     stored).  The stabilizer chain is built lazily and cached; instances are
-    immutable after construction and safe for concurrent reads.
+    immutable after construction and safe for concurrent reads.  A point
+    stabilizer derived by conjugation carries ``_frame = (chain, u, u_inv)``
+    instead: the group is ``u_inv * <chain> * u``, and its own chain is only
+    built if ``chain()`` is asked for.
     """
 
     __slots__ = (
         "degree",
         "generators",
         "_chain",
+        "_frame",
         "_order",
         "_hint",
         "_partition",
@@ -284,6 +310,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain: StabilizerChain | None = None
+        self._frame = None
         self._partition = None
         self._stab_classes = None
         if not gens:
@@ -302,6 +329,7 @@ class PermGroup:
         g.degree = degree
         g.generators = generators
         g._chain = None
+        g._frame = None
         g._order = order
         g._partition = None
         g._stab_classes = None
@@ -334,7 +362,19 @@ class PermGroup:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         if self.is_trivial():
             return p.is_identity()
+        if self._frame is not None:
+            chain, u, u_inv = self._frame
+            return chain.contains(u * p * u_inv)
         return self.chain().contains(p)
+
+    def _framed_chain(self):
+        """``(chain, u, u_inv)`` with this group equal to ``u_inv * <chain> * u``.
+
+        ``u`` and ``u_inv`` are ``None`` for a group read in its own points.
+        """
+        if self._frame is not None:
+            return self._frame
+        return self.chain(), None, None
 
     def orbit_partition(self):
         """(labels, counts): ``labels[x]`` is min of x's orbit, ``counts[x]`` ignored off-labels."""
@@ -367,10 +407,14 @@ class PermGroup:
         Points with equal labels have literally equal point stabilizers, so
         they are interchangeable in bases and independent sets.  Computed
         orbit by orbit: the fixed-point set of one representative stabilizer
-        is carried around the orbit by transversal elements (those of the
-        first level of the chain based at the representative), and a fixed
-        point with the same orbit length has the same (not just containing)
-        stabilizer.
+        is carried around the orbit by group elements taking the
+        representative to each orbit point, and a fixed point with the same
+        orbit length has the same (not just containing) stabilizer.  On the
+        chain's first nontrivial basic orbit the representative's stabilizer
+        is derived and the carriers are ``t_rep^-1 t_y`` from that level's
+        transversal; any other moved orbit is read from a chain built with
+        its representative as base point, and a fixed point's stabilizer is
+        the group itself.
         """
         if self._stab_classes is not None:
             return self._stab_classes
@@ -379,15 +423,36 @@ class PermGroup:
         orbsize = part_counts[part_labels]
         ar = np.arange(degree)
         out = np.full(degree, -1, dtype=np.int64)
+        level = u = u_inv = None
+        if not self.is_trivial():
+            frame, u, u_inv = self._framed_chain()
+            level = frame.levels[_first_moving_level(frame)]
+
+        def fixed_points(gens):
+            mask = np.ones(degree, dtype=bool)
+            for g in gens:
+                mask &= g.images == ar
+            return np.nonzero(mask)[0]
+
         for rep in np.nonzero(part_labels == ar)[0]:
             rep = int(rep)
-            chain = self.stabilizer_chain((rep,))
-            fixmask = np.ones(degree, dtype=bool)
-            for g in chain.level_generators(1):
-                fixmask &= g.images == ar
-            fixed = np.nonzero(fixmask)[0]
-            for x, u in chain.levels[0].transversal.items():
-                cls = u.images[fixed]
+            if orbsize[rep] == 1:
+                carried = [(rep, fixed_points(self.generators))]
+            elif (y := rep if u_inv is None else int(u_inv.images[rep])) in level.transversal:
+                fixed = fixed_points(self.point_stabilizer(rep).generators)
+                if u_inv is not None:
+                    fixed = u_inv.images[fixed]
+                fixed = level.transversal[y].inverse().images[fixed]
+                carried = [
+                    (z, t.images[fixed]) if u is None
+                    else (int(u.images[z]), u.images[t.images[fixed]])
+                    for z, t in level.transversal.items()
+                ]
+            else:
+                chain = self.stabilizer_chain((rep,))
+                fixed = fixed_points(chain.level_generators(1))
+                carried = [(x, t.images[fixed]) for x, t in chain.levels[0].transversal.items()]
+            for x, cls in carried:
                 out[x] = int(cls[orbsize[cls] == orbsize[x]].min())
         out.setflags(write=False)
         self._stab_classes = out
@@ -410,30 +475,65 @@ class PermGroup:
         return build_chain(self.degree, self.generators, prefix, known_order=self.order())
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """The subgroup fixing every point of ``points`` (prefix taken in ascending order)."""
+        """The subgroup fixing every point of ``points``.
+
+        Folded point by point in ascending order.  A point fixed by the whole
+        group is skipped; otherwise its stabilizer is derived from the
+        chain (see the module notes).  The first point outside the chain's
+        first nontrivial basic orbit ends the fold with one ``build_chain``
+        whose base prefix is that point and all points after it.
+        """
         prefix = tuple(sorted(set(points)))
-        if not prefix:
-            return PermGroup._with_order(self.degree, self.generators, self.order())
-        if self.is_trivial():
-            for b in prefix:
-                if not 0 <= b < self.degree:
-                    raise ValueError(f"point {b} outside 0..{self.degree - 1}")
-            return PermGroup._with_order(self.degree, (), 1)
-        chain = self.stabilizer_chain(prefix)
-        gens = chain.level_generators(len(prefix))
-        return PermGroup._with_order(self.degree, gens, chain.suffix_order(len(prefix)))
+        for b in prefix:
+            if not 0 <= b < self.degree:
+                raise ValueError(f"point {b} outside 0..{self.degree - 1}")
+        H = self
+        for k, x in enumerate(prefix):
+            if H.is_trivial():
+                break
+            if all(g.images[x] == x for g in H.generators):
+                continue
+            Hx = H._derived_point_stabilizer(x)
+            if Hx is None:
+                rest = prefix[k:]
+                chain = build_chain(H.degree, H.generators, rest, known_order=H.order())
+                return H._suffix_group(chain, len(rest))
+            H = Hx
+        return H
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))
 
-    def _point_stabilizer_chained(self, point: int) -> "PermGroup":
-        # like point_stabilizer, but keeps the tail chain attached so the
-        # result's own chain needs no rebuild
-        chain = self.stabilizer_chain((point,))
-        sub = PermGroup._with_order(
-            self.degree, chain.level_generators(1), chain.suffix_order(1)
-        )
-        sub._chain = chain.suffix(1)
+    def _derived_point_stabilizer(self, x: int) -> "PermGroup | None":
+        # H_x by the module notes' suffix-and-conjugator route, or None when
+        # x lies outside the first nontrivial basic orbit
+        chain, u, u_inv = self._framed_chain()
+        i = _first_moving_level(chain)
+        level = chain.levels[i]
+        y = x if u_inv is None else int(u_inv.images[x])
+        if y == level.point:
+            return self._suffix_group(chain, i + 1, u, u_inv)
+        t = level.transversal.get(y)
+        if t is None:
+            return None
+        if u is not None:
+            t = t * u
+        return self._suffix_group(chain, i + 1, t, t.inverse())
+
+    def _suffix_group(self, chain: StabilizerChain, start: int, u=None, u_inv=None) -> "PermGroup":
+        # the group of chain.suffix(start), read through the conjugator u
+        # when given; shares the chain's levels
+        order = chain.suffix_order(start)
+        if order == 1:
+            return PermGroup._with_order(self.degree, (), 1)
+        frame = chain.suffix(start)
+        gens = frame.level_generators(0)
+        if u is None:
+            sub = PermGroup._with_order(self.degree, gens, order)
+            sub._chain = frame
+            return sub
+        sub = PermGroup._with_order(self.degree, tuple(u_inv * g * u for g in gens), order)
+        sub._frame = (frame, u, u_inv)
         return sub
 
     def __repr__(self) -> str:

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, and have no
+# per-example deadline for a slow or loaded machine to trip.
+settings.register_profile("basekit", derandomize=True, deadline=None)
+settings.load_profile("basekit")
 
 
 def pytest_addoption(parser):

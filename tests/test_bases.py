@@ -235,6 +235,41 @@ def test_subgroup_memo_needs_equal_subgroups():
     assert memo.get(c4) == frozenset({1})
 
 
+def _relabelled_symmetric(n, seed):
+    # S_n from a transposition and an n-cycle, points shuffled, no order hint
+    lab = list(range(n))
+    random.Random(seed).shuffle(lab)
+    t = list(range(n))
+    t[lab[0]], t[lab[1]] = lab[1], lab[0]
+    c = list(range(n))
+    for i in range(n):
+        c[lab[i]] = lab[(i + 1) % n]
+    return PermGroup(n, [Perm(t), Perm(c)])
+
+
+def test_searches_build_a_bounded_number_of_chains(monkeypatch):
+    # stabilizers come from the root chain, so the number of Schreier-Sims
+    # runs does not grow with the depth of the search
+    import basekit.group as group_module
+
+    original = group_module.build_chain
+    counts = {}
+    for n in (8, 12):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(group_module, "build_chain", counting)
+        G = _relabelled_symmetric(n, 7)
+        assert minimal_base_sizes(G) == SizeSet({n - 1})
+        assert irredundant_base_sizes(G) == SizeSet({n - 1})
+        assert height(G) == n - 1
+        counts[n] = len(calls)
+    assert counts[8] == counts[12] <= 2
+
+
 def test_witnesses_are_real_bases():
     for name, G in ORACLE_GROUPS[:8]:
         sizes, wits = minimal_base_sizes(G, witnesses=True)

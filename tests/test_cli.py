@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from basekit.cli import main
+from basekit.constructions import MAX_SPEC_DEPTH, build_group
+from basekit.errors import SpecError
 
 
 def run_cli(argv):
@@ -70,6 +72,29 @@ def test_exit_code_2_on_bad_spec():
         code, _, err = run_cli(["analyze", bad])
         assert code == 2, bad
         assert "error" in err
+
+
+def _nested_disjoint_product(levels):
+    leaf = '{"type":"cyclic_regular","p":2}'
+    return '{"type":"disjoint_product","factors":[' * levels + leaf + (',' + leaf + ']}') * levels
+
+
+def test_exit_code_2_on_deeply_nested_spec(tmp_path):
+    # 1200 levels overflow the JSON decoder, 40 pass it but exceed the spec depth limit
+    for levels in (1200, MAX_SPEC_DEPTH + 8):
+        path = tmp_path / f"nested{levels}.json"
+        path.write_text(_nested_disjoint_product(levels))
+        code, out, err = run_cli(["analyze", str(path)])
+        assert code == 2, levels
+        assert out == ""
+        assert err.startswith("error") and "internal" not in err, err
+
+
+def test_spec_depth_limit_is_inclusive():
+    G, _ = build_group(json.loads(_nested_disjoint_product(MAX_SPEC_DEPTH - 1)))
+    assert G.degree == 2 * MAX_SPEC_DEPTH and G.order() == 2**MAX_SPEC_DEPTH
+    with pytest.raises(SpecError):
+        build_group(json.loads(_nested_disjoint_product(MAX_SPEC_DEPTH)))
 
 
 def test_exit_code_3_on_budget():

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from basekit import Perm, PermGroup, build_chain
 
@@ -184,3 +187,152 @@ def test_order_hint_checked():
 def test_identity_never_stored():
     G = PermGroup(3, [Perm.identity(3), Perm([1, 0, 2]), Perm([1, 0, 2])])
     assert len(G.generators) == 1
+
+
+# -- stabilizers derived from the parent's chain --------------------------
+
+
+def count_chain_builds(monkeypatch):
+    import basekit.group as group_module
+
+    calls = []
+    original = group_module.build_chain
+
+    def counting(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("base_prefix", ()))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(group_module, "build_chain", counting)
+    return calls
+
+
+def test_stabilizer_of_the_base_point_shares_the_suffix(monkeypatch):
+    G = sym(5)
+    chain = G.chain()
+    calls = count_chain_builds(monkeypatch)
+    H = G.point_stabilizer(chain.base[0])
+    assert calls == []
+    assert H._frame is None and H.chain().levels[0] is chain.levels[1]
+    assert H.order() == 24 and H.orbits() == [[0], [1, 2, 3, 4]]
+
+
+def test_stabilizer_in_the_basic_orbit_is_conjugated(monkeypatch):
+    G = sym(6)
+    calls = count_chain_builds(monkeypatch)
+    G.order()
+    H = G.point_stabilizer(3)
+    K = H.point_stabilizer(5)  # composes the conjugators
+    assert len(calls) == 1  # the root chain only
+    assert H._frame is not None and K._frame is not None
+    assert H._frame[0].levels[0] is G.chain().levels[1]
+    assert (H.order(), K.order()) == (120, 24)
+    assert K.orbits() == [[0, 1, 2, 4], [3], [5]]
+    for g in K.generators:
+        assert g[3] == 3 and g[5] == 5 and G.contains(g) and H.contains(g)
+    assert K.contains(Perm.from_cycles(6, (0, 4)))
+    assert not K.contains(Perm.from_cycles(6, (0, 3)))
+    assert not H.contains(Perm.from_cycles(6, (0, 3)))
+    # the derived group's own chain is built on demand and agrees
+    assert K.chain().order() == 24 and len(calls) == 2
+
+
+def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
+    # S3 x S3 on {0,1,2} and {3,4,5}: point 4 lies outside level 0's orbit
+    G = PermGroup(6, [Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, (0, 1, 2)),
+                      Perm.from_cycles(6, (3, 4)), Perm.from_cycles(6, (3, 4, 5))])
+    G.order()
+    calls = count_chain_builds(monkeypatch)
+    H = G.point_stabilizer(4)
+    assert calls == [(4,)]
+    assert H.order() == 12 and H.orbits() == [[0, 1, 2], [3, 5], [4]]
+    # 0 is the base point; the first off-orbit point rebuilds once for the
+    # rest of the fold
+    S = G.pointwise_stabilizer([0, 3, 4])
+    assert calls == [(4,), (3, 4)]
+    assert S.order() == 2
+    # a point the group fixes is skipped
+    assert H.point_stabilizer(4) is H
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sym(5),
+    lambda: sym(5).point_stabilizer(0),
+    lambda: sym(5).point_stabilizer(3),
+    lambda: sym(5).point_stabilizer(3).point_stabilizer(1),
+    lambda: PermGroup(5),
+], ids=["plain", "suffix", "conjugated", "conjugated-twice", "trivial"])
+def test_point_stabilizer_range_checks(make):
+    G = make()
+    for bad in (-1, G.degree):
+        with pytest.raises(ValueError):
+            G.point_stabilizer(bad)
+        with pytest.raises(ValueError):
+            G.pointwise_stabilizer([0, bad])
+
+
+def _class_labels_oracle(G):
+    elements = bf.closure([g.to_list() for g in G.generators], limit=6000) if G.generators \
+        else {tuple(range(G.degree))}
+    stabs = [frozenset(e for e in elements if e[x] == x) for x in range(G.degree)]
+    return [min(y for y in range(G.degree) if stabs[y] == stabs[x]) for x in range(G.degree)]
+
+
+CLASS_LABEL_GROUPS = SMALL_GROUPS + [
+    ("s3xs3", PermGroup(6, [Perm.from_cycles(6, (0, 1, 2)), Perm.from_cycles(6, (1, 2)),
+                            Perm.from_cycles(6, (3, 4, 5)), Perm.from_cycles(6, (4, 5))])),
+    ("klein-fixed", PermGroup(6, [Perm([0, 2, 1, 4, 3, 5]), Perm([0, 3, 4, 1, 2, 5])])),
+    ("sym6-stab3", sym(6).point_stabilizer(3)),
+    ("sym6-stab3-stab5", sym(6).point_stabilizer(3).point_stabilizer(5)),
+    ("c2wrc3-stab4", PermGroup(6, [Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, (0, 2, 4), (1, 3, 5))])
+     .point_stabilizer(4)),
+]
+
+
+@pytest.mark.parametrize("name,G", CLASS_LABEL_GROUPS, ids=[n for n, _ in CLASS_LABEL_GROUPS])
+def test_stabilizer_class_labels_match_bruteforce(name, G):
+    assert G.stabilizer_class_labels().tolist() == _class_labels_oracle(G)
+
+
+@st.composite
+def groups_and_points(draw):
+    """A group of degree <= 12 (half the time a direct product of two groups
+    on complementary point sets), relabelled, with up to 3 points."""
+    n = draw(st.integers(2, 12))
+    cut = draw(st.sampled_from([n] + list(range(2, n - 1))))
+    gens = []
+    for lo, hi in [(0, cut), (cut, n)][: 1 + (cut < n)]:
+        for _ in range(draw(st.integers(1, 2))):
+            block = draw(st.permutations(range(lo, hi)))
+            gens.append(list(range(lo)) + list(block) + list(range(hi, n)))
+    relabel = draw(st.permutations(range(n)))
+    inv = [0] * n
+    for i, r in enumerate(relabel):
+        inv[r] = i
+    gens = [[relabel[g[inv[x]]] for x in range(n)] for g in gens]
+    points = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    return n, gens, points
+
+
+@settings(max_examples=120)
+@given(groups_and_points(), st.data())
+def test_successive_point_stabilizers_match_sympy(case, data):
+    n, gens, points = case
+    G = PermGroup(n, [Perm(g) for g in gens])
+    H = G
+    for x in points:
+        H = H.point_stabilizer(x)
+    ref_G = PermutationGroup([Permutation(g) for g in gens])
+    ref = ref_G.pointwise_stabilizer(points) if points else ref_G
+    assert H.order() == ref.order()
+    assert sorted(map(sorted, ref.orbits())) == H.orbits()
+    for g in H.generators:
+        assert all(g[x] == x for x in points)
+        assert G.contains(g)
+    for p in data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4)):
+        assert H.contains(Perm(p)) == ref.contains(Permutation(p))
+    if H.generators:
+        word = data.draw(st.lists(st.sampled_from(H.generators), min_size=1, max_size=5))
+        w = word[0]
+        for g in word[1:]:
+            w = w * g
+        assert H.contains(w) and ref.contains(Permutation(w.to_list()))
