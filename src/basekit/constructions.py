@@ -441,12 +441,14 @@ def gl42_on_2subspaces() -> PermGroup:
 def _need(spec: dict, key: str, kind=int):
     if key not in spec:
         raise SpecError(f"spec {spec.get('type')!r} is missing {key!r}")
-    try:
-        if kind is int:
-            return int(spec[key])
-        return spec[key]
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad value for {key!r}: {spec[key]!r}") from exc
+    return _checked(key, spec[key], kind)
+
+
+def _checked(key: str, value, kind=int):
+    # exact values only: 4.7 or "4" is an error, never truncated or parsed
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise SpecError(f"bad value for {key!r}: {value!r} (need {kind.__name__})")
+    return value
 
 
 MAX_SPEC_DEPTH = 32
@@ -511,8 +513,8 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
             G = product_action(*parts)
             return G, _single_block(G.degree, "pairs")
         if t == "theorem2":
-            xs = _need(spec, "X", list)
-            return theorem2_group(xs, int(spec.get("p", 2)))
+            xs = [_checked("X", x) for x in _need(spec, "X", list)]
+            return theorem2_group(xs, _checked("p", spec.get("p", 2)))
         if t == "theorem3_m":
             G = theorem3_groups(_need(spec, "a"), _need(spec, "b"), "M")
             return G, _single_block(G.degree, "tuples")
@@ -523,7 +525,7 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
             G = wreath_coset_action(
                 _need(spec, "n"),
                 _need(spec, "k"),
-                max_index=int(spec.get("max_index", 5000)),
+                max_index=_checked("max_index", spec.get("max_index", 5000)),
             )
             return G, _single_block(G.degree, "cosets")
         if t == "k_subsets":

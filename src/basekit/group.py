@@ -2,10 +2,15 @@
 
 The chain is the classic incremental Schreier-Sims structure: level ``i``
 stores a base point, the strong generators fixing all earlier base points,
-and an explicit transversal of the base point's orbit under those
-generators.  Everything is deterministic: orbits are explored breadth-first
-with generators in list order, and a new base point is always the smallest
-point moved by the residue that forced it.
+and the base point's orbit under those generators as a Schreier vector:
+each orbit point records the point it was reached from and the index of
+the generator that took it there.  A new strong generator extends the
+orbit incrementally: only that generator is applied to the points already
+there, and every generator to the points it adds.  Coset representatives
+are products along the Schreier tree, formed only when read and then
+cached with their inverses.  Everything is deterministic: orbits grow
+breadth-first with generators in list order, and a new base point is
+always the smallest point moved by the residue that forced it.
 
 When the order of the generated group is known up front, construction stops
 as soon as the transversal sizes multiply up to it.  This is sound because
@@ -38,41 +43,104 @@ __all__ = ["PermGroup", "StabilizerChain", "build_chain"]
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "_inverses")
+    """One level of a stabilizer chain.
+
+    ``transversal`` is the Schreier vector of the basic orbit: an
+    insertion-ordered ``point -> (parent point, generator index)`` dict,
+    with the base point mapped to ``None``, such that ``gens[i]`` takes the
+    parent to the point; a parent always precedes its children.  Coset
+    representatives are materialized on demand by ``element`` and cached,
+    together with their inverses; a point keeps its entry once it has one,
+    so the caches never go stale.  The orbit partition of the generators is
+    cached too, once the chain is built.
+    """
+
+    __slots__ = ("point", "gens", "transversal", "_elements", "_inverses", "_partition")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[Perm] = []
+        self.transversal: dict[int, tuple[int, int] | None] = {point: None}
         ident = Perm.identity(degree)
-        self.transversal: dict[int, Perm] = {point: ident}
+        self._elements: dict[int, Perm] = {point: ident}
         self._inverses: dict[int, Perm] = {point: ident}
+        self._partition = None
 
-    def recompute_orbit(self, degree: int) -> None:
-        # breadth-first, generators in list order; insertion order is the
-        # deterministic point numbering of the orbit
-        ident = Perm.identity(degree)
-        trans = {self.point: ident}
-        queue = [self.point]
-        qi = 0
+    def add_gen(self, g: Perm) -> None:
+        """Append a strong generator and extend the orbit.
+
+        Only ``g`` is applied to the points already in the orbit; every
+        generator is applied to the points it gains, breadth-first in list
+        order.
+        """
+        trans = self.transversal
         gens = self.gens
-        while qi < len(queue):
-            beta = queue[qi]
-            qi += 1
-            u = trans[beta]
-            for s in gens:
+        gens.append(g)
+        images = g.images
+        new = []
+        for beta in list(trans):
+            gamma = int(images[beta])
+            if gamma not in trans:
+                trans[gamma] = (beta, len(gens) - 1)
+                new.append(gamma)
+        for beta in new:  # grows while walked: a breadth-first queue
+            for i, s in enumerate(gens):
                 gamma = int(s.images[beta])
                 if gamma not in trans:
-                    trans[gamma] = u * s
-                    queue.append(gamma)
-        self.transversal = trans
-        self._inverses = {self.point: ident}
+                    trans[gamma] = (beta, i)
+                    new.append(gamma)
+
+    def element(self, point: int) -> Perm:
+        """The coset representative taking the base point to ``point``.
+
+        Walks the Schreier vector up to the nearest cached ancestor and
+        caches every element on the way back down.
+        """
+        cache = self._elements
+        u = cache.get(point)
+        if u is not None:
+            return u
+        path = []
+        x = point
+        while u is None:
+            path.append(x)
+            x = self.transversal[x][0]
+            u = cache.get(x)
+        gens = self.gens
+        for y in reversed(path):
+            u = u * gens[self.transversal[y][1]]
+            cache[y] = u
+        return u
+
+    def carry(self, points: np.ndarray) -> dict[int, np.ndarray]:
+        """``x -> images of points`` under the representative for ``x``, for every orbit point.
+
+        Walks the Schreier tree on ``points`` alone, so no representative is
+        formed.
+        """
+        rows = {self.point: points}
+        gens = self.gens
+        for x, edge in self.transversal.items():
+            if edge is not None:
+                parent, i = edge
+                rows[x] = gens[i].images[rows[parent]]
+        return rows
 
     def inv_transversal(self, point: int) -> Perm:
         u = self._inverses.get(point)
         if u is None:
-            u = self.transversal[point].inverse()
+            u = self.element(point).inverse()
             self._inverses[point] = u
         return u
+
+    def orbit_partition(self, degree: int):
+        """``_orbit_partition`` of this level's generators, computed once.
+
+        Only for a finished chain: a later ``add_gen`` would not reset it.
+        """
+        if self._partition is None:
+            self._partition = _orbit_partition(degree, tuple(self.gens))
+        return self._partition
 
 
 class StabilizerChain:
@@ -149,9 +217,10 @@ class StabilizerChain:
             if i == len(self.levels):
                 yield Perm.identity(self.degree)
                 return
+            level = self.levels[i]
             for tail in walk(i + 1):
-                for u in self.levels[i].transversal.values():
-                    yield tail * u
+                for x in level.transversal:
+                    yield tail * level.element(x)
 
         yield from walk(0)
 
@@ -188,9 +257,7 @@ def build_chain(
         if stuck == len(levels):
             levels.append(_Level(g.smallest_moved(), degree))
         for l in range(low, stuck + 1):
-            level = levels[l]
-            level.gens.append(g)
-            level.recompute_orbit(degree)
+            levels[l].add_gen(g)
 
     for g in generators:
         if g.degree != degree:
@@ -209,13 +276,14 @@ def build_chain(
     while i >= 0:
         level = levels[i]
         restart_at = None
-        for beta in sorted(level.transversal):
-            u_beta = level.transversal[beta]
-            for s in level.gens:
+        trans = level.transversal
+        for beta in sorted(trans):
+            for gi, s in enumerate(level.gens):
                 gamma = int(s.images[beta])
-                w = u_beta * s
-                u_gamma = level.transversal[gamma]
-                if (w.images == u_gamma.images).all():
+                if trans[gamma] == (beta, gi):
+                    continue  # a tree edge: its Schreier generator is trivial
+                w = level.element(beta) * s
+                if (w.images == level.element(gamma).images).all():
                     continue
                 schreier = w * level.inv_transversal(gamma)
                 residue, j = chain.sift(schreier, i + 1)
@@ -269,6 +337,23 @@ def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
     labels.setflags(write=False)
     counts.setflags(write=False)
     return labels, counts
+
+
+def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
+    """The orbit partition of ``u_inv <G> u`` from that of ``G``.
+
+    ``x`` and ``y`` share an orbit iff ``x^u_inv`` and ``y^u_inv`` share a
+    ``G``-orbit; each orbit is then labelled by its smallest point again.
+    """
+    degree = labels.size
+    ids = labels[u_inv.images]
+    smallest = np.full(degree, degree, dtype=np.int64)
+    np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
+    out = smallest[ids]
+    counts = np.bincount(out, minlength=degree)
+    out.setflags(write=False)
+    counts.setflags(write=False)
+    return out, counts
 
 
 class PermGroup:
@@ -379,7 +464,12 @@ class PermGroup:
     def orbit_partition(self):
         """(labels, counts): ``labels[x]`` is min of x's orbit, ``counts[x]`` ignored off-labels."""
         if self._partition is None:
-            self._partition = _orbit_partition(self.degree, self.generators)
+            if self._frame is not None:
+                chain, _, u_inv = self._frame
+                labels, _ = chain.levels[0].orbit_partition(self.degree)
+                self._partition = _relabelled_partition(labels, u_inv)
+            else:
+                self._partition = _orbit_partition(self.degree, self.generators)
         return self._partition
 
     def orbit(self, point: int) -> set[int]:
@@ -442,16 +532,14 @@ class PermGroup:
                 fixed = fixed_points(self.point_stabilizer(rep).generators)
                 if u_inv is not None:
                     fixed = u_inv.images[fixed]
-                fixed = level.transversal[y].inverse().images[fixed]
-                carried = [
-                    (z, t.images[fixed]) if u is None
-                    else (int(u.images[z]), u.images[t.images[fixed]])
-                    for z, t in level.transversal.items()
-                ]
+                fixed = level.inv_transversal(y).images[fixed]
+                carried = level.carry(fixed).items()
+                if u is not None:
+                    carried = [(int(u.images[z]), u.images[cls]) for z, cls in carried]
             else:
                 chain = self.stabilizer_chain((rep,))
                 fixed = fixed_points(chain.level_generators(1))
-                carried = [(x, t.images[fixed]) for x, t in chain.levels[0].transversal.items()]
+                carried = chain.levels[0].carry(fixed).items()
             for x, cls in carried:
                 out[x] = int(cls[orbsize[cls] == orbsize[x]].min())
         out.setflags(write=False)
@@ -513,9 +601,9 @@ class PermGroup:
         y = x if u_inv is None else int(u_inv.images[x])
         if y == level.point:
             return self._suffix_group(chain, i + 1, u, u_inv)
-        t = level.transversal.get(y)
-        if t is None:
+        if y not in level.transversal:
             return None
+        t = level.element(y)
         if u is not None:
             t = t * u
         return self._suffix_group(chain, i + 1, t, t.inverse())

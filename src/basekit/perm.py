@@ -33,12 +33,15 @@ class Perm:
     __slots__ = ("images", "_hash")
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.int32)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a permutation needs at least one point")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"images must be integers, not {arr.dtype}: {images!r}")
         n = arr.size
         if (arr < 0).any() or (arr >= n).any() or np.bincount(arr, minlength=n).max() != 1:
             raise ValueError(f"images do not form a permutation of 0..{n - 1}: {images!r}")
+        arr = arr.astype(np.int32)
         arr.setflags(write=False)
         self.images = arr
         self._hash = None

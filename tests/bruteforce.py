@@ -53,6 +53,16 @@ def orbit(elements, point):
     return {e[point] for e in elements}
 
 
+def orbit_under(gens, point):
+    """Orbit of a point under generators (tuples), by closing under images."""
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        frontier = [g[x] for x in frontier for g in gens if g[x] not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def is_base(elements, points):
     return len(stabilizer(elements, points)) == 1
 

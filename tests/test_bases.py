@@ -34,6 +34,7 @@ from basekit import (
     product_action,
     symmetric,
     theorem2_group,
+    wreath_coset_action,
 )
 from basekit.bases import _SubgroupMemo
 
@@ -268,6 +269,22 @@ def test_searches_build_a_bounded_number_of_chains(monkeypatch):
         assert height(G) == n - 1
         counts[n] = len(calls)
     assert counts[8] == counts[12] <= 2
+
+
+def test_search_makes_a_bounded_number_of_multiplications(monkeypatch):
+    # transversal elements are formed only when read, not rebuilt in full
+    # whenever a level gains a strong generator; rebuilding made 2,320 here
+    G = wreath_coset_action(4, 3)
+    original = Perm.__mul__
+    calls = [0]
+
+    def counting(p, q):
+        calls[0] += 1
+        return original(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    assert minimal_base_sizes(G) == SizeSet({3, 4})
+    assert calls[0] <= 1160
 
 
 def test_witnesses_are_real_bases():

@@ -74,6 +74,30 @@ def test_exit_code_2_on_bad_spec():
         assert "error" in err
 
 
+NON_INTEGER_SPECS = {
+    "sym-float": '{"type":"sym","n":4.7}',
+    "sym-integral-float": '{"type":"sym","n":4.0}',
+    "sym-string": '{"type":"sym","n":"4"}',
+    "sym-bool": '{"type":"sym","n":true}',
+    "theorem2-float-entry": '{"type":"theorem2","X":[1.5,3]}',
+    "theorem2-bool-entry": '{"type":"theorem2","X":[1,true]}',
+    "theorem2-string-X": '{"type":"theorem2","X":"13"}',
+    "theorem2-float-p": '{"type":"theorem2","X":[1,3],"p":2.5}',
+    "wreath-float-max-index": '{"type":"wreath_coset","n":4,"k":2,"max_index":5000.9}',
+    "product-string-factors": '{"type":"disjoint_product","factors":"ab"}',
+    "explicit-float-images": '{"type":"explicit","degree":3,"generators":[[1.5,0.2,2]]}',
+    "explicit-string-images": '{"type":"explicit","degree":3,"generators":[["1","0","2"]]}',
+    "explicit-float-degree": '{"type":"explicit","degree":3.0,"generators":[[1,0,2]]}',
+}
+
+
+@pytest.mark.parametrize("spec", NON_INTEGER_SPECS.values(), ids=NON_INTEGER_SPECS.keys())
+def test_exit_code_2_on_non_integer_spec_values(spec):
+    code, out, err = run_cli(["analyze", spec])
+    assert code == 2, spec
+    assert out == "" and err.startswith("error"), err
+
+
 def _nested_disjoint_product(levels):
     leaf = '{"type":"cyclic_regular","p":2}'
     return '{"type":"disjoint_product","factors":[' * levels + leaf + (',' + leaf + ']}') * levels

@@ -105,6 +105,17 @@ def test_chain_invariants(name, G):
     for g in G.generators:
         residue, lvl = chain.sift(g)
         assert residue.is_identity() and lvl == len(chain.levels)
+    # each transversal is a Schreier vector of the level's basic orbit
+    for level in chain.levels:
+        gens = level.gens
+        assert next(iter(level.transversal)) == level.point
+        assert level.transversal[level.point] is None
+        for x, edge in level.transversal.items():
+            if x != level.point:
+                parent, i = edge
+                assert gens[i][parent] == x
+            assert level.element(x)[level.point] == x
+        assert set(level.transversal) == bf.orbit_under([g.to_list() for g in gens], level.point)
 
 
 @pytest.mark.parametrize("name,G", SMALL_GROUPS, ids=[n for n, _ in SMALL_GROUPS])
@@ -124,8 +135,7 @@ def test_chain_determinism():
         b = build_chain(G.degree, G.generators)
         assert a.base == b.base
         for la, lb in zip(a.levels, b.levels):
-            assert list(la.transversal) == list(lb.transversal)
-            assert all(la.transversal[k] == lb.transversal[k] for k in la.transversal)
+            assert list(la.transversal.items()) == list(lb.transversal.items())
 
 
 def test_base_prefix_retained_without_descent():
@@ -336,3 +346,84 @@ def test_successive_point_stabilizers_match_sympy(case, data):
         for g in word[1:]:
             w = w * g
         assert H.contains(w) and ref.contains(Permutation(w.to_list()))
+
+
+# -- build_chain against sympy at larger degree -----------------------------
+
+
+@st.composite
+def transitive_block(draw, max_degree):
+    """A transitive group on 2 to ``max_degree`` points: (local generator
+    images, a bound on its base length)."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "sym", "random"]))
+    if kind in ("sym", "random"):
+        m = draw(st.integers(2, min(6, max_degree)))
+    else:
+        m = draw(st.integers(3, max(3, max_degree)))
+    cycle = [(x + 1) % m for x in range(m)]
+    if kind == "cyclic":
+        return [cycle], 1
+    if kind == "dihedral":
+        return [cycle, [(-x) % m for x in range(m)]], 2
+    if kind == "sym":
+        return [cycle, [1, 0] + list(range(2, m))], m - 1
+    return [cycle, draw(st.permutations(range(m)))], m - 1
+
+
+@st.composite
+def large_groups(draw):
+    """Relabelled direct products of up to three transitive blocks, or
+    imprimitive wreaths of a block by a transitive top group, on up to
+    about 300 points.  Base lengths stay below about 30, which keeps
+    deterministic Schreier-Sims quick."""
+    if draw(st.booleans()):
+        gens, n = [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            block, _ = draw(transitive_block(100))
+            m = len(block[0])
+            gens = [g + list(range(n, n + m)) for g in gens]
+            gens += [list(range(n)) + [n + x for x in b] for b in block]
+            n += m
+    else:
+        inner, levels = draw(transitive_block(30))
+        m = len(inner[0])
+        top, _ = draw(transitive_block(min(12, 300 // m, 24 // levels)))
+        k = len(top[0])
+        # inner acts on block 0 of k blocks; top permutes the blocks
+        gens = [list(h) + list(range(m, m * k)) for h in inner]
+        gens += [[t[x // m] * m + x % m for x in range(m * k)] for t in top]
+        n = m * k
+    relabel = draw(st.permutations(range(n)))
+    inv = [0] * n
+    for i, r in enumerate(relabel):
+        inv[r] = i
+    return n, [[relabel[g[inv[x]]] for x in range(n)] for g in gens]
+
+
+@settings(max_examples=25)
+@given(large_groups(), st.data())
+def test_build_chain_matches_sympy_at_larger_degree(case, data):
+    n, gens = case
+    ref = PermutationGroup([Permutation(g) for g in gens])
+    prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)))
+    hint = ref.order() if data.draw(st.booleans()) else None
+    chain = build_chain(n, [Perm(g) for g in gens], prefix, known_order=hint)
+    assert chain.base[: len(prefix)] == prefix
+    assert chain.order() == ref.order()
+    # basic orbits, from a sympy strong generating set relative to the same base
+    base, strong = ref.schreier_sims_incremental(base=list(chain.base))
+    assert tuple(base) == chain.base
+    for i, level in enumerate(chain.levels):
+        fixing = [s for s in strong if all(s(b) == b for b in base[:i])]
+        orbit = PermutationGroup(fixing).orbit(base[i]) if fixing else {base[i]}
+        assert set(level.transversal) == orbit
+    # membership: words in the generators, their near misses, and random permutations
+    for _ in range(3):
+        word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=6))
+        w = Perm(word[0])
+        for g in word[1:]:
+            w = w * Perm(g)
+        swap = Perm.from_cycles(n, tuple(data.draw(st.lists(st.integers(0, n - 1),
+                                                             min_size=2, max_size=2, unique=True))))
+        for p in (w, w * swap, Perm(data.draw(st.permutations(range(n))))):
+            assert chain.contains(p) == ref.contains(Permutation(p.to_list()))

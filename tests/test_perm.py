@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +52,22 @@ def test_not_a_permutation():
     for bad in ([0, 0], [1, 2], [0, -1], []):
         with pytest.raises(ValueError):
             Perm(bad)
+
+
+def test_images_must_be_integers():
+    # no silent truncation or parsing: each of these once became a valid Perm
+    for bad in ([1.5, 0.2, 2], [1.0, 0.0], ["1", "0", "2"], [True, False], [2**70, 0]):
+        with pytest.raises(ValueError):
+            Perm(bad)
+    assert Perm(np.array([1, 0, 2], dtype=np.uint8)).to_list() == [1, 0, 2]
+    assert Perm(np.array([1, 0, 2], dtype=np.int64)).images.dtype == np.int32
+
+
+def test_images_are_copied():
+    source = np.array([1, 0, 2])
+    p = Perm(source)
+    source[0] = 0
+    assert p.to_list() == [1, 0, 2]
 
 
 @given(perms_of_5, perms_of_5)
