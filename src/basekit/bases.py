@@ -19,6 +19,10 @@ Search notes, which justify the pruned mode:
   only on the node's pointwise stabilizer.  The memo buckets stabilizers by
   order and orbit partition and confirms a match by membership, since a
   group of equal order that contains the other's generators is that group.
+  Its value maps each reachable length to the first candidate reaching it,
+  which is also the next point of that length's witness: candidates
+  ascend, and one skipped as a repeat of a stabilizer class has the same
+  stabilizer as an earlier one.
 
 All searches are pure functions of immutable groups and are deterministic.
 They run on explicit stacks, so their depth is not bounded by Python's
@@ -130,11 +134,18 @@ class IndicatorVectors:
 
 
 class SearchBudget:
-    """Shared node-count ceiling for one run of searches."""
+    """Shared node-count ceiling for one run of searches.
+
+    ``limit`` is ``None`` (no ceiling) or a non-negative ``int``; anything
+    else, ``bool`` included, raises ``ValueError`` rather than being
+    truncated or parsed.
+    """
 
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None = None):
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
+            raise ValueError(f"a node budget is None or a non-negative int, got {limit!r}")
         self.limit = limit
         self.used = 0
 
@@ -145,11 +156,9 @@ class SearchBudget:
 
 
 def _as_budget(budget) -> SearchBudget:
-    if budget is None:
-        return SearchBudget(None)
     if isinstance(budget, SearchBudget):
         return budget
-    return SearchBudget(int(budget))
+    return SearchBudget(budget)
 
 
 def _require_nontrivial(G: PermGroup) -> None:
@@ -170,6 +179,23 @@ def _minima_candidates(labels, counts, last):
 def _point_candidates(labels, counts, last):
     ar = np.arange(labels.size)
     return np.nonzero((counts[labels] > 1) & (ar > last))[0]
+
+
+def _one_per_class(cands, classes):
+    """``cands`` in order, but only the first of each stabilizer class if ``classes`` is given.
+
+    Points of one class have equal point stabilizers, so a later one is
+    interchangeable with the first.
+    """
+    if classes is None:
+        yield from cands
+        return
+    seen = set()
+    for x in cands:
+        c = int(classes[x])
+        if c not in seen:
+            seen.add(c)
+            yield x
 
 
 # -- predicates ---------------------------------------------------------
@@ -245,17 +271,13 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
         if largest_first:
             cands = cands[np.lexsort((cands, -counts[labels[cands]]))]
         parts = [K.orbit_partition() for K in dels]
-        stack.append((points, H, h_ord, labels, counts, dels, parts, iter(cands.tolist()), set()))
+        stack.append((points, H, h_ord, labels, counts, dels, parts,
+                      _one_per_class(cands.tolist(), classes)))
 
     enter((), G, ())
     while stack:
-        points, H, h_ord, labels, counts, dels, parts, cands, seen = stack[-1]
+        points, H, h_ord, labels, counts, dels, parts, cands = stack[-1]
         for x in cands:
-            if pruned:
-                c = int(classes[x])
-                if c in seen:
-                    continue  # equal point stabilizer: interchangeable with an earlier candidate
-                seen.add(c)
             hx_order = h_ord // int(counts[labels[x]])
             if any(K.order() // int(cnt[lab[x]]) <= hx_order for K, (lab, cnt) in zip(dels, parts)):
                 continue
@@ -377,19 +399,19 @@ class _SubgroupMemo:
     __slots__ = ("_buckets",)
 
     def __init__(self):
-        self._buckets: dict[tuple[int, bytes], list[tuple[tuple, frozenset[int]]]] = {}
+        self._buckets: dict[tuple[int, bytes], list[tuple[tuple, dict[int, int]]]] = {}
 
     @staticmethod
     def _key(H: PermGroup) -> tuple[int, bytes]:
         return H.order(), H.orbit_partition()[0].tobytes()
 
-    def get(self, H: PermGroup) -> frozenset[int] | None:
+    def get(self, H: PermGroup) -> dict[int, int] | None:
         for gens, value in self._buckets.get(self._key(H), ()):
             if all(H.contains(g) for g in gens):
                 return value
         return None
 
-    def put(self, H: PermGroup, value: frozenset[int]) -> None:
+    def put(self, H: PermGroup, value: dict[int, int]) -> None:
         self._buckets.setdefault(self._key(H), []).append((H.generators, value))
 
 
@@ -397,87 +419,63 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     """The exact set of lengths of irredundant bases of ``G``.
 
     Ordered sequences with strict stabilizer descent.  Pruned mode restricts
-    candidates to per-level orbit minima; exhaustive mode takes every moved
-    point.  Nodes with equal pointwise stabilizers share their futures, so
-    every stabilizer's lengths are memoized.
+    candidates to per-level orbit minima, one per stabilizer class;
+    exhaustive mode takes every moved point.  Nodes with equal pointwise
+    stabilizers share their futures, so every stabilizer is memoized with
+    its reachable lengths, each mapped to the first candidate reaching it.
+    With ``witnesses=True`` a witness of each length is read off the memo
+    from ``G`` down, at no further search cost.
     """
     _require_nontrivial(G)
     _check_mode(mode)
     counter = _as_budget(budget)
     G.order()
-    pruned = mode == "pruned"
-    pick = _minima_candidates if pruned else _point_candidates
-    classes = G.stabilizer_class_labels() if pruned else None
+    pick = _minima_candidates if mode == "pruned" else _point_candidates
+    classes = G.stabilizer_class_labels() if mode == "pruned" else None
     memo = _SubgroupMemo()
+    # explicit stack; each frame keeps the candidate that led to it, and
+    # ``done = (x, lengths)`` carries a finished subtree (or memo hit) below
+    # candidate ``x`` up to the frame that tried it
+    stack = []
 
-    def explore(root: PermGroup) -> frozenset[int]:
-        # explicit stack; ``lengths`` carries a finished subtree (or memo
-        # hit) up to the frame below it
-        stack = []
+    def enter(x, H):
+        counter.tick()
+        lengths = memo.get(H)
+        if lengths is not None:
+            return x, lengths
+        labels, counts = H.orbit_partition()
+        cands = _one_per_class(pick(labels, counts, -1).tolist(), classes)
+        stack.append((x, H, labels, counts, cands, {}))
+        return None
 
-        def enter(H):
-            counter.tick()
-            hit = memo.get(H)
-            if hit is None:
-                labels, counts = H.orbit_partition()
-                cands = iter(pick(labels, counts, -1).tolist())
-                stack.append((H, labels, counts, cands, set(), set()))
-            return hit
-
-        lengths = enter(root)
-        while stack:
-            H, labels, counts, cands, seen, out = stack[-1]
-            if lengths is not None:
-                out.update(l + 1 for l in lengths)
-                lengths = None
-            for x in cands:
-                if pruned:
-                    c = int(classes[x])
-                    if c in seen:
-                        continue
-                    seen.add(c)
-                if H.order() // int(counts[labels[x]]) == 1:
-                    out.add(1)
-                    continue
-                lengths = enter(H.point_stabilizer(x))
-                break
-            else:
-                stack.pop()
-                lengths = frozenset(out)
-                memo.put(H, lengths)
-        return lengths
-
-    lengths = explore(G)
-    sizes = SizeSet(lengths)
+    done = enter(None, G)
+    while stack:
+        _, H, labels, counts, cands, out = stack[-1]
+        if done is not None:
+            x, lengths = done
+            for l in lengths:
+                out.setdefault(l + 1, x)
+            done = None
+        for x in cands:
+            if H.order() // int(counts[labels[x]]) == 1:
+                out.setdefault(1, x)
+                continue
+            done = enter(x, H.point_stabilizer(x))
+            break
+        else:
+            memo.put(H, out)
+            done = stack.pop()[0], out
+    sizes = SizeSet(done[1])
     if not witnesses:
         return sizes
     found: dict[int, tuple[int, ...]] = {}
     for target in sizes:
         seq: list[int] = []
         H = G
-        rem = target
-        while rem:
-            labels, counts = H.orbit_partition()
-            h_ord = H.order()
-            for xi in pick(labels, counts, -1):
-                x = int(xi)
-                hx_order = h_ord // int(counts[labels[x]])
-                if hx_order == 1:
-                    if rem == 1:
-                        seq.append(x)
-                        rem = 0
-                        break
-                    continue
-                if rem == 1:
-                    continue
-                Hx = H.point_stabilizer(x)
-                if (rem - 1) in explore(Hx):
-                    seq.append(x)
-                    H = Hx
-                    rem -= 1
-                    break
-            else:
-                raise RuntimeError("witness reconstruction failed")
+        for rem in range(target, 0, -1):
+            if seq:
+                H = H.point_stabilizer(seq[-1])
+            seq.append(memo.get(H)[rem])
         found[target] = tuple(seq)
     return sizes, found
 

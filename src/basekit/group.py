@@ -30,7 +30,9 @@ order; no level or transversal is copied, and membership sifts
 conjugators: ``H_x = (t_y u)^-1 <suffix> (t_y u)`` with ``y = x^(u^-1)``.
 Only a point outside that first basic orbit (moved by the group, but in
 another orbit) falls back to a fresh ``build_chain`` with the point as base
-prefix and the known order as early-exit hint.
+prefix and the known order as early-exit hint.  Stabilizer class labels
+take this same route, one ``point_stabilizer`` per orbit, so they build a
+chain only for a moved orbit other than the first basic one.
 """
 
 from __future__ import annotations
@@ -112,20 +114,6 @@ class _Level:
             cache[y] = u
         return u
 
-    def carry(self, points: np.ndarray) -> dict[int, np.ndarray]:
-        """``x -> images of points`` under the representative for ``x``, for every orbit point.
-
-        Walks the Schreier tree on ``points`` alone, so no representative is
-        formed.
-        """
-        rows = {self.point: points}
-        gens = self.gens
-        for x, edge in self.transversal.items():
-            if edge is not None:
-                parent, i = edge
-                rows[x] = gens[i].images[rows[parent]]
-        return rows
-
     def inv_transversal(self, point: int) -> Perm:
         u = self._inverses.get(point)
         if u is None:
@@ -162,13 +150,6 @@ class StabilizerChain:
     def order(self) -> int:
         n = 1
         for level in self.levels:
-            n *= len(level.transversal)
-        return n
-
-    def suffix_order(self, start: int) -> int:
-        """Order of the stabilizer of the first ``start`` base points."""
-        n = 1
-        for level in self.levels[start:]:
             n *= len(level.transversal)
         return n
 
@@ -452,15 +433,6 @@ class PermGroup:
             return chain.contains(u * p * u_inv)
         return self.chain().contains(p)
 
-    def _framed_chain(self):
-        """``(chain, u, u_inv)`` with this group equal to ``u_inv * <chain> * u``.
-
-        ``u`` and ``u_inv`` are ``None`` for a group read in its own points.
-        """
-        if self._frame is not None:
-            return self._frame
-        return self.chain(), None, None
-
     def orbit_partition(self):
         """(labels, counts): ``labels[x]`` is min of x's orbit, ``counts[x]`` ignored off-labels."""
         if self._partition is None:
@@ -496,15 +468,11 @@ class PermGroup:
 
         Points with equal labels have literally equal point stabilizers, so
         they are interchangeable in bases and independent sets.  Computed
-        orbit by orbit: the fixed-point set of one representative stabilizer
-        is carried around the orbit by group elements taking the
-        representative to each orbit point, and a fixed point with the same
-        orbit length has the same (not just containing) stabilizer.  On the
-        chain's first nontrivial basic orbit the representative's stabilizer
-        is derived and the carriers are ``t_rep^-1 t_y`` from that level's
-        transversal; any other moved orbit is read from a chain built with
-        its representative as base point, and a fixed point's stabilizer is
-        the group itself.
+        orbit by orbit: the fixed points of ``point_stabilizer(rep)`` for the
+        orbit's smallest point ``rep`` are carried around the orbit
+        breadth-first by the generators, so the row reaching ``x`` is the
+        fixed-point set of ``x``'s stabilizer, and a fixed point with the
+        same orbit length has the same (not just containing) stabilizer.
         """
         if self._stab_classes is not None:
             return self._stab_classes
@@ -513,35 +481,21 @@ class PermGroup:
         orbsize = part_counts[part_labels]
         ar = np.arange(degree)
         out = np.full(degree, -1, dtype=np.int64)
-        level = u = u_inv = None
-        if not self.is_trivial():
-            frame, u, u_inv = self._framed_chain()
-            level = frame.levels[_first_moving_level(frame)]
-
-        def fixed_points(gens):
+        gens = [(g, g.images.tolist()) for g in self.generators]  # list reads beat numpy scalars
+        for rep in np.nonzero(part_labels == ar)[0].tolist():
             mask = np.ones(degree, dtype=bool)
-            for g in gens:
+            for g in self.point_stabilizer(rep).generators:
                 mask &= g.images == ar
-            return np.nonzero(mask)[0]
-
-        for rep in np.nonzero(part_labels == ar)[0]:
-            rep = int(rep)
-            if orbsize[rep] == 1:
-                carried = [(rep, fixed_points(self.generators))]
-            elif (y := rep if u_inv is None else int(u_inv.images[rep])) in level.transversal:
-                fixed = fixed_points(self.point_stabilizer(rep).generators)
-                if u_inv is not None:
-                    fixed = u_inv.images[fixed]
-                fixed = level.inv_transversal(y).images[fixed]
-                carried = level.carry(fixed).items()
-                if u is not None:
-                    carried = [(int(u.images[z]), u.images[cls]) for z, cls in carried]
-            else:
-                chain = self.stabilizer_chain((rep,))
-                fixed = fixed_points(chain.level_generators(1))
-                carried = chain.levels[0].carry(fixed).items()
-            for x, cls in carried:
-                out[x] = int(cls[orbsize[cls] == orbsize[x]].min())
+            rows = {rep: np.nonzero(mask)[0]}
+            queue = [rep]
+            for x in queue:  # grows while walked: a breadth-first queue
+                fixed = rows.pop(x)
+                out[x] = int(fixed[orbsize[fixed] == orbsize[x]].min())
+                for g, img in gens:
+                    y = img[x]
+                    if out[y] < 0 and y not in rows:
+                        rows[y] = g.images[fixed]
+                        queue.append(y)
         out.setflags(write=False)
         self._stab_classes = out
         return out
@@ -595,7 +549,7 @@ class PermGroup:
     def _derived_point_stabilizer(self, x: int) -> "PermGroup | None":
         # H_x by the module notes' suffix-and-conjugator route, or None when
         # x lies outside the first nontrivial basic orbit
-        chain, u, u_inv = self._framed_chain()
+        chain, u, u_inv = self._frame or (self.chain(), None, None)
         i = _first_moving_level(chain)
         level = chain.levels[i]
         y = x if u_inv is None else int(u_inv.images[x])
@@ -611,10 +565,10 @@ class PermGroup:
     def _suffix_group(self, chain: StabilizerChain, start: int, u=None, u_inv=None) -> "PermGroup":
         # the group of chain.suffix(start), read through the conjugator u
         # when given; shares the chain's levels
-        order = chain.suffix_order(start)
+        frame = chain.suffix(start)
+        order = frame.order()
         if order == 1:
             return PermGroup._with_order(self.degree, (), 1)
-        frame = chain.suffix(start)
         gens = frame.level_generators(0)
         if u is None:
             sub = PermGroup._with_order(self.degree, gens, order)

@@ -105,6 +105,29 @@ def irredundant_base_sizes(degree, elements):
     return lengths(elements)
 
 
+def first_irredundant_bases(degree, elements, minima=False):
+    """The lexicographically first irredundant base of each length.
+
+    With ``minima=True`` each point must also be the smallest point of its
+    orbit under the stabilizer of the points before it.
+    """
+    out = {}
+    for target in irredundant_base_sizes(degree, elements):
+        seq = []
+        stab = set(elements)
+        while len(seq) < target:
+            for x in range(degree):
+                if minima and min(orbit(stab, x)) != x:
+                    continue
+                sub = {e for e in stab if e[x] == x}
+                if len(sub) < len(stab) and target - len(seq) - 1 in irredundant_base_sizes(degree, sub):
+                    seq.append(x)
+                    stab = sub
+                    break
+        out[target] = tuple(seq)
+    return out
+
+
 def independent_set_sizes(degree, elements):
     """Sizes of independent sets (every point's removal grows the stabilizer)."""
     sizes = {0}

@@ -2,7 +2,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -196,6 +196,33 @@ def test_budget_exceeded_is_an_error_not_a_truncation():
     shared = SearchBudget(10**6)
     minimal_base_sizes(G, budget=shared)
     assert 0 < shared.used < 10**6
+    # the limit is exact, and 0 is a limit
+    assert minimal_base_sizes(G, budget=shared.used) == SizeSet({5})
+    for limit in (shared.used - 1, 0):
+        with pytest.raises(BudgetExceeded):
+            minimal_base_sizes(G, budget=limit)
+
+
+@pytest.mark.parametrize("budget", [2.7, 3.0, True, False, "7", -1, [5]],
+                         ids=["float", "integral-float", "true", "false", "str", "negative", "list"])
+def test_budget_is_none_a_search_budget_or_a_non_negative_int(budget):
+    # never truncated (2.7 -> 2, True -> 1) or parsed ("7" -> 7)
+    with pytest.raises(ValueError):
+        SearchBudget(budget)
+    for fn in (minimal_base_sizes, irredundant_base_sizes, height, min_base_size):
+        with pytest.raises(ValueError):
+            fn(symmetric(4), budget=budget)
+
+
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+@pytest.mark.parametrize("search", [minimal_base_sizes, irredundant_base_sizes],
+                         ids=["minimal", "irredundant"])
+def test_witnesses_cost_no_search_nodes(search, mode):
+    for name, G in ORACLE_GROUPS[:9] + [("sym5", symmetric(5))]:
+        plain, with_witnesses = SearchBudget(), SearchBudget()
+        sizes = search(G, mode, plain)
+        assert search(G, mode, with_witnesses, witnesses=True)[0] == sizes
+        assert with_witnesses.used == plain.used, name
 
 
 _SPARE_FRAMES_SCRIPT = """
@@ -288,17 +315,27 @@ def test_search_makes_a_bounded_number_of_multiplications(monkeypatch):
 
 
 def test_witnesses_are_real_bases():
-    for name, G in ORACLE_GROUPS[:8]:
-        sizes, wits = minimal_base_sizes(G, witnesses=True)
+    for (name, G), mode in product(ORACLE_GROUPS[:8], ["pruned", "exhaustive"]):
+        sizes, wits = minimal_base_sizes(G, mode, witnesses=True)
         assert sorted(wits) == sizes.to_list()
         for size, base in wits.items():
             assert len(base) == size
             assert is_minimal_base(G, base), name
-        isizes, iwits = irredundant_base_sizes(G, witnesses=True)
+        isizes, iwits = irredundant_base_sizes(G, mode, witnesses=True)
         assert sorted(iwits) == isizes.to_list()
         for size, seq in iwits.items():
             assert len(seq) == size
             assert is_irredundant_sequence(G, seq), name
+
+
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+def test_irredundant_witnesses_are_the_first_in_candidate_order(mode):
+    # candidates ascend (orbit minima when pruned), so each length's witness
+    # is the lexicographically first irredundant base of that length
+    for name, G in ORACLE_GROUPS[:9]:
+        _, wits = irredundant_base_sizes(G, mode, witnesses=True)
+        want = bf.first_irredundant_bases(G.degree, closure_of(G), minima=mode == "pruned")
+        assert wits == want, name
 
 
 def test_size_set():

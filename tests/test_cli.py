@@ -127,6 +127,18 @@ def test_exit_code_3_on_budget():
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", '{"type":"sym","n":4}'],
+    ["verify", "gl42"],
+    ["probe-epsilon", '{"type":"sym","n":3}', '{"type":"sym","n":3}'],
+], ids=["analyze", "verify", "probe-epsilon"])
+def test_exit_code_2_on_negative_budget(argv):
+    code, out, err = run_cli(argv + ["--budget", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "budget" in err and "internal" not in err
+
+
 def test_exit_code_4_on_internal_error(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("stabilizer chain order 5 != expected 6")

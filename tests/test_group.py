@@ -295,12 +295,34 @@ CLASS_LABEL_GROUPS = SMALL_GROUPS + [
     ("sym6-stab3-stab5", sym(6).point_stabilizer(3).point_stabilizer(5)),
     ("c2wrc3-stab4", PermGroup(6, [Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, (0, 2, 4), (1, 3, 5))])
      .point_stabilizer(4)),
+    # moved orbits {0,1,2}, {4,5,6,7}, {8,9}; points 3 and 10 fixed
+    ("three-orbits-fixed", PermGroup(11, [Perm.from_cycles(11, (0, 1, 2)),
+                                          Perm.from_cycles(11, (0, 1), (4, 5, 6, 7)),
+                                          Perm.from_cycles(11, (4, 6), (8, 9))])),
+    # S4 x S3 on {0..3} and {4,5,6}: the stabilizer of 2 is conjugated, and
+    # its orbit {4,5,6} lies off its first basic orbit
+    ("s4xs3-stab2", PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
+                                  Perm.from_cycles(7, (4, 5, 6)), Perm.from_cycles(7, (4, 5))])
+     .point_stabilizer(2)),
 ]
 
 
 @pytest.mark.parametrize("name,G", CLASS_LABEL_GROUPS, ids=[n for n, _ in CLASS_LABEL_GROUPS])
 def test_stabilizer_class_labels_match_bruteforce(name, G):
     assert G.stabilizer_class_labels().tolist() == _class_labels_oracle(G)
+
+
+def test_stabilizer_class_labels_build_one_chain_per_off_orbit(monkeypatch):
+    G = sym(6)
+    # S3 x S3: the orbit {3,4,5} lies off the first basic orbit
+    K = PermGroup(6, [Perm.from_cycles(6, (0, 1, 2)), Perm.from_cycles(6, (1, 2)),
+                      Perm.from_cycles(6, (3, 4, 5)), Perm.from_cycles(6, (4, 5))])
+    G.order(), K.order()
+    calls = count_chain_builds(monkeypatch)
+    G.stabilizer_class_labels()
+    assert calls == []
+    K.stabilizer_class_labels()
+    assert calls == [(3,)]
 
 
 @st.composite
