@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .group import PermGroup
+from .group import PermGroup, _as_point
 
 __all__ = [
     "SizeSet",
@@ -220,7 +220,7 @@ def is_irredundant_sequence(G: PermGroup, seq) -> bool:
     """True iff each point strictly shrinks the stabilizer, ending at the identity."""
     H = G
     for x in seq:
-        Hx = H.point_stabilizer(int(x))
+        Hx = H.point_stabilizer(x)
         if Hx.order() == H.order():
             return False
         H = Hx
@@ -517,10 +517,7 @@ def indicator_vectors(G: PermGroup, H: PermGroup, base) -> IndicatorVectors:
     """
     from .constructions import product_action
 
-    pairs = [(int(d), int(l)) for d, l in base]
-    for d, l in pairs:
-        if not (0 <= d < G.degree and 0 <= l < H.degree):
-            raise ValueError(f"pair ({d}, {l}) outside the product domain")
+    pairs = [(_as_point(d, G.degree), _as_point(l, H.degree)) for d, l in base]
     prod = product_action(G, H)
     points = {d * H.degree + l for d, l in pairs}
     if not is_minimal_base(prod, points):

@@ -29,19 +29,29 @@ order; no level or transversal is copied, and membership sifts
 ``u p u^-1`` through the suffix.  Stabilizing a derived group composes
 conjugators: ``H_x = (t_y u)^-1 <suffix> (t_y u)`` with ``y = x^(u^-1)``.
 Only a point outside that first basic orbit (moved by the group, but in
-another orbit) falls back to a fresh ``build_chain`` with the point as base
-prefix and the known order as early-exit hint.  Stabilizer class labels
-take this same route, one ``point_stabilizer`` per orbit, so they build a
-chain only for a moved orbit other than the first basic one.
+another orbit) needs a new chain: ``stabilizer_chain`` rebases the group
+on that point.  The group's order is known, so the rebase sifts the
+generators and then uniform random elements of the group, read off its
+existing chain, and stops exactly when the orbit sizes multiply up to the
+order; the random stream is seeded from the call's own inputs.  Stabilizer
+class labels take this same route, one ``point_stabilizer`` per orbit, so
+they rebase only for a moved orbit other than the first basic one.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
 from .perm import Perm
 
 __all__ = ["PermGroup", "StabilizerChain", "build_chain"]
+
+# consecutive random draws that add nothing before a rebase falls back to
+# the deterministic verification; each draw from an incomplete chain adds a
+# strong generator with probability at least 1/2
+_IDLE_DRAWS = 20
 
 
 class _Level:
@@ -206,53 +216,55 @@ class StabilizerChain:
         yield from walk(0)
 
 
-def build_chain(
-    degree: int,
-    generators,
-    base_prefix: tuple[int, ...] = (),
-    known_order: int | None = None,
-) -> StabilizerChain:
-    """Deterministic Schreier-Sims.
+def build_chain(degree: int, generators, known_order: int | None = None) -> StabilizerChain:
+    """Deterministic Schreier-Sims: the default-base chain of ``<generators>``.
 
-    The chain's base starts with ``base_prefix``; prefix points whose level
-    ends up with no descent are retained with orbit size 1.  ``known_order``
-    is an early-exit hint only: if given and the finished chain disagrees,
-    a ``RuntimeError`` reports the inconsistency.
+    ``known_order`` is an early-exit hint only: construction stops as soon
+    as the orbit sizes multiply up to it (exact, by the module notes), and
+    if the finished chain disagrees a ``RuntimeError`` reports the
+    inconsistency.  Chains with a prescribed base prefix come from
+    ``PermGroup.stabilizer_chain``.
     """
     chain = StabilizerChain(degree)
-    seen_prefix = set()
-    for b in base_prefix:
-        if not 0 <= b < degree:
-            raise ValueError(f"base point {b} outside 0..{degree - 1}")
-        if b in seen_prefix:
-            raise ValueError(f"duplicate base point {b}")
-        seen_prefix.add(b)
-        chain.levels.append(_Level(b, degree))
+    if not _sift_in(chain, generators, known_order):
+        _verify(chain, known_order)
+    return chain
+
+
+def _add_strong_gen(chain: StabilizerChain, low: int, g: Perm, stuck: int) -> None:
+    # g fixes the base points of all levels before ``stuck``; a new level
+    # takes the smallest point g moves
     levels = chain.levels
+    if stuck == len(levels):
+        levels.append(_Level(g.smallest_moved(), chain.degree))
+    for l in range(low, stuck + 1):
+        levels[l].add_gen(g)
 
-    def done() -> bool:
-        return known_order is not None and chain.order() == known_order
 
-    def add_strong_gen(low: int, g: Perm, stuck: int) -> None:
-        # g fixes the base points of all levels before ``stuck``
-        if stuck == len(levels):
-            levels.append(_Level(g.smallest_moved(), degree))
-        for l in range(low, stuck + 1):
-            levels[l].add_gen(g)
+def _sift_in(chain: StabilizerChain, generators, order: int | None) -> bool:
+    """Sift ``generators`` into ``chain``, adding each residue as a strong generator.
 
+    Returns True once the chain's order is ``order`` (never for ``None``).
+    """
     for g in generators:
-        if g.degree != degree:
-            raise ValueError(f"generator degree {g.degree} != {degree}")
-        if g.is_identity():
-            continue
+        if g.degree != chain.degree:
+            raise ValueError(f"generator degree {g.degree} != {chain.degree}")
         residue, j = chain.sift(g)
         if not residue.is_identity():
-            add_strong_gen(0, residue, j)
-            if done():
-                return chain
+            _add_strong_gen(chain, 0, residue, j)
+            if chain.order() == order:
+                return True
+    return chain.order() == order
 
-    # verify levels bottom-up; a new strong generator at level j restarts
-    # verification there
+
+def _verify(chain: StabilizerChain, order: int | None) -> None:
+    """Complete ``chain`` by sifting its Schreier generators, bottom-up.
+
+    A new strong generator at level ``j`` restarts verification there.
+    Stops early once the chain's order is ``order``; if the complete chain
+    has another order, raises ``RuntimeError``.
+    """
+    levels = chain.levels
     i = len(levels) - 1
     while i >= 0:
         level = levels[i]
@@ -270,9 +282,9 @@ def build_chain(
                 residue, j = chain.sift(schreier, i + 1)
                 if residue.is_identity():
                     continue
-                add_strong_gen(i + 1, residue, j)
-                if done():
-                    return chain
+                _add_strong_gen(chain, i + 1, residue, j)
+                if chain.order() == order:
+                    return
                 restart_at = j
                 break
             if restart_at is not None:
@@ -282,11 +294,17 @@ def build_chain(
         else:
             i -= 1
 
-    if known_order is not None and chain.order() != known_order:
-        raise RuntimeError(
-            f"stabilizer chain order {chain.order()} != expected {known_order}"
-        )
-    return chain
+    if order is not None and chain.order() != order:
+        raise RuntimeError(f"stabilizer chain order {chain.order()} != expected {order}")
+
+
+def _as_point(x, degree: int) -> int:
+    """``x`` as a point of {0, ..., degree-1}: an ``int`` or numpy integer, not a ``bool``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"point {x!r} is not an integer")
+    if not 0 <= x < degree:
+        raise ValueError(f"point {x} outside 0..{degree - 1}")
+    return int(x)
 
 
 def _first_moving_level(chain: StabilizerChain) -> int:
@@ -446,8 +464,7 @@ class PermGroup:
 
     def orbit(self, point: int) -> set[int]:
         """Smallest invariant set containing ``point``."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} outside 0..{self.degree - 1}")
+        point = _as_point(point, self.degree)
         labels, _ = self.orbit_partition()
         return {int(x) for x in np.nonzero(labels == labels[point])[0]}
 
@@ -505,16 +522,63 @@ class PermGroup:
         return [int(x) for x in np.nonzero(counts[labels] > 1)[0]]
 
     def stabilizer_chain(self, base_prefix=()) -> StabilizerChain:
-        """A fresh chain whose base starts with ``base_prefix``.
+        """A fresh chain of this group whose base starts with ``base_prefix``.
 
-        Deterministic for identical inputs.  The group's order is computed
-        first (via the cached default chain) so prefixed builds can stop as
-        soon as they are complete.
+        The rebase: open one level per prefix point (a point with no descent
+        keeps a level of orbit size 1), sift the generators in, and, only
+        if the orbit sizes do not yet multiply up to ``self.order()``, sift
+        uniform random elements of this group until they do; the stop is
+        exact by the module notes.  A uniform element is one random
+        transversal element per level of this group's own chain, read
+        through the frame's conjugator for a derived group.  The random
+        stream is a fresh ``random.Random`` seeded from the prefix and the
+        order, so the same call gives the same chain in every process and
+        the module-global stream is never read.  After ``_IDLE_DRAWS``
+        consecutive draws that add nothing, the deterministic verification
+        completes the chain, and raises ``RuntimeError`` if the order is
+        wrong.
         """
-        prefix = tuple(base_prefix)
+        prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
+        for k, b in enumerate(prefix):
+            if b in prefix[:k]:
+                raise ValueError(f"duplicate base point {b}")
         if not prefix:
             return self.chain()
-        return build_chain(self.degree, self.generators, prefix, known_order=self.order())
+        order = self.order()
+        chain = StabilizerChain(self.degree)
+        chain.levels = [_Level(b, self.degree) for b in prefix]
+        if not (_sift_in(chain, self.generators, order) or self._sift_uniform(chain, prefix, order)):
+            _verify(chain, order)
+        return chain
+
+    def _sift_uniform(self, chain: StabilizerChain, prefix: tuple[int, ...], order: int) -> bool:
+        # sift uniform random elements of this group into ``chain``; True
+        # once its order is ``order``, False after _IDLE_DRAWS idle draws
+        source, u, u_inv = self._frame or (self.chain(), None, None)
+        levels = [(level, list(level.transversal))
+                  for level in reversed(source.levels) if len(level.transversal) > 1]
+        seed = order
+        for b in prefix:
+            seed = seed * self.degree + b
+        rng = random.Random(seed)
+        idle = 0
+        while idle < _IDLE_DRAWS:
+            # deepest level first: tail * t_0 runs over the group once
+            g = None
+            for level, points in levels:
+                t = level.element(points[rng.randrange(len(points))])
+                g = t if g is None else g * t
+            if u is not None:
+                g = u_inv * g * u
+            residue, j = chain.sift(g)
+            if residue.is_identity():
+                idle += 1
+                continue
+            idle = 0
+            _add_strong_gen(chain, 0, residue, j)
+            if chain.order() == order:
+                return True
+        return False
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """The subgroup fixing every point of ``points``.
@@ -522,13 +586,10 @@ class PermGroup:
         Folded point by point in ascending order.  A point fixed by the whole
         group is skipped; otherwise its stabilizer is derived from the
         chain (see the module notes).  The first point outside the chain's
-        first nontrivial basic orbit ends the fold with one ``build_chain``
-        whose base prefix is that point and all points after it.
+        first nontrivial basic orbit ends the fold with one rebase,
+        ``stabilizer_chain``, on that point and all points after it.
         """
-        prefix = tuple(sorted(set(points)))
-        for b in prefix:
-            if not 0 <= b < self.degree:
-                raise ValueError(f"point {b} outside 0..{self.degree - 1}")
+        prefix = tuple(sorted({_as_point(x, self.degree) for x in points}))
         H = self
         for k, x in enumerate(prefix):
             if H.is_trivial():
@@ -538,8 +599,7 @@ class PermGroup:
             Hx = H._derived_point_stabilizer(x)
             if Hx is None:
                 rest = prefix[k:]
-                chain = build_chain(H.degree, H.generators, rest, known_order=H.order())
-                return H._suffix_group(chain, len(rest))
+                return H._suffix_group(H.stabilizer_chain(rest), len(rest))
             H = Hx
         return H
 

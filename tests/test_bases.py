@@ -1,10 +1,12 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import basekit
@@ -314,6 +316,25 @@ def test_search_makes_a_bounded_number_of_multiplications(monkeypatch):
     assert calls[0] <= 1160
 
 
+def test_off_orbit_stabilizers_make_a_bounded_number_of_multiplications(monkeypatch):
+    # off-orbit stabilizers are rebased by sifting random elements of the
+    # known-order parent; rebuilding them from the generators made 13,460
+    G = wreath_coset_action(5, 3)
+    G.order()
+    original = Perm.__mul__
+    calls = [0]
+
+    def counting(p, q):
+        calls[0] += 1
+        return original(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counting)
+    assert minimal_base_sizes(G) == SizeSet({3, 5})
+    assert height(G) == 5
+    assert irredundant_base_sizes(G) == SizeSet(range(3, 9))
+    assert calls[0] <= 4000
+
+
 def test_witnesses_are_real_bases():
     for (name, G), mode in product(ORACLE_GROUPS[:8], ["pruned", "exhaustive"]):
         sizes, wits = minimal_base_sizes(G, mode, witnesses=True)
@@ -366,6 +387,18 @@ def test_indicator_vectors_examples():
     iv = indicator_vectors(symmetric(3), symmetric(4), [(0, 0), (1, 1), (1, 2)])
     assert iv.vG == (1, 0, 0)
     assert iv.vH == (1, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", np.float64(1.0)])
+def test_predicates_reject_non_integer_points(bad):
+    # 0.5 used to truncate to 0, which made [0.5, 1, 2, 3] an irredundant base of S5
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        is_irredundant_sequence(symmetric(5), [bad, 1, 2, 3])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        indicator_vectors(symmetric(3), symmetric(3), [(bad, 0), (1, 1)])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        indicator_vectors(symmetric(3), symmetric(3), [(0, 0), (1, bad)])
+    assert is_irredundant_sequence(symmetric(5), [np.int64(0), 1, 2, 3])
 
 
 def test_indicator_vectors_rejects_non_minimal():

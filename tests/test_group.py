@@ -1,5 +1,8 @@
 import random
+import re
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,16 +206,36 @@ def test_identity_never_stored():
 
 
 def count_chain_builds(monkeypatch):
+    """Record every new chain: ``()`` for a root ``build_chain``, the prefix for a rebase."""
     import basekit.group as group_module
 
     calls = []
-    original = group_module.build_chain
+    build, rebase = group_module.build_chain, PermGroup.stabilizer_chain
 
-    def counting(*args, **kwargs):
-        calls.append(args[2] if len(args) > 2 else kwargs.get("base_prefix", ()))
-        return original(*args, **kwargs)
+    def counting_build(*args, **kwargs):
+        calls.append(())
+        return build(*args, **kwargs)
 
-    monkeypatch.setattr(group_module, "build_chain", counting)
+    def counting_rebase(self, base_prefix=()):
+        if base_prefix:
+            calls.append(tuple(base_prefix))
+        return rebase(self, base_prefix)
+
+    monkeypatch.setattr(group_module, "build_chain", counting_build)
+    monkeypatch.setattr(PermGroup, "stabilizer_chain", counting_rebase)
+    return calls
+
+
+def count_random_phases(monkeypatch):
+    """Record the prefix of every rebase that sifts random elements."""
+    calls = []
+    original = PermGroup._sift_uniform
+
+    def counting(self, chain, prefix, order):
+        calls.append(prefix)
+        return original(self, chain, prefix, order)
+
+    monkeypatch.setattr(PermGroup, "_sift_uniform", counting)
     return calls
 
 
@@ -247,7 +270,8 @@ def test_stabilizer_in_the_basic_orbit_is_conjugated(monkeypatch):
 
 
 def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
-    # S3 x S3 on {0,1,2} and {3,4,5}: point 4 lies outside level 0's orbit
+    # S3 x S3 on {0,1,2} and {3,4,5}: point 4 lies outside level 0's orbit,
+    # so the group is rebased on it; no root chain is built
     G = PermGroup(6, [Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, (0, 1, 2)),
                       Perm.from_cycles(6, (3, 4)), Perm.from_cycles(6, (3, 4, 5))])
     G.order()
@@ -255,7 +279,7 @@ def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
     H = G.point_stabilizer(4)
     assert calls == [(4,)]
     assert H.order() == 12 and H.orbits() == [[0, 1, 2], [3, 5], [4]]
-    # 0 is the base point; the first off-orbit point rebuilds once for the
+    # 0 is the base point; the first off-orbit point rebases once for the
     # rest of the fold
     S = G.pointwise_stabilizer([0, 3, 4])
     assert calls == [(4,), (3, 4)]
@@ -325,6 +349,101 @@ def test_stabilizer_class_labels_build_one_chain_per_off_orbit(monkeypatch):
     assert calls == [(3,)]
 
 
+# -- the rebase: stabilizer_chain(prefix) --------------------------------
+
+
+def _rebase_items(chain):
+    return chain.base, [list(level.transversal.items()) for level in chain.levels]
+
+
+@pytest.mark.parametrize("wrong", [40319, 2 * 40320], ids=["too-small", "too-large"])
+@pytest.mark.parametrize("root", [False, True], ids=["fresh", "with-root-chain"])
+def test_rebase_with_a_wrong_order_raises_promptly(wrong, root):
+    # |S8| = 40320; neither wrong order is a product of orbit sizes (each
+    # at most 8, and 40319 = 23 * 1753), so no partial chain stops on it.
+    # With the true root chain in place, the random phase runs out of
+    # useful draws and the deterministic verification must raise.
+    G = sym(8)
+    H = PermGroup._with_order(8, G.generators, wrong)
+    if root:
+        H._chain = G.chain()
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError):
+        H.stabilizer_chain((3,))
+    assert time.perf_counter() - start < 2
+
+
+def test_rebase_is_deterministic(monkeypatch):
+    phases = count_random_phases(monkeypatch)
+    a = sym(8).stabilizer_chain((5, 2))
+    b = sym(8).stabilizer_chain((5, 2))
+    assert phases == [(5, 2), (5, 2)]
+    assert _rebase_items(a) == _rebase_items(b)
+    assert a.order() == 40320
+
+
+def test_rebase_ignores_the_global_random_stream(monkeypatch):
+    phases = count_random_phases(monkeypatch)
+    G = sym(8)
+    random.seed(1)
+    a = G.stabilizer_chain((7,))
+    random.seed(2)
+    b = G.stabilizer_chain((7,))
+    assert phases == [(7,), (7,)]
+    assert _rebase_items(a) == _rebase_items(b)
+
+
+def test_rebase_leaves_the_global_random_state_alone(monkeypatch):
+    phases = count_random_phases(monkeypatch)
+    G = sym(8)
+    G.order()
+    before = random.getstate()
+    G.stabilizer_chain((3,))
+    assert phases == [(3,)]
+    assert random.getstate() == before
+
+
+def test_rebase_of_a_derived_group_keeps_idle_prefix_points(monkeypatch):
+    # a conjugated stabilizer of S6, rebased on a point it fixes and then on
+    # points it moves: random elements are read through the frame
+    phases = count_random_phases(monkeypatch)
+    H = sym(6).point_stabilizer(3)
+    assert H._frame is not None
+    chain = H.stabilizer_chain((3, 5, 0))
+    assert chain.base[:3] == (3, 5, 0)
+    assert chain.orbit_sizes()[0] == 1
+    assert chain.order() == 120
+    assert phases == [(3, 5, 0)]
+    for g in H.generators:
+        assert chain.contains(g)
+    assert not chain.contains(Perm.from_cycles(6, (0, 3)))
+
+
+# -- points must be integers -----------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.0, True, "1", None, (1,)])
+def test_non_integer_points_are_rejected(bad):
+    G = sym(5)
+    for call in (lambda: G.pointwise_stabilizer([bad]),
+                 lambda: G.pointwise_stabilizer([0, bad]),
+                 lambda: G.point_stabilizer(bad),
+                 lambda: G.stabilizer_chain((bad,)),
+                 lambda: G.orbit(bad)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
+
+
+def test_numpy_integer_points_are_accepted():
+    G = sym(5)
+    for x in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert G.point_stabilizer(x).order() == 24
+        assert G.pointwise_stabilizer([x, 3]).order() == 6
+        assert G.stabilizer_chain((x,)).base[0] == 2
+    with pytest.raises(ValueError):
+        G.point_stabilizer(np.bool_(True))
+
+
 @st.composite
 def groups_and_points(draw):
     """A group of degree <= 12 (half the time a direct product of two groups
@@ -347,7 +466,7 @@ def groups_and_points(draw):
 
 @settings(max_examples=120)
 @given(groups_and_points(), st.data())
-def test_successive_point_stabilizers_match_sympy(case, data):
+def check_successive_point_stabilizers(case, data):
     n, gens, points = case
     G = PermGroup(n, [Perm(g) for g in gens])
     H = G
@@ -370,7 +489,16 @@ def test_successive_point_stabilizers_match_sympy(case, data):
         assert H.contains(w) and ref.contains(Permutation(w.to_list()))
 
 
-# -- build_chain against sympy at larger degree -----------------------------
+def test_successive_point_stabilizers_match_sympy(monkeypatch):
+    # the oracle must reach the rebase (off-orbit points) and its random phase
+    calls = count_chain_builds(monkeypatch)
+    phases = count_random_phases(monkeypatch)
+    check_successive_point_stabilizers()
+    rebases = [p for p in calls if p]
+    assert len(rebases) >= 10 and len(phases) >= 5, (len(rebases), len(phases))
+
+
+# -- build_chain and the rebase against sympy at larger degree -------------
 
 
 @st.composite
@@ -425,11 +553,15 @@ def large_groups(draw):
 @settings(max_examples=25)
 @given(large_groups(), st.data())
 def test_build_chain_matches_sympy_at_larger_degree(case, data):
+    # no prefix: the root chain, with or without a hint; a prefix: the rebase
     n, gens = case
     ref = PermutationGroup([Permutation(g) for g in gens])
     prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)))
     hint = ref.order() if data.draw(st.booleans()) else None
-    chain = build_chain(n, [Perm(g) for g in gens], prefix, known_order=hint)
+    if prefix:
+        chain = PermGroup(n, [Perm(g) for g in gens], order_hint=hint).stabilizer_chain(prefix)
+    else:
+        chain = build_chain(n, [Perm(g) for g in gens], known_order=hint)
     assert chain.base[: len(prefix)] == prefix
     assert chain.order() == ref.order()
     # basic orbits, from a sympy strong generating set relative to the same base
