@@ -16,13 +16,15 @@ Search notes, which justify the pruned mode:
 * Irredundant sequences are order-sensitive, so their search keeps every
   orbit minimum as a candidate at each level and instead collapses repeated
   stabilizer subgroups: the set of reachable lengths below a node depends
-  only on the node's pointwise stabilizer.  The memo buckets stabilizers by
-  order and orbit partition and confirms a match by membership, since a
-  group of equal order that contains the other's generators is that group.
-  Its value maps each reachable length to the first candidate reaching it,
-  which is also the next point of that length's witness: candidates
-  ascend, and one skipped as a repeat of a stabilizer class has the same
-  stabilizer as an earlier one.
+  only on the node's pointwise stabilizer.  Every node is some ``G_(S)``,
+  and ``G_(S) = G_(F)`` for its fixed-point set ``F = Fix(G_(S))``: it fixes
+  ``F``, and ``F`` contains ``S`` (the closure of Cameron and
+  Fon-Der-Flaass, 1995).  So two nodes are the same subgroup exactly when
+  they fix the same points, and the memo is a plain dict keyed by the
+  fixed-point bitmask.  Its value maps each reachable length to the first
+  candidate reaching it and that candidate's child key, so a witness is a
+  chain of lookups: candidates ascend, and one skipped as a repeat of a
+  stabilizer class has the same stabilizer as an earlier one.
 
 All searches are pure functions of immutable groups and are deterministic.
 They run on explicit stacks, so their depth is not bounded by Python's
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .group import PermGroup, _as_point
+from .group import PermGroup, _as_int, _as_point
 
 __all__ = [
     "SizeSet",
@@ -65,7 +67,7 @@ class SizeSet:
     __slots__ = ("sizes",)
 
     def __init__(self, sizes):
-        normalized = tuple(sorted({int(s) for s in sizes}))
+        normalized = tuple(sorted({_as_int(s, "base size") for s in sizes}))
         if not normalized:
             raise ValueError("a size set cannot be empty")
         if normalized[0] < 1:
@@ -208,7 +210,7 @@ def is_base(G: PermGroup, points) -> bool:
 
 def is_minimal_base(G: PermGroup, points) -> bool:
     """True iff ``points`` is a base and no single deletion stays one."""
-    pts = tuple(sorted(set(points)))
+    pts = tuple(sorted({_as_point(x, G.degree) for x in points}))
     if not is_base(G, pts):
         return False
     return all(
@@ -229,7 +231,7 @@ def is_irredundant_sequence(G: PermGroup, seq) -> bool:
 
 def is_independent_set(G: PermGroup, points) -> bool:
     """True iff removing any point enlarges the pointwise stabilizer."""
-    pts = tuple(sorted(set(points)))
+    pts = tuple(sorted({_as_point(x, G.degree) for x in points}))
     full = G.pointwise_stabilizer(pts).order()
     return all(
         G.pointwise_stabilizer(pts[:i] + pts[i + 1 :]).order() > full
@@ -388,31 +390,11 @@ def height(G: PermGroup, mode: str = "pruned", budget=None) -> int:
 # -- irredundant bases --------------------------------------------------
 
 
-class _SubgroupMemo:
-    """Values keyed by subgroups of one group.
-
-    Subgroups are bucketed by order and orbit partition, and a hit is
-    confirmed by membership: a group of the stored order that contains every
-    stored generator is the stored group.
-    """
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self):
-        self._buckets: dict[tuple[int, bytes], list[tuple[tuple, dict[int, int]]]] = {}
-
-    @staticmethod
-    def _key(H: PermGroup) -> tuple[int, bytes]:
-        return H.order(), H.orbit_partition()[0].tobytes()
-
-    def get(self, H: PermGroup) -> dict[int, int] | None:
-        for gens, value in self._buckets.get(self._key(H), ()):
-            if all(H.contains(g) for g in gens):
-                return value
-        return None
-
-    def put(self, H: PermGroup, value: dict[int, int]) -> None:
-        self._buckets.setdefault(self._key(H), []).append((H.generators, value))
+def _fixed_key(H: PermGroup) -> bytes:
+    """The fixed points of ``H`` as a bitmask: for two pointwise stabilizers
+    of one group, equal iff the subgroups are equal (module notes)."""
+    labels, counts = H.orbit_partition()
+    return np.packbits(counts[labels] == 1).tobytes()
 
 
 def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witnesses: bool = False):
@@ -421,10 +403,11 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     Ordered sequences with strict stabilizer descent.  Pruned mode restricts
     candidates to per-level orbit minima, one per stabilizer class;
     exhaustive mode takes every moved point.  Nodes with equal pointwise
-    stabilizers share their futures, so every stabilizer is memoized with
-    its reachable lengths, each mapped to the first candidate reaching it.
-    With ``witnesses=True`` a witness of each length is read off the memo
-    from ``G`` down, at no further search cost.
+    stabilizers, i.e. equal fixed points, share their futures, so each is
+    memoized by its fixed points with its reachable lengths, each mapped to
+    the first candidate reaching it and that candidate's child key.  With
+    ``witnesses=True`` a witness of each length is read off the memo by
+    lookups from ``G``'s key, at no further search or stabilizer cost.
     """
     _require_nontrivial(G)
     _check_mode(mode)
@@ -432,50 +415,49 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     G.order()
     pick = _minima_candidates if mode == "pruned" else _point_candidates
     classes = G.stabilizer_class_labels() if mode == "pruned" else None
-    memo = _SubgroupMemo()
+    memo: dict[bytes, dict[int, tuple[int, bytes | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
-    # ``done = (x, lengths)`` carries a finished subtree (or memo hit) below
+    # ``done = (x, key)`` carries a finished subtree (or memo hit) below
     # candidate ``x`` up to the frame that tried it
     stack = []
 
     def enter(x, H):
         counter.tick()
-        lengths = memo.get(H)
-        if lengths is not None:
-            return x, lengths
+        key = _fixed_key(H)
+        if key in memo:
+            return x, key
         labels, counts = H.orbit_partition()
         cands = _one_per_class(pick(labels, counts, -1).tolist(), classes)
-        stack.append((x, H, labels, counts, cands, {}))
+        stack.append((x, key, H, labels, counts, cands, {}))
         return None
 
     done = enter(None, G)
     while stack:
-        _, H, labels, counts, cands, out = stack[-1]
+        _, key, H, labels, counts, cands, out = stack[-1]
         if done is not None:
-            x, lengths = done
-            for l in lengths:
-                out.setdefault(l + 1, x)
+            x, child = done
+            for l in memo[child]:
+                out.setdefault(l + 1, (x, child))
             done = None
         for x in cands:
             if H.order() // int(counts[labels[x]]) == 1:
-                out.setdefault(1, x)
+                out.setdefault(1, (x, None))
                 continue
             done = enter(x, H.point_stabilizer(x))
             break
         else:
-            memo.put(H, out)
-            done = stack.pop()[0], out
-    sizes = SizeSet(done[1])
+            memo[key] = out
+            done = stack.pop()[0], key
+    root = done[1]
+    sizes = SizeSet(memo[root])
     if not witnesses:
         return sizes
     found: dict[int, tuple[int, ...]] = {}
     for target in sizes:
-        seq: list[int] = []
-        H = G
+        seq, key = [], root
         for rem in range(target, 0, -1):
-            if seq:
-                H = H.point_stabilizer(seq[-1])
-            seq.append(memo.get(H)[rem])
+            x, key = memo[key][rem]
+            seq.append(x)
         found[target] = tuple(seq)
     return sizes, found
 
@@ -546,8 +528,8 @@ def grid_minimal_base(base_g, base_h, k: int) -> list[tuple[int, int]]:
     minimal base of the product action.  Columns are points of the first
     base, rows of the second; the layout avoids closing any rectangle.
     """
-    g = [int(x) for x in base_g]
-    h = [int(x) for x in base_h]
+    g = [_as_int(x, "point") for x in base_g]
+    h = [_as_int(x, "point") for x in base_h]
     if len(g) > len(h):
         return [(d, l) for l, d in grid_minimal_base(h, g, k)]
     a, b = len(g), len(h)

@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, SpecError
-from .group import PermGroup
+from .group import PermGroup, _as_int
 from .perm import Perm
 
 __all__ = [
@@ -171,7 +171,7 @@ def theorem2_group(X, p: int = 2) -> tuple[PermGroup, LabeledDomain]:
     i generators).  For x1 > 1 the spectrum is shifted by x1 - 1 points via
     a disjoint symmetric factor.
     """
-    xs = sorted({int(x) for x in X})
+    xs = sorted({_as_int(x, "X entry") for x in X})
     if not xs:
         raise ValueError("X must be non-empty")
     if xs[0] < 1:

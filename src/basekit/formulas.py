@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 from .bases import SizeSet
+from .group import _as_int
 
 __all__ = [
     "ProductIntervalPrediction",
@@ -76,7 +77,7 @@ def predict_prodsym_M(n_list) -> SizeSet:
     {max_i (n_i - 1), ..., sum_i (n_i - 1) - t}; a single factor degenerates
     to the singleton {n - 1}.
     """
-    ns = [int(n) for n in n_list]
+    ns = [_as_int(n, "degree") for n in n_list]
     if not ns or any(n < 2 for n in ns):
         raise ValueError("need at least one factor, all of degree >= 2")
     if len(ns) == 1:
@@ -88,7 +89,7 @@ def predict_prodsym_M(n_list) -> SizeSet:
 
 def predict_product_I(i_list) -> int:
     """Longest irredundant base of a product action from the factors' values."""
-    vals = [int(i) for i in i_list]
+    vals = [_as_int(i, "factor value") for i in i_list]
     if not vals or any(v < 1 for v in vals):
         raise ValueError("need at least one factor value, all >= 1")
     return sum(vals) - (len(vals) - 1)
@@ -96,6 +97,7 @@ def predict_product_I(i_list) -> int:
 
 def halasi_b(n: int, k: int) -> int:
     """Smallest base size of S_n on k-subsets when n >= k^2."""
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if k < 1:
         raise ValueError("k must be positive")
     if n < k * k:
@@ -105,6 +107,7 @@ def halasi_b(n: int, k: int) -> int:
 
 def gill_loda_I(n: int, k: int) -> int:
     """Longest irredundant base of S_n on k-subsets."""
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if not 1 <= k <= n // 2:
         raise ValueError("need 1 <= k <= n/2")
     return n - 1 if math.gcd(n, k) == 1 else n - 2

@@ -298,13 +298,19 @@ def _verify(chain: StabilizerChain, order: int | None) -> None:
         raise RuntimeError(f"stabilizer chain order {chain.order()} != expected {order}")
 
 
-def _as_point(x, degree: int) -> int:
-    """``x`` as a point of {0, ..., degree-1}: an ``int`` or numpy integer, not a ``bool``."""
+def _as_int(x, what: str) -> int:
+    """``x`` as an ``int``: an ``int`` or numpy integer, never a ``bool``, float or string."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"point {x!r} is not an integer")
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
+def _as_point(x, degree: int) -> int:
+    """``x`` as a point of {0, ..., degree-1}."""
+    x = _as_int(x, "point")
     if not 0 <= x < degree:
         raise ValueError(f"point {x} outside 0..{degree - 1}")
-    return int(x)
+    return x
 
 
 def _first_moving_level(chain: StabilizerChain) -> int:
@@ -378,8 +384,13 @@ class PermGroup:
     )
 
     def __init__(self, degree: int, generators=(), *, order_hint: int | None = None):
+        degree = _as_int(degree, "degree")
         if degree < 1:
             raise ValueError("degree must be positive")
+        if order_hint is not None:
+            order_hint = _as_int(order_hint, "order hint")
+            if order_hint < 1:
+                raise ValueError(f"order hint {order_hint} is not positive")
         gens = []
         seen = set()
         for g in generators:

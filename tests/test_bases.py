@@ -3,7 +3,7 @@ import random
 import re
 import subprocess
 import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from basekit import (
     theorem2_group,
     wreath_coset_action,
 )
-from basekit.bases import _SubgroupMemo
+from basekit.bases import _fixed_key
 
 import bruteforce as bf
 
@@ -219,12 +219,26 @@ def test_budget_is_none_a_search_budget_or_a_non_negative_int(budget):
 @pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
 @pytest.mark.parametrize("search", [minimal_base_sizes, irredundant_base_sizes],
                          ids=["minimal", "irredundant"])
-def test_witnesses_cost_no_search_nodes(search, mode):
+def test_witnesses_cost_no_search_nodes(search, mode, monkeypatch):
+    # nor stabilizer computations: witnesses are read from what the search built
+    original = PermGroup.pointwise_stabilizer
+    calls = []
+
+    def counting(self, points):
+        calls.append(points)
+        return original(self, points)
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
     for name, G in ORACLE_GROUPS[:9] + [("sym5", symmetric(5))]:
         plain, with_witnesses = SearchBudget(), SearchBudget()
-        sizes = search(G, mode, plain)
-        assert search(G, mode, with_witnesses, witnesses=True)[0] == sizes
+        # a fresh copy per search, so neither reads the other's cached results
+        del calls[:]
+        sizes = search(PermGroup(G.degree, G.generators), mode, plain)
+        plain_calls = len(calls)
+        del calls[:]
+        assert search(PermGroup(G.degree, G.generators), mode, with_witnesses, witnesses=True)[0] == sizes
         assert with_witnesses.used == plain.used, name
+        assert len(calls) == plain_calls, name
 
 
 _SPARE_FRAMES_SCRIPT = """
@@ -249,20 +263,18 @@ def test_searches_run_within_a_few_spare_frames():
     assert proc.stdout == "[13] [13] 13\n"
 
 
-def test_subgroup_memo_needs_equal_subgroups():
-    # C4 and V4 on 4 points share the order and the orbit partition
-    c4 = PermGroup(4, [Perm([1, 2, 3, 0])])
-    v4 = PermGroup(4, [Perm([1, 0, 3, 2]), Perm([2, 3, 0, 1])])
-    assert c4.order() == v4.order() == 4
-    assert c4.orbits() == v4.orbits() == [[0, 1, 2, 3]]
-    memo = _SubgroupMemo()
-    memo.put(c4, frozenset({1}))
-    assert memo.get(v4) is None
-    # the same C4 from a different generator is a hit
-    assert memo.get(PermGroup(4, [Perm([3, 0, 1, 2])])) == frozenset({1})
-    memo.put(v4, frozenset({2}))
-    assert memo.get(v4) == frozenset({2})
-    assert memo.get(c4) == frozenset({1})
+def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
+    # G_(S) = G_(Fix(G_(S))), so two pointwise stabilizers of one group are
+    # equal iff they fix the same points; checked against element sets
+    for name, G in ORACLE_GROUPS:
+        elements = closure_of(G)
+        keys, stabs = [], []
+        for r in range(4):
+            for S in combinations(range(G.degree), r):
+                keys.append(_fixed_key(G.pointwise_stabilizer(S)))
+                stabs.append(frozenset(bf.stabilizer(elements, S)))
+        # equal keys iff equal subgroups, for every pair of point sets
+        assert len(set(keys)) == len(set(stabs)) == len(set(zip(keys, stabs))), name
 
 
 def _relabelled_symmetric(n, seed):
@@ -370,6 +382,11 @@ def test_size_set():
         SizeSet([])
     with pytest.raises(ValueError):
         SizeSet([0, 1])
+    assert SizeSet([np.int64(2), 1]) == SizeSet([1, 2])
+    # sizes are never truncated: 1.5 used to become 1, and True to become 1
+    for sizes, bad in (([1.5, 2.9], 1.5), ([True], True), ([2, "3"], "3")):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            SizeSet(sizes)
 
 
 def test_mode_validation():
@@ -398,6 +415,16 @@ def test_predicates_reject_non_integer_points(bad):
         indicator_vectors(symmetric(3), symmetric(3), [(bad, 0), (1, 1)])
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         indicator_vectors(symmetric(3), symmetric(3), [(0, 0), (1, bad)])
+    # checked before deduplication: True used to collapse into 1
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        is_independent_set(symmetric(4), [0, 1, bad])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        is_minimal_base(symmetric(4), [0, 1, 2, bad])
+    # [0.5, 1.7] used to truncate to the base [0, 1]
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        grid_minimal_base([bad, 1], [0, 1, 2], 3)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        grid_minimal_base([0, 1], [0, 1, bad], 3)
     assert is_irredundant_sequence(symmetric(5), [np.int64(0), 1, 2, 3])
 
 

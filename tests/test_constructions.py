@@ -135,6 +135,10 @@ def test_theorem2_validation():
         theorem2_group([0, 2], 2)
     with pytest.raises(ValueError):
         theorem2_group([1, 3], 4)
+    # [1.5, 3] used to build the group of {1, 3}
+    for bad in ([1.5, 3], [True, 3]):
+        with pytest.raises(ValueError, match="not an integer"):
+            theorem2_group(bad, 2)
 
 
 def test_theorem3_recipes():

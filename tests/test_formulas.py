@@ -57,6 +57,10 @@ def test_predict_prodsym():
         predict_prodsym_M([])
     with pytest.raises(ValueError):
         predict_prodsym_M([3, 1])
+    # 3.7 used to truncate to 3
+    for bad in ([3.7, 4], [True, 3], ["3"]):
+        with pytest.raises(ValueError, match="not an integer"):
+            predict_prodsym_M(bad)
 
 
 def test_predict_prodsym_matches_search():
@@ -71,6 +75,9 @@ def test_predict_product_I():
     assert predict_product_I([6]) == 6
     with pytest.raises(ValueError):
         predict_product_I([])
+    for bad in ([2.5, 3], [True, 3], ["2"]):
+        with pytest.raises(ValueError, match="not an integer"):
+            predict_product_I(bad)
 
 
 def test_halasi():
@@ -81,6 +88,10 @@ def test_halasi():
     assert halasi_b(13, 3) == 6
     with pytest.raises(ValueError):
         halasi_b(13, 6)
+    # halasi_b(9.5, 2) used to be 6
+    for n, k in ((9.5, 2), (9, 2.0), (9, True)):
+        with pytest.raises(ValueError, match="not an integer"):
+            halasi_b(n, k)
 
 
 def test_halasi_matches_search():
@@ -96,6 +107,9 @@ def test_gill_loda():
         assert gill_loda_I(13, k) == 12
     with pytest.raises(ValueError):
         gill_loda_I(5, 3)
+    for n, k in ((9.5, 2), (9, True)):
+        with pytest.raises(ValueError, match="not an integer"):
+            gill_loda_I(n, k)
 
 
 def test_gill_loda_matches_search():

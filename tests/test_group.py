@@ -197,6 +197,23 @@ def test_order_hint_checked():
     assert PermGroup(3, [Perm([1, 0, 2])], order_hint=2).order() == 2
 
 
+@pytest.mark.parametrize("bad", [3.0, True, "3", 0, -1])
+def test_degree_is_a_positive_int(bad):
+    # 3.0 used to be accepted and fail later with a TypeError
+    with pytest.raises(ValueError):
+        PermGroup(bad, [Perm([1, 0, 2])])
+    with pytest.raises(ValueError):
+        PermGroup(bad, [])
+
+
+@pytest.mark.parametrize("bad", [0, -2, 4.0, True, "2"])
+def test_order_hint_is_none_or_a_positive_int(bad):
+    # 0, -2 and 4.0 used to fail only later, as a RuntimeError
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        PermGroup(3, [Perm([1, 0, 2])], order_hint=bad)
+    assert PermGroup(np.int64(3), [Perm([1, 0, 2])], order_hint=np.int64(2)).order() == 2
+
+
 def test_identity_never_stored():
     G = PermGroup(3, [Perm.identity(3), Perm([1, 0, 2]), Perm([1, 0, 2])])
     assert len(G.generators) == 1
