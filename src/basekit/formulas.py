@@ -39,6 +39,8 @@ class ProductIntervalPrediction:
 
 def predict_thm41(b_g: int, b_h: int, B_g: int, B_h: int) -> ProductIntervalPrediction:
     """Candidate minimal-base intervals of a product action from factor stats."""
+    b_g, b_h = _as_int(b_g, "b_g"), _as_int(b_h, "b_h")
+    B_g, B_h = _as_int(B_g, "B_g"), _as_int(B_h, "B_h")
     for lo, hi in ((b_g, B_g), (b_h, B_h)):
         if not 1 <= lo <= hi:
             raise ValueError("need 1 <= b <= B for both factors")

@@ -63,23 +63,36 @@ def orbit_under(gens, point):
     return seen
 
 
-def is_base(elements, points):
-    return len(stabilizer(elements, points)) == 1
+def stabilizer_orders(degree, elements):
+    """The order of the pointwise stabilizer of every subset of points, keyed
+    by the subset as a sorted tuple.
+
+    Each stabilizer is filtered from that of the subset without its largest
+    point, one subset size at a time.
+    """
+    level = {(): list(elements)}
+    orders = {(): len(level[()])}
+    for r in range(1, degree + 1):
+        level = {
+            subset: [e for e in level[subset[:-1]] if e[subset[-1]] == subset[-1]]
+            for subset in combinations(range(degree), r)
+        }
+        orders.update((subset, len(stab)) for subset, stab in level.items())
+    return orders
+
+
+def _deletions(subset):
+    return (subset[:i] + subset[i + 1 :] for i in range(len(subset)))
 
 
 def minimal_base_sizes(degree, elements):
     """Sizes of minimal bases by scanning every subset."""
-    sizes = set()
-    for r in range(1, degree + 1):
-        for subset in combinations(range(degree), r):
-            if not is_base(elements, subset):
-                continue
-            if all(
-                not is_base(elements, subset[:i] + subset[i + 1 :])
-                for i in range(r)
-            ):
-                sizes.add(r)
-    return sizes
+    orders = stabilizer_orders(degree, elements)
+    return {
+        len(subset)
+        for subset, order in orders.items()
+        if subset and order == 1 and all(orders[d] > 1 for d in _deletions(subset))
+    }
 
 
 def irredundant_base_sizes(degree, elements):
@@ -130,20 +143,12 @@ def first_irredundant_bases(degree, elements, minima=False):
 
 def independent_set_sizes(degree, elements):
     """Sizes of independent sets (every point's removal grows the stabilizer)."""
-    sizes = {0}
-    for r in range(1, degree + 1):
-        found = False
-        for subset in combinations(range(degree), r):
-            full = len(stabilizer(elements, subset))
-            if all(
-                len(stabilizer(elements, subset[:i] + subset[i + 1 :])) > full
-                for i in range(r)
-            ):
-                sizes.add(r)
-                found = True
-        if not found:
-            break
-    return sizes
+    orders = stabilizer_orders(degree, elements)
+    return {
+        len(subset)
+        for subset, order in orders.items()
+        if all(orders[d] > order for d in _deletions(subset))
+    }
 
 
 def height(degree, elements):

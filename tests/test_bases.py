@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import basekit
 from basekit import (
@@ -275,6 +277,95 @@ def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
                 stabs.append(frozenset(bf.stabilizer(elements, S)))
         # equal keys iff equal subgroups, for every pair of point sets
         assert len(set(keys)) == len(set(stabs)) == len(set(zip(keys, stabs))), name
+
+
+@pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
+@pytest.mark.parametrize(
+    "make,nodes",
+    [
+        (lambda: k_subset_action(6, 2), 541),
+        (lambda: theorem2_group([1, 3, 5, 7])[0], 2739),
+        (lambda: symmetric(6), 57),
+    ],
+    ids=["ksub62", "thm2_1357", "sym6"],
+)
+def test_exhaustive_walk_computes_each_stabilizer_once(search, make, nodes, monkeypatch):
+    # one stabilizer per entered set other than the root, whether a deletion
+    # stabilizer asked for it first or the node itself; recomputing each
+    # node's deletions made 1,485, 11,334 and 156 calls here
+    G = make()
+    G.order()
+    original = PermGroup.pointwise_stabilizer
+    calls = [0]
+
+    def counting(self, points):
+        calls[0] += 1
+        return original(self, points)
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
+    budget = SearchBudget()
+    search(G, "exhaustive", budget)
+    assert budget.used == nodes
+    assert calls[0] == budget.used - 1
+
+
+@pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
+def test_exhaustive_budget_running_out_mid_walk_is_budget_exceeded(search):
+    # stabilizers computed ahead for sets still to come are dropped with the
+    # walk: the error is the budget's, not the left-over-table invariant's
+    G = k_subset_action(6, 2)
+    for limit in (0, 1, 60, 300, 540):
+        with pytest.raises(BudgetExceeded, match="budget"):
+            search(G, "exhaustive", limit)
+    budget = SearchBudget(541)
+    search(G, "exhaustive", budget)
+    assert budget.used == 541
+
+
+# -- random-group oracles -------------------------------------------------
+
+
+@st.composite
+def two_generator_groups(draw):
+    # a non-trivial group of degree <= 7 on two drawn generators
+    n = draw(st.integers(min_value=2, max_value=7))
+    first = draw(st.permutations(range(n)).filter(lambda p: p != sorted(p)))
+    return PermGroup(n, [Perm(first), Perm(draw(st.permutations(range(n))))])
+
+
+@given(two_generator_groups())
+def test_random_group_spectra_match_bruteforce(G):
+    elements = closure_of(G)
+    want_m = bf.minimal_base_sizes(G.degree, elements)
+    want_i = bf.irredundant_base_sizes(G.degree, elements) - {0}
+    want_h = bf.height(G.degree, elements)
+    for mode in ("pruned", "exhaustive"):
+        M, I = minimal_base_sizes(G, mode), irredundant_base_sizes(G, mode)
+        assert set(M) == want_m and set(I) == want_i, mode
+        assert height(G, mode) == want_h, mode
+        assert set(M) <= set(I) and M.min == I.min and I.is_interval, mode
+    assert min_base_size(G) == min(want_m)
+
+
+@given(two_generator_groups(), st.sampled_from([2, 3]), st.booleans())
+def test_random_disjoint_product_spectra_are_sumsets(G, p, cyclic_first):
+    # both factors' spectra from brute force; the product's from the search
+    C = cyclic_regular(p)
+    factors = (C, G) if cyclic_first else (G, C)
+    P = disjoint_product(*factors)
+    spectra = []
+    for F in factors:
+        elements = closure_of(F)
+        spectra.append((
+            bf.minimal_base_sizes(F.degree, elements),
+            bf.irredundant_base_sizes(F.degree, elements) - {0},
+            bf.height(F.degree, elements),
+        ))
+    (m1, i1, h1), (m2, i2, h2) = spectra
+    for mode in ("pruned", "exhaustive"):
+        assert set(minimal_base_sizes(P, mode)) == {a + b for a in m1 for b in m2}, mode
+        assert set(irredundant_base_sizes(P, mode)) == {a + b for a in i1 for b in i2}, mode
+        assert height(P, mode) == h1 + h2, mode
 
 
 def _relabelled_symmetric(n, seed):

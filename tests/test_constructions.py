@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -139,6 +140,30 @@ def test_theorem2_validation():
     for bad in ([1.5, 3], [True, 3]):
         with pytest.raises(ValueError, match="not an integer"):
             theorem2_group(bad, 2)
+
+
+NON_INTEGER_ARGS = {
+    "symmetric-float": (symmetric, (4.0,), "n 4.0"),
+    "cyclic-bool": (cyclic_regular, (True,), "p True"),
+    "elem-abelian-float-d": (elem_abelian_regular, (2, 2.0), "d 2.0"),
+    "elem-abelian-string-p": (elem_abelian_regular, ("2", 2), "p '2'"),
+    "k-subsets-float-k": (k_subset_action, (5, 2.0), "k 2.0"),
+    "wreath-imprimitive-float-n": (wreath_imprimitive, (3.5, 2), "n 3.5"),
+    "wreath-coset-float-n": (wreath_coset_action, (3.0, 2), "n 3.0"),
+    "wreath-coset-bool-k": (wreath_coset_action, (3, True), "k True"),
+    "wreath-coset-float-max-index": (wreath_coset_action, (3, 2, 5000.0), "max_index 5000.0"),
+    "theorem3-float-a": (theorem3_groups, (2.0, 3), "a 2.0"),
+    "theorem3-float-b": (theorem3_groups, (2, 3.5), "b 3.5"),
+    "theorem2-float-p": (theorem2_group, ([1, 3], 2.0), "p 2.0"),
+}
+
+
+@pytest.mark.parametrize("build,args,named", NON_INTEGER_ARGS.values(), ids=NON_INTEGER_ARGS.keys())
+def test_constructors_name_a_non_integer_argument(build, args, named):
+    # these used to raise TypeError, or a ValueError about something else
+    # ("p must be at least 2", "degree 8.0 is not an integer")
+    with pytest.raises(ValueError, match=re.escape(f"{named} is not an integer")):
+        build(*args)
 
 
 def test_theorem3_recipes():

@@ -26,6 +26,10 @@ def test_predict_thm41():
     assert pred.interval(0) == SizeSet([2, 3, 4])
     with pytest.raises(ValueError):
         predict_thm41(3, 1, 2, 2)
+    # 1.5 used to give lower=2, upper_by_epsilon=(7, 6, 5)
+    for bad in ((1.5, 2, 3, 4), (2, True, 3, 4), (2, 2, "3", 4), (2, 2, 3, 4.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            predict_thm41(*bad)
 
 
 def test_measure_epsilon():
