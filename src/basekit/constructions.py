@@ -13,9 +13,10 @@ Point encodings are fixed so witness bases are reproducible:
 * ``gl42_on_2subspaces``: the 35 planes are ordered lexicographically by
   their reduced-row-echelon basis (two 4-bit row vectors, bit i = basis
   coordinate i).
-* ``wreath_coset_action(n, k)``: point 0 is the seed coset of the fixed
-  subgroup; further cosets are numbered in breadth-first discovery order
-  under right multiplication by the three wreath generators (block-0
+* ``wreath_coset_action(n, k)``: point 0 is the seed coset, the pointwise
+  stabilizer ``W_(S)`` of a tuple S of n+1 points, and a coset is named by
+  where it sends S; further cosets are numbered in breadth-first discovery
+  order under right multiplication by the three wreath generators (block-0
   transposition, block-0 n-cycle, block rotation), in that order.
 """
 
@@ -28,7 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, SpecError
-from .group import PermGroup, _as_int
+from .group import PermGroup, _as_int, _as_point
 from .perm import Perm
 
 __all__ = [
@@ -282,34 +283,17 @@ def wreath_imprimitive(n: int, k: int) -> PermGroup:
     return PermGroup(degree, [t, c, rot], order_hint=math.factorial(n) ** k * k)
 
 
-def _wreath_subgroup_gens(n: int, k: int) -> list[Perm]:
-    # generators of S_n^(k-2) x Stab(n-1) x 1 inside the imprimitive wreath
-    degree = n * k
-    gens = []
-    for block in range(k - 2):
-        off = block * n
-        gens.append(Perm.from_cycles(degree, (off, off + 1)))
-        gens.append(Perm.from_cycles(degree, tuple(range(off, off + n))))
-    off = (k - 2) * n
-    if n > 2:
-        gens.append(Perm.from_cycles(degree, (off, off + 1)))
-        gens.append(Perm.from_cycles(degree, tuple(range(off, off + n - 1))))
-    return gens
-
-
 def coset_action(
     W: PermGroup,
-    H: PermGroup,
+    points,
     expected_index: int,
     max_index: int = 5000,
 ) -> PermGroup:
-    """Right-multiplication action of W on the right cosets of H.
+    """Right-multiplication action of W on the right cosets of ``W_(points)``.
 
-    Breadth-first enumeration: a candidate ``Hg`` is matched against known
-    representatives ``r`` by testing ``g * r^{-1}`` for membership in H via
-    H's stabilizer chain.  The scan is bucketed by a fingerprint that is
-    constant on each coset: the H-orbit label of every point's image under
-    ``g^{-1}``.
+    ``Hg = Hg'`` for ``H = W_(points)`` exactly when g and g' send the tuple
+    ``points`` to the same image tuple, so each coset is named by that
+    tuple and the enumeration is a breadth-first walk over image tuples.
     Point 0 is the coset H; further cosets are numbered in discovery order
     over representatives times generators (generator list order).
     """
@@ -317,53 +301,42 @@ def coset_action(
         raise BudgetExceeded(
             f"coset index {expected_index} exceeds the configured ceiling {max_index}"
         )
-    degree = W.degree
-    h_chain = H.chain()
-    h_labels, _ = H.orbit_partition()
-
-    def signature(ginv: Perm) -> bytes:
-        return h_labels[ginv.images].tobytes()
-
-    reps: list[Perm] = [Perm.identity(degree)]
-    inv_reps: list[Perm] = [Perm.identity(degree)]
-    buckets: dict[bytes, list[int]] = {signature(inv_reps[0]): [0]}
-    images = [[-1] for _ in W.generators]
-
-    qi = 0
-    while qi < len(reps):
-        rep = reps[qi]
-        for gi, s in enumerate(W.generators):
-            cand = rep * s
-            cand_inv = cand.inverse()
-            sig = signature(cand_inv)
-            target = None
-            for idx in buckets.get(sig, ()):
-                if h_chain.contains(cand * inv_reps[idx]):
-                    target = idx
-                    break
+    seed = tuple(_as_point(p, W.degree) for p in points)
+    gens = [g.to_list() for g in W.generators]
+    number = {seed: 0}
+    queue = [seed]
+    images: list[list[int]] = [[] for _ in gens]
+    for tup in queue:
+        for col, img in zip(images, gens):
+            moved = tuple(img[p] for p in tup)
+            target = number.get(moved)
             if target is None:
-                target = len(reps)
+                target = len(queue)
                 if target >= max_index:
                     raise BudgetExceeded(
                         f"coset enumeration exceeded the ceiling {max_index}"
                     )
-                reps.append(cand)
-                inv_reps.append(cand_inv)
-                buckets.setdefault(sig, []).append(target)
-                for col in images:
-                    col.append(-1)
-            images[gi][qi] = target
-        qi += 1
+                number[moved] = target
+                queue.append(moved)
+            col.append(target)
 
-    if len(reps) != expected_index:
+    if len(queue) != expected_index:
         raise RuntimeError(
-            f"coset enumeration found {len(reps)} cosets, expected {expected_index}"
+            f"coset enumeration found {len(queue)} cosets, expected {expected_index}"
         )
     return PermGroup(expected_index, [Perm(col) for col in images])
 
 
 def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
-    """S_n wr C_k acting on the right cosets of S_n^(k-2) x Stab(n-1) x 1.
+    """S_n wr C_k acting on the right cosets of H = S_n^(k-2) x Stab(n-1) x 1.
+
+    H is the pointwise stabilizer ``W_(S)`` of the tuple S made of the last
+    point of block k-2 and the n points of block k-1.  An element fixing a
+    point of block k-1 maps that block to itself, and C_k is regular on the
+    blocks, so its block rotation is trivial.  What is left of ``W_(S)`` is
+    the base-group elements that are trivial on block k-1 and fix the last
+    point of block k-2, which is H.  So a coset is named by where it sends
+    S (see ``coset_action``).
 
     The minimal base sizes are {2, n-1} for k=2, {3, n} for k=3 and
     {4, n+1, 2n-2} for k=4, so the first gapped spectra are {2, 4} at
@@ -373,12 +346,12 @@ def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
     max_index = _as_int(max_index, "max_index")
     if n < 3 or k < 2:
         raise ValueError("need n >= 3 and k >= 2")
+    if max_index < 1:
+        raise ValueError(f"max_index {max_index} must be at least 1")
     expected = math.factorial(n) * n * k
     W = wreath_imprimitive(n, k)
-    degree = n * k
-    h_order = math.factorial(n) ** (k - 2) * math.factorial(n - 1)
-    H = PermGroup(degree, _wreath_subgroup_gens(n, k), order_hint=h_order)
-    action = coset_action(W, H, expected, max_index)
+    S = ((k - 2) * n + n - 1, *range((k - 1) * n, k * n))
+    action = coset_action(W, S, expected, max_index)
     return PermGroup(
         expected, action.generators, order_hint=math.factorial(n) ** k * k
     )

@@ -116,7 +116,8 @@ def gill_loda_I(n: int, k: int) -> int:
 
 
 # Published smallest base sizes of S_13 and S_14 on k-subsets, used as
-# constants; recomputing them is exposed behind the slow flag only.
+# constants; only section6_replay(recompute=True) recomputes them (the
+# slow verify suite does not).
 S13_B_TABLE = {1: 12, 2: 8, 3: 6, 4: 5, 5: 5, 6: 4}
 S14_B_TABLE = {2: 9, 4: 6, 6: 5, 7: 4}
 

@@ -44,7 +44,7 @@ import random
 
 import numpy as np
 
-from .perm import Perm
+from .perm import Perm, _as_int
 
 __all__ = ["PermGroup", "StabilizerChain", "build_chain"]
 
@@ -296,13 +296,6 @@ def _verify(chain: StabilizerChain, order: int | None) -> None:
 
     if order is not None and chain.order() != order:
         raise RuntimeError(f"stabilizer chain order {chain.order()} != expected {order}")
-
-
-def _as_int(x, what: str) -> int:
-    """``x`` as an ``int``: an ``int`` or numpy integer, never a ``bool``, float or string."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{what} {x!r} is not an integer")
-    return int(x)
 
 
 def _as_point(x, degree: int) -> int:

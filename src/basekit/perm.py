@@ -24,6 +24,13 @@ def _arange(n: int) -> np.ndarray:
     return arr
 
 
+def _as_int(x, what: str) -> int:
+    """``x`` as an ``int``: an ``int`` or numpy integer, never a ``bool``, float or string."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 class Perm:
     """A bijection on {0, ..., degree-1} given by its image sequence.
 
@@ -57,6 +64,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
+        degree = _as_int(degree, "degree")
         if degree < 1:
             raise ValueError("degree must be positive")
         return cls._wrap(_arange(degree))
@@ -64,9 +72,13 @@ class Perm:
     @classmethod
     def from_cycles(cls, degree: int, *cycles) -> "Perm":
         """Build a permutation from disjoint cycles, e.g. ``from_cycles(4, (0, 1), (2, 3))``."""
+        degree = _as_int(degree, "degree")
+        if degree < 1:
+            raise ValueError("degree must be positive")
         images = np.arange(degree, dtype=np.int32)
         seen: set[int] = set()
         for cycle in cycles:
+            cycle = [_as_int(pt, "point") for pt in cycle]
             for pt in cycle:
                 if not 0 <= pt < degree:
                     raise ValueError(f"point {pt} outside 0..{degree - 1}")

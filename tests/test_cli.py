@@ -68,7 +68,10 @@ def test_analyze_witnesses_and_table():
 
 
 def test_exit_code_2_on_bad_spec():
-    for bad in ['{"type":"nope"}', "{broken json", "/nonexistent/path.json", '{"type":"sym"}']:
+    for bad in ['{"type":"nope"}', "{broken json", "/nonexistent/path.json", '{"type":"sym"}',
+                # a non-positive ceiling used to exit 3, as if the budget had run out
+                '{"type":"wreath_coset","n":3,"k":2,"max_index":0}',
+                '{"type":"wreath_coset","n":3,"k":2,"max_index":-5}']:
         code, _, err = run_cli(["analyze", bad])
         assert code == 2, bad
         assert "error" in err

@@ -143,26 +143,29 @@ def test_theorem2_validation():
 
 
 NON_INTEGER_ARGS = {
-    "symmetric-float": (symmetric, (4.0,), "n 4.0"),
-    "cyclic-bool": (cyclic_regular, (True,), "p True"),
-    "elem-abelian-float-d": (elem_abelian_regular, (2, 2.0), "d 2.0"),
-    "elem-abelian-string-p": (elem_abelian_regular, ("2", 2), "p '2'"),
-    "k-subsets-float-k": (k_subset_action, (5, 2.0), "k 2.0"),
-    "wreath-imprimitive-float-n": (wreath_imprimitive, (3.5, 2), "n 3.5"),
-    "wreath-coset-float-n": (wreath_coset_action, (3.0, 2), "n 3.0"),
-    "wreath-coset-bool-k": (wreath_coset_action, (3, True), "k True"),
-    "wreath-coset-float-max-index": (wreath_coset_action, (3, 2, 5000.0), "max_index 5000.0"),
-    "theorem3-float-a": (theorem3_groups, (2.0, 3), "a 2.0"),
-    "theorem3-float-b": (theorem3_groups, (2, 3.5), "b 3.5"),
-    "theorem2-float-p": (theorem2_group, ([1, 3], 2.0), "p 2.0"),
+    "symmetric-float": (symmetric, (4.0,), "n 4.0 is not an integer"),
+    "cyclic-bool": (cyclic_regular, (True,), "p True is not an integer"),
+    "elem-abelian-float-d": (elem_abelian_regular, (2, 2.0), "d 2.0 is not an integer"),
+    "elem-abelian-string-p": (elem_abelian_regular, ("2", 2), "p '2' is not an integer"),
+    "k-subsets-float-k": (k_subset_action, (5, 2.0), "k 2.0 is not an integer"),
+    "wreath-imprimitive-float-n": (wreath_imprimitive, (3.5, 2), "n 3.5 is not an integer"),
+    "wreath-coset-float-n": (wreath_coset_action, (3.0, 2), "n 3.0 is not an integer"),
+    "wreath-coset-bool-k": (wreath_coset_action, (3, True), "k True is not an integer"),
+    "wreath-coset-float-max-index": (wreath_coset_action, (3, 2, 5000.0), "max_index 5000.0 is not an integer"),
+    "theorem3-float-a": (theorem3_groups, (2.0, 3), "a 2.0 is not an integer"),
+    "theorem3-float-b": (theorem3_groups, (2, 3.5), "b 3.5 is not an integer"),
+    "theorem2-float-p": (theorem2_group, ([1, 3], 2.0), "p 2.0 is not an integer"),
+    # these used to raise BudgetExceeded, as if the ceiling had been reached
+    "wreath-coset-zero-max-index": (wreath_coset_action, (3, 2, 0), "max_index 0 must be at least 1"),
+    "wreath-coset-negative-max-index": (wreath_coset_action, (3, 2, -5), "max_index -5 must be at least 1"),
 }
 
 
-@pytest.mark.parametrize("build,args,named", NON_INTEGER_ARGS.values(), ids=NON_INTEGER_ARGS.keys())
-def test_constructors_name_a_non_integer_argument(build, args, named):
-    # these used to raise TypeError, or a ValueError about something else
-    # ("p must be at least 2", "degree 8.0 is not an integer")
-    with pytest.raises(ValueError, match=re.escape(f"{named} is not an integer")):
+@pytest.mark.parametrize("build,args,message", NON_INTEGER_ARGS.values(), ids=NON_INTEGER_ARGS.keys())
+def test_constructors_name_a_non_integer_argument(build, args, message):
+    # the non-integers used to raise TypeError, or a ValueError about
+    # something else ("p must be at least 2", "degree 8.0 is not an integer")
+    with pytest.raises(ValueError, match=re.escape(message)):
         build(*args)
 
 
@@ -248,8 +251,9 @@ def test_wreath_coset_spectra_bruteforce():
 
 
 def test_wreath_coset_numbering_matches_triples_oracle():
-    # chain membership tests against an exact coset invariant
-    for n, k in ((4, 2), (4, 3)):
+    # cosets named by point images against a different exact coset
+    # invariant; n = 3 has Stab(n-1) = S_2, k = 4 two free blocks
+    for n, k in ((3, 2), (3, 4), (4, 2), (4, 3), (4, 4), (5, 2)):
         gens = [g.to_list() for g in wreath_imprimitive(n, k).generators]
         want = bf.wreath_coset_images(n, k, gens)
         assert len(want[0]) == math.factorial(n) * n * k
@@ -268,9 +272,14 @@ def test_generic_coset_action():
     # simple check: the symmetric group on cosets of a point stabilizer is
     # the natural action in disguise
     G = symmetric(4)
-    H = G.point_stabilizer(3)
-    act = coset_action(G, H, 4)
+    act = coset_action(G, (3,), 4)
     assert act.degree == 4 and act.order() == 24
+    # a wrong index is an error, never a truncated or padded action
+    for wrong in (3, 5):
+        with pytest.raises(RuntimeError, match=f"found 4 cosets, expected {wrong}"):
+            coset_action(G, (3,), wrong)
+    with pytest.raises(BudgetExceeded, match="enumeration exceeded the ceiling 3"):
+        coset_action(G, (3,), 3, max_index=3)
 
 
 def test_k_subset_action():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -102,6 +104,39 @@ def test_cycles_roundtrip():
     assert p.to_list() == [1, 2, 0, 3, 5, 4]
     with pytest.raises(ValueError):
         Perm.from_cycles(3, (0, 1), (1, 2))
+    assert Perm.from_cycles(np.int64(3), (np.int32(0), np.uint8(2))).to_list() == [2, 1, 0]
+
+
+FROM_CYCLES_NON_INTEGERS = {
+    # True indexed numpy as a mask, giving images [2, 2, 1] and a repr that never returns
+    "bool-point": ((3, (True, 2)), "point True"),
+    # the float point was silently dropped
+    "float-point": ((3, (1.5,)), "point 1.5"),
+    # numpy's IndexError
+    "integral-float-point": ((4, (0, 1.0)), "point 1.0"),
+    "float-degree": ((3.0, (0, 1)), "degree 3.0"),
+    "bool-degree": ((True,), "degree True"),
+}
+
+
+@pytest.mark.parametrize("args,named", FROM_CYCLES_NON_INTEGERS.values(),
+                         ids=FROM_CYCLES_NON_INTEGERS.keys())
+def test_from_cycles_rejects_non_integers(args, named):
+    with pytest.raises(ValueError, match=f"{re.escape(named)} is not an integer"):
+        Perm.from_cycles(*args)
+
+
+def test_from_cycles_needs_a_point():
+    with pytest.raises(ValueError, match="degree must be positive"):
+        Perm.from_cycles(0)
+
+
+def test_identity_rejects_a_non_integer_degree():
+    # identity(2.5) used to be the identity on 3 points
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"degree {re.escape(repr(bad))} is not an integer"):
+            Perm.identity(bad)
+    assert Perm.identity(np.int64(3)).to_list() == [0, 1, 2]
 
 
 def test_hash_eq():

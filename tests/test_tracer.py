@@ -40,3 +40,19 @@ def test_tracer_records_spans_and_restores_attributes(monkeypatch):
     assert t.search_nodes() == report["budget"]["used"]
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_tracer_counts_wreath_cosets(monkeypatch):
+    # the wreath-pair benchmark reads its set-up from this span and counter
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report = cli.analyze_report({"type": "wreath_coset", "n": 4, "k": 2})
+    finally:
+        t.uninstall()
+    assert report["degree"] == 192
+    assert t.span_summary()["constructions.coset_action"][0] == 1
+    assert t.counts["constructions.cosets"] == 192
