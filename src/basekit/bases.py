@@ -19,20 +19,10 @@ Search notes, which justify the pruned mode and the walker's stabilizer reuse:
   independent, and so is its subset ``(points \\ p_j) + (x,)``: hence
   ``dels[j]`` always moves ``x``, and each child deletion stabilizer is a
   genuine ``dels[j].point_stabilizer(x)``.
-* In exhaustive mode points ascend and the walk descends into every
-  independent non-base, so each such set ``T`` is entered exactly once, in
-  lexicographic order.  A deletion stabilizer is formed only when
-  ``points + (x,)`` is independent and not a base, so its set ``T`` is too;
-  every prefix of ``T`` is then independent, and ``T``'s last point is a
-  larger moved point that passes the test, so the walk enters ``T`` later
-  (``T`` sorts after ``points + (x,)`` and is no extension of it).  The
-  walker therefore stores each such stabilizer in a table keyed by the
-  sorted point tuple, reads it there when another node asks for the same
-  set, and pops it when it enters ``T``: each set's stabilizer is computed
-  once, and the table only holds the frontier of sets still to be entered
-  (a peak of 1,130 entries on ``k_subsets(7,2)``, against 5,831 sets), and
-  is empty when the walk ends.  Pruned mode enters only orbit minima, so
-  many stored sets would never be entered and popped; it keeps no table.
+* Exhaustive mode names each stabilizer it asks for, ``K.point_stabilizer(x)``,
+  by the bitmask of ``Fix(K) ∪ {x}`` (the closure in the next note) in a
+  per-walk dict, so each is computed once.  Pruned mode keeps no table: at
+  large degree the kept groups cost more memory than the repeats cost time.
 * Irredundant sequences are order-sensitive, so their search keeps every
   orbit minimum as a candidate at each level and instead collapses repeated
   stabilizer subgroups: the set of reachable lengths below a node depends
@@ -277,15 +267,22 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     ascending, or largest orbit first.  ``cut(depth, order, counts)`` prunes
     a node that has candidates.  ``visit(points, x, hx_order, counts)`` sees
     each independent candidate ``x`` and returns whether to descend into it,
-    which it must not at ``hx_order == 1``; in exhaustive mode it must at
-    every ``hx_order > 1``, since the lookahead table relies on it (module
-    notes).
+    which it must not at ``hx_order == 1``.  Exhaustive mode computes each
+    stabilizer once, by its fixed points (module notes).
     """
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
-    # exhaustive mode: stabilizers of sorted point sets the walk enters later
-    ahead: dict[tuple[int, ...], PermGroup] | None = None if pruned else {}
+    # exhaustive mode: every stabilizer computed so far, by _fixed_key
+    table: dict[bytes, PermGroup] | None = None if pruned else {}
     stack = []
+
+    def stabilizer(K, x):
+        if table is None:
+            return K.point_stabilizer(x)
+        key = _fixed_key(K, x)
+        if key not in table:
+            table[key] = K.point_stabilizer(x)
+        return table[key]
 
     def enter(points, H, dels):
         counter.tick()
@@ -308,24 +305,10 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
             if any(K.order() // int(cnt[lab[x]]) <= hx_order for K, (lab, cnt) in zip(dels, parts)):
                 continue
             if visit(points, x, hx_order, counts):
-                child = points + (x,)
-                if ahead is None:
-                    Hx = H.point_stabilizer(x)
-                    dels_x = [K.point_stabilizer(x) for K in dels]
-                else:
-                    Hx = ahead.pop(child) if child in ahead else H.point_stabilizer(x)
-                    dels_x = []
-                    for j, K in enumerate(dels):
-                        key = points[:j] + points[j + 1 :] + (x,)
-                        if key not in ahead:
-                            ahead[key] = K.point_stabilizer(x)
-                        dels_x.append(ahead[key])
-                enter(child, Hx, tuple(dels_x) + (H,))
+                enter(points + (x,), stabilizer(H, x), tuple(stabilizer(K, x) for K in dels) + (H,))
                 break
         else:
             stack.pop()
-    if ahead:
-        raise RuntimeError(f"{len(ahead)} stabilizers computed ahead for sets the walk never entered")
 
 
 # -- minimal bases ------------------------------------------------------
@@ -423,11 +406,16 @@ def height(G: PermGroup, mode: str = "pruned", budget=None) -> int:
 # -- irredundant bases --------------------------------------------------
 
 
-def _fixed_key(H: PermGroup) -> bytes:
-    """The fixed points of ``H`` as a bitmask: for two pointwise stabilizers
-    of one group, equal iff the subgroups are equal (module notes)."""
+def _fixed_key(H: PermGroup, x: int | None = None) -> bytes:
+    """The bitmask of ``Fix(H) ∪ {x}``.  For pointwise stabilizers of one
+    group it names ``H``, equal iff the subgroups are equal, or with ``x``
+    the request ``H.point_stabilizer(x)``, equal only for equal subgroups
+    (module notes)."""
     labels, counts = H.orbit_partition()
-    return np.packbits(counts[labels] == 1).tobytes()
+    fixed = counts[labels] == 1
+    if x is not None:
+        fixed[x] = True
+    return np.packbits(fixed).tobytes()
 
 
 def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witnesses: bool = False):

@@ -521,10 +521,6 @@ class PermGroup:
         self._stab_classes = out
         return out
 
-    def moved_points(self) -> list[int]:
-        labels, counts = self.orbit_partition()
-        return [int(x) for x in np.nonzero(counts[labels] > 1)[0]]
-
     def stabilizer_chain(self, base_prefix=()) -> StabilizerChain:
         """A fresh chain of this group whose base starts with ``base_prefix``.
 

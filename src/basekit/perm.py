@@ -115,6 +115,7 @@ class Perm:
 
     def __getitem__(self, point: int) -> int:
         """Image of a point; raises ``IndexError`` outside 0..degree-1."""
+        point = _as_int(point, "point")
         if not 0 <= point < self.images.size:
             raise IndexError(f"point {point} outside 0..{self.images.size - 1}")
         return int(self.images[point])

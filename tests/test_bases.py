@@ -267,52 +267,63 @@ def test_searches_run_within_a_few_spare_frames():
 
 def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
     # G_(S) = G_(Fix(G_(S))), so two pointwise stabilizers of one group are
-    # equal iff they fix the same points; checked against element sets
+    # equal iff they fix the same points; checked against element sets.  A
+    # request K.point_stabilizer(x) with K = G_(S) is named by Fix(K) ∪ {x}:
+    # its points fix exactly G_(S ∪ {x}), so equal request keys are equal
+    # subgroups.  The converse fails (in c5 every request is the trivial
+    # group, under five keys), which costs the walker a recomputation only.
     for name, G in ORACLE_GROUPS:
         elements = closure_of(G)
         keys, stabs = [], []
         for r in range(4):
             for S in combinations(range(G.degree), r):
-                keys.append(_fixed_key(G.pointwise_stabilizer(S)))
+                K = G.pointwise_stabilizer(S)
+                keys.append(_fixed_key(K))
                 stabs.append(frozenset(bf.stabilizer(elements, S)))
+                labels, counts = K.orbit_partition()
+                for x in np.nonzero(counts[labels] > 1)[0].tolist():
+                    key = _fixed_key(K, x)
+                    named = np.nonzero(np.unpackbits(np.frombuffer(key, np.uint8)))[0]
+                    want = frozenset(bf.stabilizer(elements, S + (x,)))
+                    assert frozenset(bf.stabilizer(elements, named.tolist())) == want, (name, S, x)
         # equal keys iff equal subgroups, for every pair of point sets
         assert len(set(keys)) == len(set(stabs)) == len(set(zip(keys, stabs))), name
 
 
 @pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
 @pytest.mark.parametrize(
-    "make,nodes",
+    "make,nodes,computed",
     [
-        (lambda: k_subset_action(6, 2), 541),
-        (lambda: theorem2_group([1, 3, 5, 7])[0], 2739),
-        (lambda: symmetric(6), 57),
+        (lambda: k_subset_action(6, 2), 541, 348),
+        (lambda: theorem2_group([1, 3, 5, 7])[0], 2739, 292),
+        (lambda: symmetric(6), 57, 56),
     ],
     ids=["ksub62", "thm2_1357", "sym6"],
 )
-def test_exhaustive_walk_computes_each_stabilizer_once(search, make, nodes, monkeypatch):
-    # one stabilizer per entered set other than the root, whether a deletion
-    # stabilizer asked for it first or the node itself; recomputing each
-    # node's deletions made 1,485, 11,334 and 156 calls here
+def test_exhaustive_walk_computes_each_stabilizer_once(search, make, nodes, computed, monkeypatch):
+    # each request K.point_stabilizer(x) is named by Fix(K) ∪ {x} and computed
+    # once per name, whether a node or a deletion stabilizer asks for it
     G = make()
     G.order()
     original = PermGroup.pointwise_stabilizer
-    calls = [0]
+    keys = []
 
     def counting(self, points):
-        calls[0] += 1
+        [x] = points
+        keys.append(_fixed_key(self, x))
         return original(self, points)
 
     monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
     budget = SearchBudget()
     search(G, "exhaustive", budget)
     assert budget.used == nodes
-    assert calls[0] == budget.used - 1
+    assert len(set(keys)) == len(keys) == computed
 
 
 @pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
 def test_exhaustive_budget_running_out_mid_walk_is_budget_exceeded(search):
-    # stabilizers computed ahead for sets still to come are dropped with the
-    # walk: the error is the budget's, not the left-over-table invariant's
+    # the per-walk stabilizer table is dropped with the walk, so running out
+    # at any node is the budget's error and a full budget still finishes
     G = k_subset_action(6, 2)
     for limit in (0, 1, 60, 300, 540):
         with pytest.raises(BudgetExceeded, match="budget"):

@@ -43,6 +43,21 @@ def test_act():
         p[3]
     with pytest.raises(IndexError):
         p[-1]
+    assert p[np.int64(0)] == 1 and p[np.uint8(2)] == 2
+    with pytest.raises(IndexError):
+        p[np.int32(3)]
+
+
+@pytest.mark.parametrize(
+    "point,named",
+    [(True, "point True"), (1.0, "point 1.0"), ("1", "point '1'")],
+    ids=["bool", "integral-float", "string"],
+)
+def test_act_rejects_non_integer_points(point, named):
+    # True passed the range check and indexed numpy as a mask; 1.0 raised
+    # numpy's IndexError
+    with pytest.raises(ValueError, match=f"{re.escape(named)} is not an integer"):
+        Perm([1, 2, 0])[point]
 
 
 def test_degree_mismatch():
