@@ -78,13 +78,8 @@ def analyze_report(spec: dict, *, mode: str = "pruned", budget_limit: int = DEFA
     if G.is_trivial():
         raise SpecError("the spec builds the trivial group; size sets are undefined")
 
-    want_wits = witnesses
-    if want_wits:
-        m_set, m_wits = minimal_base_sizes(G, mode, budget, witnesses=True)
-        i_set, i_wits = irredundant_base_sizes(G, mode, budget, witnesses=True)
-    else:
-        m_set = minimal_base_sizes(G, mode, budget)
-        i_set = irredundant_base_sizes(G, mode, budget)
+    m_set, m_wits = minimal_base_sizes(G, mode, budget, witnesses=True)
+    i_set, i_wits = irredundant_base_sizes(G, mode, budget, witnesses=True)
 
     cross = "skipped"
     if mode == "pruned" and G.degree <= CROSS_CHECK_MAX_DEGREE:
@@ -119,7 +114,7 @@ def analyze_report(spec: dict, *, mode: str = "pruned", budget_limit: int = DEFA
             "anomalies": anomalies,
         }
     )
-    if want_wits:
+    if witnesses:  # reading them costs no search nodes, so the budget is the same
         report["witnesses"] = {
             "minimal": {str(k): list(v) for k, v in m_wits.items()},
             "irredundant": {str(k): list(v) for k, v in i_wits.items()},

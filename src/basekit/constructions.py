@@ -348,7 +348,11 @@ def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
         raise ValueError("need n >= 3 and k >= 2")
     if max_index < 1:
         raise ValueError(f"max_index {max_index} must be at least 1")
-    expected = math.factorial(n) * n * k
+    expected = n * k
+    for m in range(2, n + 1):  # n!*n*k, given up once past the ceiling
+        expected *= m
+        if expected > max_index:
+            raise BudgetExceeded(f"coset index {n}!*{n}*{k} exceeds the configured ceiling {max_index}")
     W = wreath_imprimitive(n, k)
     S = ((k - 2) * n + n - 1, *range((k - 1) * n, k * n))
     action = coset_action(W, S, expected, max_index)
@@ -519,7 +523,7 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
             degree = _need(spec, "degree")
             gens = [Perm(img) for img in _need(spec, "generators", list)]
             return PermGroup(degree, gens), _single_block(degree)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"invalid spec {spec!r}: {exc}") from exc

@@ -18,24 +18,25 @@ the products of one transversal element per level are pairwise distinct
 group elements, so the product of orbit sizes can never exceed the group
 order and reaches it exactly when the strong generating set is complete.
 
-Point stabilizers are derived from the parent's chain rather than rebuilt.
-Let level ``i`` be the first level with a basic orbit of more than one
-point, ``b`` its base point and ``t_x`` its transversal element taking ``b``
-to ``x``.  Then ``H_b`` is the group of the chain's suffix from level
-``i + 1``, and ``H_x = t_x^-1 H_b t_x`` for every other ``x`` in the basic
-orbit.  A derived group therefore keeps the shared suffix plus a conjugator
-``u`` (the group is ``u^-1 <suffix> u``), its conjugated generators and its
-order; no level or transversal is copied, and membership sifts
-``u p u^-1`` through the suffix.  Stabilizing a derived group composes
-conjugators: ``H_x = (t_y u)^-1 <suffix> (t_y u)`` with ``y = x^(u^-1)``.
-Only a point outside that first basic orbit (moved by the group, but in
-another orbit) needs a new chain: ``stabilizer_chain`` rebases the group
-on that point.  The group's order is known, so the rebase sifts the
-generators and then uniform random elements of the group, read off its
-existing chain, and stops exactly when the orbit sizes multiply up to the
-order; the random stream is seeded from the call's own inputs.  Stabilizer
-class labels take this same route, one ``point_stabilizer`` per orbit, so
-they rebase only for a moved orbit other than the first basic one.
+Every group reads a chain through one view ``(chain, u, u_inv)``: the group
+is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
+membership sifts ``u p u^-1`` through the chain.  A group made from
+generators builds its chain on first use; a stabilizer is born a view of
+its parent's chain, copying no level or transversal.  Let level ``i`` be
+the chain's first level with a basic orbit of more than one point, ``b``
+its base point and ``t_y`` its transversal element taking ``b`` to ``y``.
+In ``<chain>`` the stabilizer of ``b`` is the group of the suffix from
+level ``i + 1``, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
+``y = x^(u^-1)`` the view's stabilizer of ``x`` is the view ``(suffix,
+t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  Only a
+point outside that first basic orbit (moved by the group, but in another
+orbit) needs a new chain: ``stabilizer_chain`` rebases the group on that
+point.  The group's order is known, so the rebase sifts the generators and
+then uniform random elements of the group, read off its view, and stops
+exactly when the orbit sizes multiply up to the order; the random stream is
+seeded from the call's own inputs.  Stabilizer class labels take this same
+route, one ``point_stabilizer`` per orbit, so they rebase only for a moved
+orbit other than the first basic one.
 """
 
 from __future__ import annotations
@@ -358,18 +359,19 @@ class PermGroup:
     """A permutation group on {0, ..., degree-1} given by generators.
 
     The trivial group is an empty generator list (the identity is never
-    stored).  The stabilizer chain is built lazily and cached; instances are
-    immutable after construction and safe for concurrent reads.  A point
-    stabilizer derived by conjugation carries ``_frame = (chain, u, u_inv)``
-    instead: the group is ``u_inv * <chain> * u``, and its own chain is only
-    built if ``chain()`` is asked for.
+    stored).  The group never changes after construction; its caches fill
+    lazily and are safe for concurrent reads.  It reads its chain through
+    one view, ``_view = (chain, u, u_inv)``: the group is
+    ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
+    group's own chain.  A group made from generators fills its view from
+    ``build_chain`` on first use; a stabilizer is born a view of its
+    parent's chain suffix (see the module notes).
     """
 
     __slots__ = (
         "degree",
         "generators",
-        "_chain",
-        "_frame",
+        "_view",
         "_order",
         "_hint",
         "_partition",
@@ -397,8 +399,7 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self._chain: StabilizerChain | None = None
-        self._frame = None
+        self._view = None
         self._partition = None
         self._stab_classes = None
         if not gens:
@@ -412,37 +413,51 @@ class PermGroup:
             self._hint = order_hint
 
     @classmethod
-    def _with_order(cls, degree: int, generators: tuple[Perm, ...], order: int) -> "PermGroup":
+    def _from_view(cls, degree: int, chain: StabilizerChain, u=None, u_inv=None) -> "PermGroup":
+        # the group u_inv <chain> u, sharing the chain's levels; the trivial
+        # group is its own conjugate, so it keeps no conjugator
         g = object.__new__(cls)
+        gens = chain.level_generators(0)
+        if not gens:
+            u = u_inv = None
         g.degree = degree
-        g.generators = generators
-        g._chain = None
-        g._frame = None
-        g._order = order
-        g._partition = None
-        g._stab_classes = None
-        g._hint = order
+        g.generators = gens if u is None else tuple(u_inv * s * u for s in gens)
+        g._view = (chain, u, u_inv)
+        g._order = chain.order()
+        g._hint = g._partition = g._stab_classes = None
         return g
+
+    def _get_view(self) -> tuple:
+        # the view, after building the chain of a group made from generators
+        if self._view is None:
+            chain = build_chain(
+                self.degree,
+                self.generators,
+                known_order=self._order if self._order is not None else self._hint,
+            )
+            if self._order is None:
+                self._order = chain.order()
+            self._view = (chain, None, None)
+        return self._view
 
     def is_trivial(self) -> bool:
         return not self.generators
 
     def chain(self) -> StabilizerChain:
-        """The cached default-base stabilizer chain."""
-        if self._chain is None:
-            self._chain = build_chain(
-                self.degree,
-                self.generators,
-                known_order=self._order if self._order is not None else self._hint,
-            )
-            order = self._chain.order()
-            if self._order is None:
-                self._order = order
-        return self._chain
+        """A stabilizer chain of this group itself, with no conjugator.
+
+        A conjugated view builds one from its generators, once, and then
+        reads everything through it.
+        """
+        chain, u, _ = self._get_view()
+        if u is not None:
+            chain = build_chain(self.degree, self.generators, known_order=self._order)
+            self._view = (chain, None, None)
+        return chain
 
     def order(self) -> int:
         if self._order is None:
-            self.chain()
+            self._get_view()
         return self._order
 
     def contains(self, p: Perm) -> bool:
@@ -450,20 +465,20 @@ class PermGroup:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         if self.is_trivial():
             return p.is_identity()
-        if self._frame is not None:
-            chain, u, u_inv = self._frame
-            return chain.contains(u * p * u_inv)
-        return self.chain().contains(p)
+        chain, u, u_inv = self._get_view()
+        return chain.contains(p if u is None else u * p * u_inv)
 
     def orbit_partition(self):
         """(labels, counts): ``labels[x]`` is min of x's orbit, ``counts[x]`` ignored off-labels."""
         if self._partition is None:
-            if self._frame is not None:
-                chain, _, u_inv = self._frame
+            # the slot, not _get_view: a partition never builds a chain
+            view = self._view
+            if view is None or view[1] is None:
+                self._partition = _orbit_partition(self.degree, self.generators)
+            else:
+                chain, _, u_inv = view
                 labels, _ = chain.levels[0].orbit_partition(self.degree)
                 self._partition = _relabelled_partition(labels, u_inv)
-            else:
-                self._partition = _orbit_partition(self.degree, self.generators)
         return self._partition
 
     def orbit(self, point: int) -> set[int]:
@@ -529,14 +544,13 @@ class PermGroup:
         if the orbit sizes do not yet multiply up to ``self.order()``, sift
         uniform random elements of this group until they do; the stop is
         exact by the module notes.  A uniform element is one random
-        transversal element per level of this group's own chain, read
-        through the frame's conjugator for a derived group.  The random
-        stream is a fresh ``random.Random`` seeded from the prefix and the
-        order, so the same call gives the same chain in every process and
-        the module-global stream is never read.  After ``_IDLE_DRAWS``
-        consecutive draws that add nothing, the deterministic verification
-        completes the chain, and raises ``RuntimeError`` if the order is
-        wrong.
+        transversal element per level of the view's chain, conjugated by
+        the view's ``u``.  The random stream is a fresh ``random.Random``
+        seeded from the prefix and the order, so the same call gives the
+        same chain in every process and the module-global stream is never
+        read.  After ``_IDLE_DRAWS`` consecutive draws that add nothing, the
+        deterministic verification completes the chain, and raises
+        ``RuntimeError`` if the order is wrong.
         """
         prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
         for k, b in enumerate(prefix):
@@ -554,7 +568,7 @@ class PermGroup:
     def _sift_uniform(self, chain: StabilizerChain, prefix: tuple[int, ...], order: int) -> bool:
         # sift uniform random elements of this group into ``chain``; True
         # once its order is ``order``, False after _IDLE_DRAWS idle draws
-        source, u, u_inv = self._frame or (self.chain(), None, None)
+        source, u, u_inv = self._get_view()
         levels = [(level, list(level.transversal))
                   for level in reversed(source.levels) if len(level.transversal) > 1]
         seed = order
@@ -599,7 +613,7 @@ class PermGroup:
             Hx = H._derived_point_stabilizer(x)
             if Hx is None:
                 rest = prefix[k:]
-                return H._suffix_group(H.stabilizer_chain(rest), len(rest))
+                return PermGroup._from_view(self.degree, H.stabilizer_chain(rest).suffix(len(rest)))
             H = Hx
         return H
 
@@ -609,34 +623,17 @@ class PermGroup:
     def _derived_point_stabilizer(self, x: int) -> "PermGroup | None":
         # H_x by the module notes' suffix-and-conjugator route, or None when
         # x lies outside the first nontrivial basic orbit
-        chain, u, u_inv = self._frame or (self.chain(), None, None)
+        chain, u, u_inv = self._get_view()
         i = _first_moving_level(chain)
         level = chain.levels[i]
         y = x if u_inv is None else int(u_inv.images[x])
-        if y == level.point:
-            return self._suffix_group(chain, i + 1, u, u_inv)
-        if y not in level.transversal:
-            return None
-        t = level.element(y)
-        if u is not None:
-            t = t * u
-        return self._suffix_group(chain, i + 1, t, t.inverse())
-
-    def _suffix_group(self, chain: StabilizerChain, start: int, u=None, u_inv=None) -> "PermGroup":
-        # the group of chain.suffix(start), read through the conjugator u
-        # when given; shares the chain's levels
-        frame = chain.suffix(start)
-        order = frame.order()
-        if order == 1:
-            return PermGroup._with_order(self.degree, (), 1)
-        gens = frame.level_generators(0)
-        if u is None:
-            sub = PermGroup._with_order(self.degree, gens, order)
-            sub._chain = frame
-            return sub
-        sub = PermGroup._with_order(self.degree, tuple(u_inv * g * u for g in gens), order)
-        sub._frame = (frame, u, u_inv)
-        return sub
+        if y != level.point:
+            if y not in level.transversal:
+                return None
+            t = level.element(y)
+            u = t if u is None else t * u
+            u_inv = u.inverse()
+        return PermGroup._from_view(self.degree, chain.suffix(i + 1), u, u_inv)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"

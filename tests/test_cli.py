@@ -71,7 +71,9 @@ def test_exit_code_2_on_bad_spec():
     for bad in ['{"type":"nope"}', "{broken json", "/nonexistent/path.json", '{"type":"sym"}',
                 # a non-positive ceiling used to exit 3, as if the budget had run out
                 '{"type":"wreath_coset","n":3,"k":2,"max_index":0}',
-                '{"type":"wreath_coset","n":3,"k":2,"max_index":-5}']:
+                '{"type":"wreath_coset","n":3,"k":2,"max_index":-5}',
+                # a point count past the machine's index range
+                '{"type":"cyclic_regular","p":100000000000000000000000}']:
         code, _, err = run_cli(["analyze", bad])
         assert code == 2, bad
         assert "error" in err
@@ -124,10 +126,16 @@ def test_spec_depth_limit_is_inclusive():
         build_group(json.loads(_nested_disjoint_product(MAX_SPEC_DEPTH)))
 
 
-def test_exit_code_3_on_budget():
-    code, _, err = run_cli(["analyze", '{"type":"sym","n":6}', "--budget", "2"])
+@pytest.mark.parametrize("argv,message", [
+    (['{"type":"sym","n":6}', "--budget", "2"], "budget"),
+    # the index n!*n*k has some 77,000 digits: refused before it is formed
+    (['{"type":"wreath_coset","n":20000,"k":2}'], "exceeds the configured ceiling 5000"),
+], ids=["search-budget", "coset-ceiling"])
+def test_exit_code_3_on_budget(argv, message):
+    code, out, err = run_cli(["analyze", *argv])
     assert code == 3
-    assert "budget" in err
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("argv", [

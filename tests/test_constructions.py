@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import pytest
 
@@ -266,6 +267,16 @@ def test_wreath_coset_index_ceiling():
         wreath_coset_action(6, 4)
     with pytest.raises(ValueError):
         wreath_coset_action(2, 3)
+    # the index 4!*4*2 = 192 sits exactly on the ceiling or one past it
+    assert wreath_coset_action(4, 2, max_index=192).degree == 192
+    with pytest.raises(BudgetExceeded, match=r"coset index 4!\*4\*2 exceeds the configured ceiling 191"):
+        wreath_coset_action(4, 2, max_index=191)
+    # an index far past the ceiling is refused before n! or the wreath
+    # product is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="ceiling 5000"):
+        wreath_coset_action(300000, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_generic_coset_action():

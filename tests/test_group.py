@@ -262,7 +262,7 @@ def test_stabilizer_of_the_base_point_shares_the_suffix(monkeypatch):
     calls = count_chain_builds(monkeypatch)
     H = G.point_stabilizer(chain.base[0])
     assert calls == []
-    assert H._frame is None and H.chain().levels[0] is chain.levels[1]
+    assert H._view[1] is None and H.chain().levels[0] is chain.levels[1]
     assert H.order() == 24 and H.orbits() == [[0], [1, 2, 3, 4]]
 
 
@@ -273,8 +273,8 @@ def test_stabilizer_in_the_basic_orbit_is_conjugated(monkeypatch):
     H = G.point_stabilizer(3)
     K = H.point_stabilizer(5)  # composes the conjugators
     assert len(calls) == 1  # the root chain only
-    assert H._frame is not None and K._frame is not None
-    assert H._frame[0].levels[0] is G.chain().levels[1]
+    assert H._view[1] is not None and K._view[1] is not None
+    assert H._view[0].levels[0] is G.chain().levels[1]
     assert (H.order(), K.order()) == (120, 24)
     assert K.orbits() == [[0, 1, 2, 4], [3], [5]]
     for g in K.generators:
@@ -284,6 +284,31 @@ def test_stabilizer_in_the_basic_orbit_is_conjugated(monkeypatch):
     assert not H.contains(Perm.from_cycles(6, (0, 3)))
     # the derived group's own chain is built on demand and agrees
     assert K.chain().order() == 24 and len(calls) == 2
+
+
+def test_own_chain_of_a_conjugated_view_is_built_once(monkeypatch):
+    G = sym(6)
+    G.order()
+    # twin views of one group: L answers before any rebuild, K after its own
+    K, L = (G.point_stabilizer(3).point_stabilizer(5) for _ in range(2))
+    assert K._view[1] is not None and L._view[1] is not None
+    probes = [Perm.from_cycles(6, (0, 4)), Perm.from_cycles(6, (0, 3)),
+              Perm.from_cycles(6, (0, 1, 2, 4)), Perm.from_cycles(6, (1, 5))]
+
+    def answers(H):
+        return ([H.contains(p) for p in probes], H.orbits(),
+                [H.point_stabilizer(x).order() for x in range(6)])
+
+    calls = count_chain_builds(monkeypatch)
+    chain = K.chain()
+    assert len(calls) == 1 and chain.order() == K.order() == 24
+    # the view is now the group's own chain, and a second call reuses it
+    assert K._view == (chain, None, None) and K.chain() is chain
+    assert len(calls) == 1
+    before = answers(L)
+    assert answers(K) == before
+    assert before[0] == [True, False, True, False]
+    assert before[1] == [[0, 1, 2, 4], [3], [5]]
 
 
 def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
@@ -381,9 +406,10 @@ def test_rebase_with_a_wrong_order_raises_promptly(wrong, root):
     # With the true root chain in place, the random phase runs out of
     # useful draws and the deterministic verification must raise.
     G = sym(8)
-    H = PermGroup._with_order(8, G.generators, wrong)
+    H = PermGroup(8, G.generators)
+    H._order = wrong
     if root:
-        H._chain = G.chain()
+        H._view = (G.chain(), None, None)
     start = time.perf_counter()
     with pytest.raises(RuntimeError):
         H.stabilizer_chain((3,))
@@ -425,7 +451,7 @@ def test_rebase_of_a_derived_group_keeps_idle_prefix_points(monkeypatch):
     # points it moves: random elements are read through the frame
     phases = count_random_phases(monkeypatch)
     H = sym(6).point_stabilizer(3)
-    assert H._frame is not None
+    assert H._view[1] is not None
     chain = H.stabilizer_chain((3, 5, 0))
     assert chain.base[:3] == (3, 5, 0)
     assert chain.orbit_sizes()[0] == 1
