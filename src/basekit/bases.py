@@ -1,6 +1,6 @@
 """Base-size analytics: spectra of minimal and irredundant bases.
 
-Search notes, which justify the pruned mode and the walker's stabilizer reuse:
+Search notes, which justify the pruned mode and the exhaustive searches' stabilizer reuse:
 
 * Shrinking a group refines its orbits, so the minimum of a point's orbit
   never decreases along a descending stabilizer chain, and a point lying in
@@ -19,10 +19,6 @@ Search notes, which justify the pruned mode and the walker's stabilizer reuse:
   independent, and so is its subset ``(points \\ p_j) + (x,)``: hence
   ``dels[j]`` always moves ``x``, and each child deletion stabilizer is a
   genuine ``dels[j].point_stabilizer(x)``.
-* Exhaustive mode names each stabilizer it asks for, ``K.point_stabilizer(x)``,
-  by the bitmask of ``Fix(K) ∪ {x}`` (the closure in the next note) in a
-  per-walk dict, so each is computed once.  Pruned mode keeps no table: at
-  large degree the kept groups cost more memory than the repeats cost time.
 * Irredundant sequences are order-sensitive, so their search keeps every
   orbit minimum as a candidate at each level and instead collapses repeated
   stabilizer subgroups: the set of reachable lengths below a node depends
@@ -35,8 +31,23 @@ Search notes, which justify the pruned mode and the walker's stabilizer reuse:
   candidate reaching it and that candidate's child key, so a witness is a
   chain of lookups: candidates ascend, and one skipped as a repeat of a
   stabilizer class has the same stabilizer as an earlier one.
+* The exhaustive searches of one group ``G`` share one table of the
+  subgroups they computed, kept in ``G``'s slot: it is made by the first
+  exhaustive search on ``G`` and lives as long as ``G``.  A request
+  ``K.point_stabilizer(x)``, with ``K`` a node or a deletion stabilizer, is
+  named by ``R = Fix(K) ∪ {x}``, and ``K_x = G_(R)`` because
+  ``K = G_(Fix(K))``.  A repeated ``R`` is one lookup.  Otherwise
+  let ``t = |K| / |x^K|``: a stored ``L`` with ``|L| = t`` and
+  ``Fix(L) ⊇ R`` is ``G_(R) = K_x``, because ``L = G_(Fix(L)) ≤ G_(R)`` and
+  ``|G_(R)| = |K_x| = t``.  Only when no stored ``L`` qualifies is ``K_x``
+  computed, and it is stored once, under ``Fix(K_x)``.  So each subgroup is
+  computed once per group, whichever search or key asks for it.  Pruned mode
+  keeps no table: at large degree the kept groups, and the transversal
+  caches they hold, cost more memory than the repeats cost time.
 
-All searches are pure functions of immutable groups and are deterministic.
+All searches are deterministic functions of immutable groups.  The only
+state they leave is that table, a cache that changes no result; threads
+racing on it at worst compute a subgroup twice.
 They run on explicit stacks, so their depth is not bounded by Python's
 recursion limit.  Node budgets abort with ``BudgetExceeded`` rather than
 truncate a result.
@@ -249,6 +260,67 @@ def is_independent_set(G: PermGroup, points) -> bool:
     )
 
 
+# -- pointwise stabilizers named by their fixed points --------------------
+
+
+def _fixed_key(H: PermGroup, x: int | None = None) -> bytes:
+    """The bitmask of ``Fix(H) ∪ {x}``.  For pointwise stabilizers of one
+    group it names ``H``, equal iff the subgroups are equal, or with ``x``
+    the request ``H.point_stabilizer(x)``, equal only for equal subgroups
+    (module notes)."""
+    labels, counts = H.orbit_partition()
+    fixed = counts[labels] == 1
+    if x is not None:
+        fixed[x] = True
+    return np.packbits(fixed).tobytes()
+
+
+class _SubgroupTable:
+    """The pointwise stabilizers of one group that its exhaustive searches computed.
+
+    ``requests`` maps a request key ``Fix(K) ∪ {x}`` to the subgroup key
+    ``Fix(K_x)``, ``groups`` a subgroup key to its group, and ``by_order``
+    an order to the ``(Fix(L) as an int, Fix(L))`` pairs of the stored
+    groups ``L`` of that order.  Each subgroup is stored once (module notes).
+    """
+
+    __slots__ = ("requests", "groups", "by_order")
+
+    def __init__(self):
+        self.requests: dict[bytes, bytes] = {}
+        self.groups: dict[bytes, PermGroup] = {}
+        self.by_order: dict[int, list[tuple[int, bytes]]] = {}
+
+    def point_stabilizer(self, K: PermGroup, x: int) -> tuple[bytes, PermGroup]:
+        """``(Fix(K_x), K_x)`` for a pointwise stabilizer ``K`` of the table's group.
+
+        A repeated request is one lookup.  Otherwise a stored ``L`` of order
+        ``|K| / |x^K|`` fixing every point of the request is ``K_x``; only
+        when there is none is ``K_x`` computed, and then stored.
+        """
+        request = _fixed_key(K, x)
+        key = self.requests.get(request)
+        if key is None:
+            labels, counts = K.orbit_partition()
+            stored = self.by_order.setdefault(K.order() // int(counts[labels[x]]), [])
+            r = int.from_bytes(request, "big")
+            key = next((k for f, k in stored if f & r == r), None)
+            if key is None:
+                Kx = K.point_stabilizer(x)
+                key = _fixed_key(Kx)
+                self.groups[key] = Kx
+                stored.append((int.from_bytes(key, "big"), key))
+            self.requests[request] = key
+        return key, self.groups[key]
+
+
+def _subgroup_table(G: PermGroup) -> _SubgroupTable:
+    # the table lives in G's slot, so it dies with G
+    if G._subgroups is None:
+        G._subgroups = _SubgroupTable()
+    return G._subgroups
+
+
 # -- the independent-set walker -----------------------------------------
 
 
@@ -267,22 +339,21 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     ascending, or largest orbit first.  ``cut(depth, order, counts)`` prunes
     a node that has candidates.  ``visit(points, x, hx_order, counts)`` sees
     each independent candidate ``x`` and returns whether to descend into it,
-    which it must not at ``hx_order == 1``.  Exhaustive mode computes each
-    stabilizer once, by its fixed points (module notes).
+    which it must not at ``hx_order == 1``.  Exhaustive mode reads and fills
+    ``G``'s subgroup table, so it computes each subgroup once per group, and
+    none that an earlier exhaustive search on ``G`` computed (module notes).
     """
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
-    # exhaustive mode: every stabilizer computed so far, by _fixed_key
-    table: dict[bytes, PermGroup] | None = None if pruned else {}
-    stack = []
+    if pruned:
+        stabilizer = PermGroup.point_stabilizer
+    else:
+        table = _subgroup_table(G)
 
-    def stabilizer(K, x):
-        if table is None:
-            return K.point_stabilizer(x)
-        key = _fixed_key(K, x)
-        if key not in table:
-            table[key] = K.point_stabilizer(x)
-        return table[key]
+        def stabilizer(K, x):
+            return table.point_stabilizer(K, x)[1]
+
+    stack = []
 
     def enter(points, H, dels):
         counter.tick()
@@ -406,18 +477,6 @@ def height(G: PermGroup, mode: str = "pruned", budget=None) -> int:
 # -- irredundant bases --------------------------------------------------
 
 
-def _fixed_key(H: PermGroup, x: int | None = None) -> bytes:
-    """The bitmask of ``Fix(H) ∪ {x}``.  For pointwise stabilizers of one
-    group it names ``H``, equal iff the subgroups are equal, or with ``x``
-    the request ``H.point_stabilizer(x)``, equal only for equal subgroups
-    (module notes)."""
-    labels, counts = H.orbit_partition()
-    fixed = counts[labels] == 1
-    if x is not None:
-        fixed[x] = True
-    return np.packbits(fixed).tobytes()
-
-
 def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witnesses: bool = False):
     """The exact set of lengths of irredundant bases of ``G``.
 
@@ -426,7 +485,10 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     exhaustive mode takes every moved point.  Nodes with equal pointwise
     stabilizers, i.e. equal fixed points, share their futures, so each is
     memoized by its fixed points with its reachable lengths, each mapped to
-    the first candidate reaching it and that candidate's child key.  With
+    the first candidate reaching it and that candidate's child key.
+    Exhaustive mode takes each child from ``G``'s subgroup table, shared with
+    the other exhaustive searches on ``G`` (module notes); a child the memo
+    already holds still costs its budget node but no stabilizer.  With
     ``witnesses=True`` a witness of each length is read off the memo by
     lookups from ``G``'s key, at no further search or stabilizer cost.
     """
@@ -434,17 +496,25 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     _check_mode(mode)
     counter = _as_budget(budget)
     G.order()
-    pick = _minima_candidates if mode == "pruned" else _point_candidates
-    classes = G.stabilizer_class_labels() if mode == "pruned" else None
+    if mode == "pruned":
+        pick = _minima_candidates
+        classes = G.stabilizer_class_labels()
+
+        def stabilizer(H, x):
+            Hx = H.point_stabilizer(x)
+            return _fixed_key(Hx), Hx
+    else:
+        pick = _point_candidates
+        classes = None
+        stabilizer = _subgroup_table(G).point_stabilizer
     memo: dict[bytes, dict[int, tuple[int, bytes | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
     # ``done = (x, key)`` carries a finished subtree (or memo hit) below
     # candidate ``x`` up to the frame that tried it
     stack = []
 
-    def enter(x, H):
+    def enter(x, key, H):
         counter.tick()
-        key = _fixed_key(H)
         if key in memo:
             return x, key
         labels, counts = H.orbit_partition()
@@ -452,7 +522,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
         stack.append((x, key, H, labels, counts, cands, {}))
         return None
 
-    done = enter(None, G)
+    done = enter(None, _fixed_key(G), G)
     while stack:
         _, key, H, labels, counts, cands, out = stack[-1]
         if done is not None:
@@ -464,7 +534,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
             if H.order() // int(counts[labels[x]]) == 1:
                 out.setdefault(1, (x, None))
                 continue
-            done = enter(x, H.point_stabilizer(x))
+            done = enter(x, *stabilizer(H, x))
             break
         else:
             memo[key] = out

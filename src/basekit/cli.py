@@ -140,6 +140,9 @@ def _render_report_table(report: dict) -> None:
         ("cross-check", report["exhaustive_cross_check"]),
         ("budget used", report["budget"]["used"]),
     ]
+    if "witnesses" in report:
+        for tag, kind in (("M", "minimal"), ("I", "irredundant")):
+            rows += [(f"{tag} witness {k}", w) for k, w in report["witnesses"][kind].items()]
     width = max(len(k) for k, _ in rows)
     for key, val in rows:
         sys.stdout.write(f"{key:<{width}}  {val}\n")

@@ -439,6 +439,23 @@ def _checked(key: str, value, kind=int):
 
 MAX_SPEC_DEPTH = 32
 
+# the fields each spec type takes, as in the README's spec table; every spec
+# also takes "type" and the boolean tag "product_indecomposable"
+_SPEC_FIELDS = {
+    "sym": ("n",),
+    "cyclic_regular": ("p",),
+    "elem_abelian_regular": ("p", "d"),
+    "disjoint_product": ("factors",),
+    "product_action": ("factors",),
+    "theorem2": ("X", "p"),
+    "theorem3_m": ("a", "b"),
+    "theorem3_i": ("a", "b"),
+    "wreath_coset": ("n", "k", "max_index"),
+    "k_subsets": ("n", "k"),
+    "gl42_planes": (),
+    "explicit": ("degree", "generators"),
+}
+
 
 def _spec_depth(spec) -> int:
     """Nesting depth of ``factors`` lists (1 for a spec without factors).
@@ -467,6 +484,16 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
     if _spec_depth(spec) > MAX_SPEC_DEPTH:
         raise SpecError(f"spec nests factors more than {MAX_SPEC_DEPTH} levels deep")
     t = spec["type"]
+    if not isinstance(t, str) or t not in _SPEC_FIELDS:
+        raise SpecError(f"unknown construction type {t!r}")
+    fields = _SPEC_FIELDS[t]
+    for key in spec:
+        if key not in fields and key not in ("type", "product_indecomposable"):
+            takes = ", ".join(map(repr, fields)) or "no other field"
+            raise SpecError(f"spec {t!r} has no field {key!r}; it takes {takes}")
+    tag = spec.get("product_indecomposable", False)
+    if not isinstance(tag, bool):
+        raise SpecError(f"'product_indecomposable' is true or false, got {tag!r}")
     try:
         if t == "sym":
             G = symmetric(_need(spec, "n"))
@@ -519,12 +546,11 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
             return G, _single_block(G.degree, "subsets")
         if t == "gl42_planes":
             return gl42_on_2subspaces(), _single_block(35, "planes")
-        if t == "explicit":
-            degree = _need(spec, "degree")
-            gens = [Perm(img) for img in _need(spec, "generators", list)]
-            return PermGroup(degree, gens), _single_block(degree)
+        # t == "explicit"
+        degree = _need(spec, "degree")
+        gens = [Perm(img) for img in _need(spec, "generators", list)]
+        return PermGroup(degree, gens), _single_block(degree)
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"invalid spec {spec!r}: {exc}") from exc
-    raise SpecError(f"unknown construction type {t!r}")

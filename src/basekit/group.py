@@ -365,7 +365,10 @@ class PermGroup:
     ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
     group's own chain.  A group made from generators fills its view from
     ``build_chain`` on first use; a stabilizer is born a view of its
-    parent's chain suffix (see the module notes).
+    parent's chain suffix (see the module notes).  ``_subgroups`` is the
+    table of pointwise stabilizers that the exhaustive searches of
+    ``basekit.bases`` fill and share; it stays ``None`` until one runs on
+    this group, and lives as long as the group.
     """
 
     __slots__ = (
@@ -376,6 +379,7 @@ class PermGroup:
         "_hint",
         "_partition",
         "_stab_classes",
+        "_subgroups",
     )
 
     def __init__(self, degree: int, generators=(), *, order_hint: int | None = None):
@@ -402,6 +406,7 @@ class PermGroup:
         self._view = None
         self._partition = None
         self._stab_classes = None
+        self._subgroups = None
         if not gens:
             if order_hint is not None and order_hint != 1:
                 raise ValueError("generator-free group must have order 1")
@@ -424,7 +429,7 @@ class PermGroup:
         g.generators = gens if u is None else tuple(u_inv * s * u for s in gens)
         g._view = (chain, u, u_inv)
         g._order = chain.order()
-        g._hint = g._partition = g._stab_classes = None
+        g._hint = g._partition = g._stab_classes = g._subgroups = None
         return g
 
     def _get_view(self) -> tuple:

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -294,36 +295,148 @@ def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
 @pytest.mark.parametrize(
     "make,nodes,computed",
     [
-        (lambda: k_subset_action(6, 2), 541, 348),
-        (lambda: theorem2_group([1, 3, 5, 7])[0], 2739, 292),
+        (lambda: k_subset_action(6, 2), 541, 65),
+        (lambda: theorem2_group([1, 3, 5, 7])[0], 2739, 126),
         (lambda: symmetric(6), 57, 56),
     ],
     ids=["ksub62", "thm2_1357", "sym6"],
 )
 def test_exhaustive_walk_computes_each_stabilizer_once(search, make, nodes, computed, monkeypatch):
-    # each request K.point_stabilizer(x) is named by Fix(K) ∪ {x} and computed
-    # once per name, whether a node or a deletion stabilizer asks for it
+    # a request K.point_stabilizer(x) is computed only when no stored subgroup
+    # answers it, whether a node or a deletion stabilizer asks, so every
+    # computation yields a subgroup, named by its fixed points, not seen before
     G = make()
     G.order()
     original = PermGroup.pointwise_stabilizer
-    keys = []
+    requests, results = [], []
 
     def counting(self, points):
         [x] = points
-        keys.append(_fixed_key(self, x))
-        return original(self, points)
+        requests.append(_fixed_key(self, x))
+        out = original(self, points)
+        results.append(_fixed_key(out))
+        return out
 
     monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
     budget = SearchBudget()
     search(G, "exhaustive", budget)
     assert budget.used == nodes
-    assert len(set(keys)) == len(keys) == computed
+    assert len(set(requests)) == len(requests) == computed
+    assert len(set(results)) == len(results) == computed
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: k_subset_action(6, 2), lambda: theorem2_group([1, 3, 5, 7])[0]],
+    ids=["ksub62", "thm2_1357"],
+)
+def test_exhaustive_irredundant_after_minimal_computes_no_stabilizer(make, monkeypatch):
+    # every node of the irredundant search is a pointwise stabilizer that the
+    # minimal-base walk on the same group already stored in the group's table
+    G = make()
+    minimal_base_sizes(G, "exhaustive")
+    calls = []
+    original = PermGroup.pointwise_stabilizer
+
+    def counting(self, points):
+        calls.append(points)
+        return original(self, points)
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
+    budget = SearchBudget()
+    sizes = irredundant_base_sizes(G, "exhaustive", budget)
+    assert calls == []
+    fresh = SearchBudget()
+    assert irredundant_base_sizes(make(), "exhaustive", fresh) == sizes
+    assert fresh.used == budget.used
+
+
+def test_pruned_searches_leave_the_subgroup_table_unset():
+    # pruned mode keeps no table: at large degree the kept groups cost more
+    # memory than the repeated stabilizers cost time
+    G = k_subset_action(6, 2)
+    minimal_base_sizes(G)
+    irredundant_base_sizes(G, witnesses=True)
+    height(G)
+    min_base_size(G)
+    assert G._subgroups is None
+    height(G, "exhaustive")
+    assert G._subgroups is not None
+
+
+def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
+    # threads racing on one group's table may compute a subgroup twice, but
+    # every answer stays the same, and so does every stored entry's name
+    want = (minimal_base_sizes(k_subset_action(6, 2), "exhaustive"),
+            irredundant_base_sizes(k_subset_action(6, 2), "exhaustive"),
+            height(k_subset_action(6, 2), "exhaustive"))
+    G = k_subset_action(6, 2)
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append((minimal_base_sizes(G, "exhaustive"),
+                            irredundant_base_sizes(G, "exhaustive"),
+                            height(G, "exhaustive")))
+        except Exception as exc:  # reraised below, in the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [want] * 4
+    table = G._subgroups
+    assert all(_fixed_key(H) == key for key, H in table.groups.items())
+    assert set(table.requests.values()) == set(table.groups)
+
+
+def _check_table_answers(G):
+    # routes 1 and 2 of the group's subgroup table (a repeated request, or a
+    # stored subgroup of the request's order fixing its points) against a
+    # fresh pointwise_stabilizer, compared as element sets; route 3 is a
+    # fresh computation itself, seen as a new stored group
+    minimal_base_sizes(G, "exhaustive")
+    irredundant_base_sizes(G, "exhaustive")
+    table = G._subgroups
+    elements = closure_of(G)
+    closures = {}  # id -> element set of each answer, a group the table keeps alive
+    answered = 0
+    for r in range(3):
+        for S in combinations(range(G.degree), r):
+            K = G.pointwise_stabilizer(S)
+            fixing_s = bf.stabilizer(elements, S)
+            labels, counts = K.orbit_partition()
+            for x in np.nonzero(counts[labels] > 1)[0].tolist():
+                stored = len(table.groups)
+                key, Kx = table.point_stabilizer(K, x)
+                if len(table.groups) > stored:
+                    continue
+                answered += 1
+                want = frozenset(bf.stabilizer(fixing_s, (x,)))
+                if id(Kx) not in closures:  # a trivial Kx has no generators
+                    closures[id(Kx)] = frozenset(closure_of(Kx) | {tuple(range(G.degree))})
+                assert closures[id(Kx)] == want, (S, x)
+                assert key == _fixed_key(G.pointwise_stabilizer(S + (x,))), (S, x)
+    return answered
+
+
+@pytest.mark.parametrize("name,G", ORACLE_GROUPS, ids=[n for n, _ in ORACLE_GROUPS])
+def test_subgroup_table_answers_equal_fresh_stabilizers(name, G):
+    assert _check_table_answers(G) > 0
 
 
 @pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
 def test_exhaustive_budget_running_out_mid_walk_is_budget_exceeded(search):
-    # the per-walk stabilizer table is dropped with the walk, so running out
-    # at any node is the budget's error and a full budget still finishes
+    # running out at any node is the budget's error, and the group's
+    # subgroup table, kept across the aborted walks, changes no node count
     G = k_subset_action(6, 2)
     for limit in (0, 1, 60, 300, 540):
         with pytest.raises(BudgetExceeded, match="budget"):
@@ -356,6 +469,11 @@ def test_random_group_spectra_match_bruteforce(G):
         assert height(G, mode) == want_h, mode
         assert set(M) <= set(I) and M.min == I.min and I.is_interval, mode
     assert min_base_size(G) == min(want_m)
+
+
+@given(two_generator_groups())
+def test_random_group_subgroup_table_answers_equal_fresh_stabilizers(G):
+    _check_table_answers(G)
 
 
 @given(two_generator_groups(), st.sampled_from([2, 3]), st.booleans())

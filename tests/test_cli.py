@@ -73,10 +73,26 @@ def test_exit_code_2_on_bad_spec():
                 '{"type":"wreath_coset","n":3,"k":2,"max_index":0}',
                 '{"type":"wreath_coset","n":3,"k":2,"max_index":-5}',
                 # a point count past the machine's index range
-                '{"type":"cyclic_regular","p":100000000000000000000000}']:
-        code, _, err = run_cli(["analyze", bad])
+                '{"type":"cyclic_regular","p":100000000000000000000000}',
+                # a field the type does not take, at the top or in a factor,
+                # used to be ignored (here running with max_index 5000)
+                '{"type":"wreath_coset","n":4,"k":2,"max_idx":10}',
+                '{"type":"gl42_planes","n":4}',
+                '{"type":"disjoint_product","factors":[{"type":"sym","n":3,"k":2},{"type":"sym","n":2}]}',
+                # a tag that is not a JSON boolean
+                '{"type":"sym","n":3,"product_indecomposable":"false"}',
+                '{"type":["sym"],"n":3}']:
+        code, out, err = run_cli(["analyze", bad])
         assert code == 2, bad
-        assert "error" in err
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_unknown_spec_field_is_named():
+    with pytest.raises(SpecError, match="'wreath_coset' has no field 'max_idx'.*'max_index'"):
+        build_group({"type": "wreath_coset", "n": 4, "k": 2, "max_idx": 10})
+    # every documented field, and the tag on any type, is accepted
+    G, _ = build_group({"type": "theorem2", "X": [1, 3], "p": 2, "product_indecomposable": False})
+    assert G.degree == 14
 
 
 NON_INTEGER_SPECS = {
@@ -208,6 +224,30 @@ def test_probe_epsilon_with_conjecture_tags():
     doc = json.loads(out)
     assert doc["conjectured_epsilon"] == 2
     assert doc["matches_conjecture"] is True
+
+
+def test_probe_epsilon_rejects_non_boolean_tags():
+    # the string "false" is truthy: it used to count as a true tag and report
+    # conjectured_epsilon 2 and matches_conjecture true
+    a = '{"type":"sym","n":3,"product_indecomposable":"false"}'
+    code, out, err = run_cli(["probe-epsilon", a, a])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "product_indecomposable" in err
+
+
+def test_analyze_table_renders_witnesses():
+    code, out, _ = run_cli(["analyze", '{"type":"gl42_planes"}', "--table", "--witnesses"])
+    assert code == 0
+    _, doc, _ = run_cli(["analyze", '{"type":"gl42_planes"}', "--witnesses"])
+    witnesses = json.loads(doc)["witnesses"]
+    rows = [line.split(None, 3) for line in out.splitlines() if " witness " in line]
+    assert [(tag, size) for tag, _, size, _ in rows] == [("M", "4"), ("I", "4"), ("I", "5")]
+    assert [json.loads(w) for *_, w in rows] == [
+        witnesses["minimal"]["4"], witnesses["irredundant"]["4"], witnesses["irredundant"]["5"]
+    ]
+    code, out, _ = run_cli(["analyze", '{"type":"gl42_planes"}', "--table"])
+    assert " witness " not in out
 
 
 def test_probe_epsilon_product_factors():
