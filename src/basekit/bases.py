@@ -324,24 +324,20 @@ def _subgroup_table(G: PermGroup) -> _SubgroupTable:
 # -- the independent-set walker -----------------------------------------
 
 
-def _no_cut(depth: int, order: int, counts) -> bool:
-    return False
-
-
 def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest_first: bool,
-                      cut, visit) -> None:
+                      visit) -> None:
     """Depth-first over independent point sets with strict stabilizer descent.
 
     Runs on an explicit stack, and a node's next candidate is evaluated only
-    after the previous child's subtree is done, so the hooks see every
+    after the previous child's subtree is done, so the hook sees every
     earlier result.  Candidates are per-level orbit minima, one per
     stabilizer class (pruned), or every larger moved point (exhaustive);
-    ascending, or largest orbit first.  ``cut(depth, order, counts)`` prunes
-    a node that has candidates.  ``visit(points, x, hx_order, counts)`` sees
-    each independent candidate ``x`` and returns whether to descend into it,
-    which it must not at ``hx_order == 1``.  Exhaustive mode reads and fills
-    ``G``'s subgroup table, so it computes each subgroup once per group, and
-    none that an earlier exhaustive search on ``G`` computed (module notes).
+    ascending, or largest orbit first.  ``visit(points, x, hx_order, counts)``
+    sees each independent candidate ``x`` and returns whether to descend
+    into it; a candidate completing a base (``hx_order == 1``) is never
+    entered.  Exhaustive mode reads and fills ``G``'s subgroup table, so it
+    computes each subgroup once per group, and none that an earlier
+    exhaustive search on ``G`` computed (module notes).
     """
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
@@ -359,13 +355,12 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
         counter.tick()
         labels, counts = H.orbit_partition()
         cands = pick(labels, counts, points[-1] if points else -1)
-        h_ord = H.order()
-        if cands.size == 0 or cut(len(points), h_ord, counts):
+        if cands.size == 0:
             return
         if largest_first:
             cands = cands[np.lexsort((cands, -counts[labels[cands]]))]
         parts = [K.orbit_partition() for K in dels]
-        stack.append((points, H, h_ord, labels, counts, dels, parts,
+        stack.append((points, H, H.order(), labels, counts, dels, parts,
                       _one_per_class(cands.tolist(), classes)))
 
     enter((), G, ())
@@ -375,11 +370,37 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
             hx_order = h_ord // int(counts[labels[x]])
             if any(K.order() // int(cnt[lab[x]]) <= hx_order for K, (lab, cnt) in zip(dels, parts)):
                 continue
-            if visit(points, x, hx_order, counts):
+            if visit(points, x, hx_order, counts) and hx_order > 1:
                 enter(points + (x,), stabilizer(H, x), tuple(stabilizer(K, x) for K in dels) + (H,))
                 break
         else:
             stack.pop()
+
+
+def _independent_sets(G: PermGroup, mode: str, budget) -> tuple[dict[int, tuple[int, ...]], int]:
+    """One walk over the independent sets of ``G``.
+
+    Returns the first minimal base found of each size, keyed by size, and
+    the size of the largest independent set.  A minimal base is an
+    independent set that is a base, so both are read off the same tree.
+    """
+    _require_nontrivial(G)
+    _check_mode(mode)
+    counter = _as_budget(budget)
+    G.order()
+    found: dict[int, tuple[int, ...]] = {}
+    largest = 0
+
+    def visit(points, x, hx_order, counts):
+        nonlocal largest
+        size = len(points) + 1
+        largest = max(largest, size)
+        if hx_order == 1:
+            found.setdefault(size, points + (x,))
+        return True
+
+    _walk_independent(G, counter, pruned=mode == "pruned", largest_first=False, visit=visit)
+    return found, largest
 
 
 # -- minimal bases ------------------------------------------------------
@@ -394,21 +415,7 @@ def minimal_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witnesse
     minima (ascending; see the module notes).  With ``witnesses=True``
     returns ``(sizes, {size: points})`` with one witness per size.
     """
-    _require_nontrivial(G)
-    _check_mode(mode)
-    counter = _as_budget(budget)
-    G.order()
-    found: dict[int, tuple[int, ...]] = {}
-
-    def visit(points, x, hx_order, counts):
-        if hx_order > 1:
-            return True
-        found.setdefault(len(points) + 1, points + (x,))
-        return False
-
-    _walk_independent(
-        G, counter, pruned=mode == "pruned", largest_first=False, cut=_no_cut, visit=visit
-    )
+    found, _ = _independent_sets(G, mode, budget)
     sizes = SizeSet(found)
     if witnesses:
         return sizes, {s: found[s] for s in sorted(found)}
@@ -419,8 +426,10 @@ def min_base_size(G: PermGroup, budget=None) -> int:
     """Smallest base cardinality, by branch and bound over the pruned tree.
 
     Candidates are tried largest orbit first so a good bound appears early;
-    a node is cut when even dividing by its largest orbit size at every
-    remaining step cannot reach the identity before the incumbent.
+    a candidate is not entered when even dividing by its parent's largest
+    orbit size at every remaining step cannot reach the identity before the
+    incumbent.  Orbits only shrink down the tree, so no smaller base is
+    lost.
     """
     _require_nontrivial(G)
     counter = _as_budget(budget)
@@ -435,19 +444,14 @@ def min_base_size(G: PermGroup, budget=None) -> int:
             k += 1
         return k
 
-    def cut(depth, order, counts):
-        return best is not None and depth + bound_steps(order, int(counts.max())) >= best
-
     def visit(points, x, hx_order, counts):
         nonlocal best
         depth = len(points) + 1
-        if hx_order == 1:
-            if best is None or depth < best:
-                best = depth
-            return False
+        if hx_order == 1 and (best is None or depth < best):
+            best = depth
         return best is None or depth + bound_steps(hx_order, int(counts.max())) < best
 
-    _walk_independent(G, counter, pruned=True, largest_first=True, cut=cut, visit=visit)
+    _walk_independent(G, counter, pruned=True, largest_first=True, visit=visit)
     assert best is not None  # every non-trivial group has a base
     return best
 
@@ -456,22 +460,12 @@ def min_base_size(G: PermGroup, budget=None) -> int:
 
 
 def height(G: PermGroup, mode: str = "pruned", budget=None) -> int:
-    """Maximum cardinality of an independent set."""
-    _require_nontrivial(G)
-    _check_mode(mode)
-    counter = _as_budget(budget)
-    G.order()
-    best = 0
+    """Maximum cardinality of an independent set.
 
-    def visit(points, x, hx_order, counts):
-        nonlocal best
-        best = max(best, len(points) + 1)
-        return hx_order > 1
-
-    _walk_independent(
-        G, counter, pruned=mode == "pruned", largest_first=False, cut=_no_cut, visit=visit
-    )
-    return best
+    The same walk as ``minimal_base_sizes``, run afresh: its own budget
+    nodes, and the largest independent set it meets.
+    """
+    return _independent_sets(G, mode, budget)[1]
 
 
 # -- irredundant bases --------------------------------------------------

@@ -208,7 +208,12 @@ def cmd_probe_epsilon(args) -> int:
     prod = product_action(A, B)
     m_prod = minimal_base_sizes(prod, "pruned", budget)
     prediction = predict_thm41(m_a.min, m_b.min, m_a.max, m_b.max)
-    measured = measure_epsilon(prediction, m_prod)
+    anomalies: list[str] = []
+    try:
+        measured = measure_epsilon(prediction, m_prod).measured_epsilon
+    except ValueError as exc:  # the spectrum is none of the predicted intervals
+        measured = None
+        anomalies.append(str(exc))
     doc = {
         "schema": "basekit-epsilon/1",
         "factors": [
@@ -221,16 +226,17 @@ def cmd_probe_epsilon(args) -> int:
             "lower": prediction.lower,
             "upper_by_epsilon": list(prediction.upper_by_epsilon),
         },
-        "measured_epsilon": measured.measured_epsilon,
+        "measured_epsilon": measured,
     }
     tag_a = spec_a.get("product_indecomposable")
     tag_b = spec_b.get("product_indecomposable")
     if tag_a is not None and tag_b is not None:
         conjectured = 2 if (tag_a and tag_b) else (0 if (not tag_a and not tag_b) else 1)
         doc["conjectured_epsilon"] = conjectured
-        doc["matches_conjecture"] = conjectured == measured.measured_epsilon
+        doc["matches_conjecture"] = conjectured == measured
+    doc["anomalies"] = anomalies
     _print_json(doc)
-    return 0
+    return 1 if anomalies else 0
 
 
 def main(argv=None) -> int:

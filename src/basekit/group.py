@@ -22,21 +22,23 @@ Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
 membership sifts ``u p u^-1`` through the chain.  A group made from
 generators builds its chain on first use; a stabilizer is born a view of
-its parent's chain, copying no level or transversal.  Let level ``i`` be
-the chain's first level with a basic orbit of more than one point, ``b``
-its base point and ``t_y`` its transversal element taking ``b`` to ``y``.
+its parent's chain, copying no level or transversal.  Every level of a
+view's chain has a basic orbit of more than one point: each level is
+opened by ``_add_strong_gen`` at a point its new strong generator moves,
+and a rebase's view starts below its prefix.  Let ``b`` be the base point
+of level 0 and ``t_y`` its transversal element taking ``b`` to ``y``.
 In ``<chain>`` the stabilizer of ``b`` is the group of the suffix from
-level ``i + 1``, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
+level 1, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
 ``y = x^(u^-1)`` the view's stabilizer of ``x`` is the view ``(suffix,
 t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  Only a
-point outside that first basic orbit (moved by the group, but in another
+point outside that basic orbit (moved by the group, but in another
 orbit) needs a new chain: ``stabilizer_chain`` rebases the group on that
 point.  The group's order is known, so the rebase sifts the generators and
 then uniform random elements of the group, read off its view, and stops
 exactly when the orbit sizes multiply up to the order; the random stream is
 seeded from the call's own inputs.  Stabilizer class labels take this same
 route, one ``point_stabilizer`` per orbit, so they rebase only for a moved
-orbit other than the first basic one.
+orbit other than the basic orbit of level 0.
 """
 
 from __future__ import annotations
@@ -220,10 +222,13 @@ class StabilizerChain:
 def build_chain(degree: int, generators, known_order: int | None = None) -> StabilizerChain:
     """Deterministic Schreier-Sims: the default-base chain of ``<generators>``.
 
-    ``known_order`` is an early-exit hint only: construction stops as soon
-    as the orbit sizes multiply up to it (exact, by the module notes), and
-    if the finished chain disagrees a ``RuntimeError`` reports the
-    inconsistency.  Chains with a prescribed base prefix come from
+    ``known_order`` is trusted as the exact order: construction stops as
+    soon as the orbit sizes multiply up to it (exact when it is the order,
+    by the module notes).  A value no partial chain reaches, such as one
+    larger than the order, raises ``RuntimeError``; a smaller one that a
+    partial chain reaches is returned as the order unchecked, since checking
+    it would cost the verification the hint exists to skip.  Chains with a
+    prescribed base prefix come from
     ``PermGroup.stabilizer_chain``.
     """
     chain = StabilizerChain(degree)
@@ -305,14 +310,6 @@ def _as_point(x, degree: int) -> int:
     if not 0 <= x < degree:
         raise ValueError(f"point {x} outside 0..{degree - 1}")
     return x
-
-
-def _first_moving_level(chain: StabilizerChain) -> int:
-    """Index of the first level whose basic orbit has more than one point."""
-    i = 0
-    while len(chain.levels[i].transversal) == 1:
-        i += 1
-    return i
 
 
 def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
@@ -413,7 +410,7 @@ class PermGroup:
             self._order = 1
             self._hint = None
         else:
-            # a hint is only trusted after the chain confirms it
+            # the hint is trusted as the exact order (see build_chain)
             self._order = None
             self._hint = order_hint
 
@@ -574,8 +571,7 @@ class PermGroup:
         # sift uniform random elements of this group into ``chain``; True
         # once its order is ``order``, False after _IDLE_DRAWS idle draws
         source, u, u_inv = self._get_view()
-        levels = [(level, list(level.transversal))
-                  for level in reversed(source.levels) if len(level.transversal) > 1]
+        levels = [(level, list(level.transversal)) for level in reversed(source.levels)]
         seed = order
         for b in prefix:
             seed = seed * self.degree + b
@@ -605,7 +601,7 @@ class PermGroup:
         Folded point by point in ascending order.  A point fixed by the whole
         group is skipped; otherwise its stabilizer is derived from the
         chain (see the module notes).  The first point outside the chain's
-        first nontrivial basic orbit ends the fold with one rebase,
+        level-0 basic orbit ends the fold with one rebase,
         ``stabilizer_chain``, on that point and all points after it.
         """
         prefix = tuple(sorted({_as_point(x, self.degree) for x in points}))
@@ -627,10 +623,9 @@ class PermGroup:
 
     def _derived_point_stabilizer(self, x: int) -> "PermGroup | None":
         # H_x by the module notes' suffix-and-conjugator route, or None when
-        # x lies outside the first nontrivial basic orbit
+        # x lies outside the basic orbit of level 0
         chain, u, u_inv = self._get_view()
-        i = _first_moving_level(chain)
-        level = chain.levels[i]
+        level = chain.levels[0]
         y = x if u_inv is None else int(u_inv.images[x])
         if y != level.point:
             if y not in level.transversal:
@@ -638,7 +633,7 @@ class PermGroup:
             t = level.element(y)
             u = t if u is None else t * u
             u_inv = u.inverse()
-        return PermGroup._from_view(self.degree, chain.suffix(i + 1), u, u_inv)
+        return PermGroup._from_view(self.degree, chain.suffix(1), u, u_inv)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"

@@ -41,7 +41,7 @@ from basekit import (
     theorem2_group,
     wreath_coset_action,
 )
-from basekit.bases import _fixed_key
+from basekit.bases import _fixed_key, _walk_independent
 
 import bruteforce as bf
 
@@ -100,6 +100,37 @@ def test_height_vs_bruteforce(name, G, mode):
 def test_min_base_size_vs_bruteforce(name, G):
     elements = closure_of(G)
     assert min_base_size(G) == min(bf.minimal_base_sizes(G.degree, elements))
+
+
+@pytest.mark.parametrize("n,k,b,nodes", [(9, 2, 6, 49), (11, 2, 7, 224)])
+def test_min_base_size_node_counts_on_k_subsets(n, k, b, nodes):
+    # the bound in the candidate hook alone decides which subtrees are entered
+    budget = SearchBudget()
+    assert min_base_size(k_subset_action(n, k), budget) == b
+    assert budget.used == nodes
+
+
+@pytest.mark.parametrize("pruned", [True, False], ids=["pruned", "exhaustive"])
+def test_walker_never_enters_a_base(pruned):
+    # a hook that always asks to descend is refused at every base: the nodes
+    # entered are the root and the non-base candidates it saw, the same tree
+    # that minimal_base_sizes and height each walk
+    for name, G in ORACLE_GROUPS:
+        seen = []
+
+        def visit(points, x, hx_order, counts):
+            seen.append(hx_order)
+            return True
+
+        budget = SearchBudget()
+        _walk_independent(PermGroup(G.degree, G.generators), budget, pruned, False, visit)
+        assert 1 in seen, name
+        assert budget.used == 1 + sum(h > 1 for h in seen), name
+        mode = "pruned" if pruned else "exhaustive"
+        for search in (minimal_base_sizes, height):
+            other = SearchBudget()
+            search(PermGroup(G.degree, G.generators), mode, other)
+            assert other.used == budget.used, (name, search.__name__)
 
 
 def test_is_base_examples():

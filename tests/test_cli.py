@@ -214,6 +214,27 @@ def test_probe_epsilon():
     doc = json.loads(out)
     assert doc["measured_epsilon"] == 2
     assert doc["prediction"]["lower"] == 2
+    assert doc["anomalies"] == []
+
+
+@pytest.mark.parametrize("tagged", [False, True], ids=["untagged", "tagged"])
+def test_probe_epsilon_reports_an_unpredicted_spectrum_as_an_anomaly(tagged):
+    # theorem2 {1,4} times a regular C3 has M = {1, 4}: none of the three
+    # predicted intervals, so a detected anomaly (exit 1), not a spec error
+    a = {"type": "theorem2", "X": [1, 4]}
+    b = {"type": "cyclic_regular", "p": 3}
+    if tagged:
+        a["product_indecomposable"], b["product_indecomposable"] = True, False
+    code, out, err = run_cli(["probe-epsilon", json.dumps(a), json.dumps(b)])
+    assert code == 1
+    assert "error" not in err and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["M_set"] == [1, 4] and doc["measured_epsilon"] is None
+    assert doc["anomalies"] == ["spectrum SizeSet({1, 4}) is not the interval [1, 4]"]
+    if tagged:
+        assert doc["conjectured_epsilon"] == 1 and doc["matches_conjecture"] is False
+    else:
+        assert "matches_conjecture" not in doc
 
 
 def test_probe_epsilon_with_conjecture_tags():

@@ -16,6 +16,7 @@ from basekit import (
     section6_replay,
     symmetric,
 )
+from basekit.formulas import S13_B_TABLE, S14_B_TABLE
 
 
 def test_predict_thm41():
@@ -119,6 +120,16 @@ def test_gill_loda():
 def test_gill_loda_matches_search():
     for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (7, 2), (8, 2)):
         assert gill_loda_I(n, k) == irredundant_base_sizes(k_subset_action(n, k)).max
+
+
+@pytest.mark.slow
+def test_section6_replay_recomputes_the_published_tables():
+    # every tabulated smallest base size re-derived by min_base_size
+    report = section6_replay(recompute=True)
+    for case, table in zip(report["cases"], (S13_B_TABLE, S14_B_TABLE)):
+        assert all(e["source"] == "computed" for e in case["entries"])
+        assert {e["k"]: e["b"] for e in case["entries"]} == table
+    assert report["verdict"] == "interval {3,...,12} not realized"
 
 
 def test_section6_replay():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -328,6 +329,27 @@ def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
     assert S.order() == 2
     # a point the group fixes is skipped
     assert H.point_stabilizer(4) is H
+
+
+def test_every_level_of_a_view_chain_moves_its_base_point():
+    # every level is opened at a point its new strong generator moves, and a
+    # rebased view starts below its prefix, so level 0 of a view is its first
+    # basic orbit: root, derived (suffix or conjugated) and rebased views
+    s3xs3 = PermGroup(6, [Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, (0, 1, 2)),
+                          Perm.from_cycles(6, (3, 4)), Perm.from_cycles(6, (3, 4, 5))])
+    routes = set()
+    for name, G in SMALL_GROUPS[1:] + [("s3xs3", s3xs3)]:
+        root = G.chain()
+        groups = [G] + [G.pointwise_stabilizer(S) for r in (1, 2, 3)
+                        for S in itertools.combinations(range(G.degree), r)]
+        for H in groups:
+            chain, u, _ = H._get_view()
+            assert all(len(level.transversal) > 1 for level in chain.levels), name
+            if chain.levels and not any(chain.levels[0] is level for level in root.levels):
+                routes.add("rebased")
+            elif H is not G:
+                routes.add("derived" if u is None else "conjugated")
+    assert routes == {"derived", "conjugated", "rebased"}
 
 
 @pytest.mark.parametrize("make", [
