@@ -1,4 +1,4 @@
-"""Permutation groups, orbits, and deterministic stabilizer chains.
+"""Permutation groups, orbits, and exact stabilizer chains.
 
 The chain is the classic incremental Schreier-Sims structure: level ``i``
 stores a base point, the strong generators fixing all earlier base points,
@@ -8,15 +8,38 @@ the generator that took it there.  A new strong generator extends the
 orbit incrementally: only that generator is applied to the points already
 there, and every generator to the points it adds.  Coset representatives
 are products along the Schreier tree, formed only when read and then
-cached with their inverses.  Everything is deterministic: orbits grow
-breadth-first with generators in list order, and a new base point is
-always the smallest point moved by the residue that forced it.
+cached with their inverses.  Orbits grow breadth-first with generators in
+list order, and a new base point is always the smallest point moved by the
+residue that forced it.
 
-When the order of the generated group is known up front, construction stops
-as soon as the transversal sizes multiply up to it.  This is sound because
-the products of one transversal element per level are pairwise distinct
-group elements, so the product of orbit sizes can never exceed the group
-order and reaches it exactly when the strong generating set is complete.
+Every chain is built by one completion, ``_complete``: sift the generators,
+then sift random elements of the group until the orbit sizes multiply up
+to its known order.  This stop is exact: the products of one transversal
+element per level are pairwise distinct group elements, so the product of
+orbit sizes can never exceed the group order, and it reaches it exactly
+when every element sifts.  A random element lies in the group of level 0's
+generators, so its residue joins the levels from 1 on, as the residue of
+a Schreier generator of level ``i`` joins those from ``i + 1`` on; each
+level's generators still generate the stabilizer of the earlier base
+points.
+After ``_IDLE_DRAWS`` draws in a row that add nothing, or with no known
+order, the deterministic verification ``_verify`` sifts every Schreier
+generator instead.  The two routes differ only in where their
+random elements come from, and both streams are seeded from their inputs,
+so a chain is the same in every process:
+
+- a root chain (``build_chain``) draws by product replacement from the
+  generators.  Its order is the caller's hint or, for a transitive group
+  of degree at least 8 with no hint, the giant certificate
+  (``_giant_order``): a drawn element with a cycle of prime length ``p``,
+  ``n/2 < p < n - 2``, proves the group contains ``A_n``;
+- a rebase (``PermGroup.stabilizer_chain``) draws uniform elements off
+  the parent's own chain.
+
+Random residues pile up on the levels from 1 on, so a completion that
+drew them then prunes (``_prune``) the levels it hands to views, whose
+generators are conjugated and sifted again: each level keeps only the
+generators its Schreier tree uses and those the level below keeps.
 
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -33,16 +56,16 @@ level 1, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
 t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  Only a
 point outside that basic orbit (moved by the group, but in another
 orbit) needs a new chain: ``stabilizer_chain`` rebases the group on that
-point.  The group's order is known, so the rebase sifts the generators and
-then uniform random elements of the group, read off its view, and stops
-exactly when the orbit sizes multiply up to the order; the random stream is
-seeded from the call's own inputs.  Stabilizer class labels take this same
-route, one ``point_stabilizer`` per orbit, so they rebase only for a moved
-orbit other than the basic orbit of level 0.
+point.  Stabilizer class labels take this same route, one
+``point_stabilizer`` per orbit, so they rebase only for a moved orbit other
+than the basic orbit of level 0.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import math
 import random
 
 import numpy as np
@@ -51,10 +74,20 @@ from .perm import Perm, _as_int
 
 __all__ = ["PermGroup", "StabilizerChain", "build_chain"]
 
-# consecutive random draws that add nothing before a rebase falls back to
-# the deterministic verification; each draw from an incomplete chain adds a
-# strong generator with probability at least 1/2
+# consecutive random draws that add nothing before a completion falls back
+# to the deterministic verification; a uniform draw from an incomplete chain
+# adds a strong generator with probability at least 1/2
 _IDLE_DRAWS = 20
+# a numpy comparison of the remaining base points costs about as much as
+# this many one-point reads
+_SCAN_LEVELS = 8
+# product replacement: slots, and the steps taken before the first draw;
+# sympy takes 50, but the stop is exact however well the draws mix, and
+# after 20 the certificate needs about as many draws as for uniform ones
+_PR_SLOTS = 10
+_PR_WARMUP = 20
+# the chance that a giant escapes the certificate's draws, were they uniform
+_GIANT_MISS = 1e-3
 
 
 class _Level:
@@ -145,13 +178,18 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base points with per-level strong generators, orbits, and transversals."""
+    """Base points with per-level strong generators, orbits, and transversals.
 
-    __slots__ = ("degree", "levels")
+    ``_points`` caches the base points as an array for ``sift``; it is made
+    again whenever the chain has grown a level since.
+    """
+
+    __slots__ = ("degree", "levels", "_points")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
+        self._points = None
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -176,17 +214,33 @@ class StabilizerChain:
         """Strip ``p`` level by level; returns (residue, level reached).
 
         Membership holds iff the residue is the identity, in which case the
-        level reached is ``len(self.levels)``.
+        level reached is ``len(self.levels)``.  After a level whose base
+        point the residue fixes, one comparison of its images of the
+        remaining base points finds the next level it moves, when at least
+        ``_SCAN_LEVELS`` levels remain.
         """
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
+        levels, points = self.levels, self._points
+        i = start
+        while i < len(levels):
+            level = levels[i]
             beta = int(p.images[level.point])
             if beta == level.point:
+                i += 1
+                if len(levels) - i >= _SCAN_LEVELS:
+                    if points is None or len(points) != len(levels):
+                        points = self._points = np.array([lv.point for lv in levels])
+                    rest = points[i:]
+                    moved = p.images[rest] != rest
+                    k = int(moved.argmax())
+                    if not moved[k]:
+                        break
+                    i += k
                 continue
             if beta not in level.transversal:
                 return p, i
             p = p * level.inv_transversal(beta)
-        return p, len(self.levels)
+            i += 1
+        return p, len(levels)
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -220,20 +274,33 @@ class StabilizerChain:
 
 
 def build_chain(degree: int, generators, known_order: int | None = None) -> StabilizerChain:
-    """Deterministic Schreier-Sims: the default-base chain of ``<generators>``.
+    """The default-base chain of ``<generators>``, exact.
+
+    The one completion (``_complete``, see the module notes) with random
+    elements drawn by product replacement, seeded from the generators.  The
+    order it stops at is ``known_order`` or, with none, the order proven by
+    the giant certificate (``_giant_order``); a group with neither is
+    completed by the deterministic verification.
 
     ``known_order`` is trusted as the exact order: construction stops as
     soon as the orbit sizes multiply up to it (exact when it is the order,
     by the module notes).  A value no partial chain reaches, such as one
-    larger than the order, raises ``RuntimeError``; a smaller one that a
-    partial chain reaches is returned as the order unchecked, since checking
-    it would cost the verification the hint exists to skip.  Chains with a
-    prescribed base prefix come from
+    larger than the order, raises ``RuntimeError`` once ``_IDLE_DRAWS``
+    draws in a row add nothing and the verification finds the true order;
+    a smaller one that a partial chain reaches is returned as the order
+    unchecked, since checking it would cost the verification the hint
+    exists to skip.  Chains with a prescribed base prefix come from
     ``PermGroup.stabilizer_chain``.
     """
+    generators = tuple(generators)
+    for g in generators:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != {degree}")
+    draws = _product_replacement(degree, generators)
+    if known_order is None:
+        known_order = _giant_order(degree, generators, draws)
     chain = StabilizerChain(degree)
-    if not _sift_in(chain, generators, known_order):
-        _verify(chain, known_order)
+    _complete(chain, generators, known_order, draws)
     return chain
 
 
@@ -247,20 +314,148 @@ def _add_strong_gen(chain: StabilizerChain, low: int, g: Perm, stuck: int) -> No
         levels[l].add_gen(g)
 
 
-def _sift_in(chain: StabilizerChain, generators, order: int | None) -> bool:
-    """Sift ``generators`` into ``chain``, adding each residue as a strong generator.
+def _complete(chain: StabilizerChain, generators, order: int | None, draws) -> None:
+    """Complete ``chain`` to a chain of ``<generators>`` of order ``order``.
 
-    Returns True once the chain's order is ``order`` (never for ``None``).
+    The one completion of root chains and rebases.  Sift the generators in;
+    then, while the orbit sizes do not multiply up to ``order``, sift the
+    elements of ``draws``, random elements of ``<generators>``, and add each
+    nontrivial residue as a strong generator.  A draw is already in the
+    group of level 0's generators, so its residue joins the levels from 1
+    on; once the draws reach the order, ``_prune`` drops the strong
+    generators that the levels after those ``chain`` came with do not
+    need.  With no order, or after ``_IDLE_DRAWS`` consecutive draws that
+    add nothing, ``_verify`` finishes the chain.
     """
+    given = len(chain.levels)  # a rebase's prefix levels
     for g in generators:
-        if g.degree != chain.degree:
-            raise ValueError(f"generator degree {g.degree} != {chain.degree}")
         residue, j = chain.sift(g)
         if not residue.is_identity():
             _add_strong_gen(chain, 0, residue, j)
             if chain.order() == order:
-                return True
-    return chain.order() == order
+                return
+    if chain.order() == order:
+        return
+    if order is not None:
+        idle = 0
+        for g in draws:
+            residue, j = chain.sift(g)
+            if residue.is_identity():
+                idle += 1
+                if idle == _IDLE_DRAWS:
+                    break
+                continue
+            idle = 0
+            _add_strong_gen(chain, 1, residue, j)
+            if chain.order() == order:
+                _prune(chain, given)
+                return
+    _verify(chain, order)
+
+
+def _prune(chain: StabilizerChain, low: int) -> None:
+    """Drop the strong generators that levels ``low`` on (1 at least) do not need.
+
+    Bottom-up, level ``i`` keeps the generators its Schreier tree uses and
+    those kept at level ``i + 1``, which generate its stabilizer of
+    ``b_i``.  A group holding that stabilizer and the whole orbit of
+    ``b_i`` is the level's group, so the chain stays exact; the tree's
+    generator indices are renumbered.  Only a chain no view shares yet may
+    be pruned.
+    """
+    kept: list[Perm] = []
+    for level in reversed(chain.levels[max(low, 1):]):
+        used = sorted({edge[1] for edge in level.transversal.values() if edge is not None})
+        gens = [level.gens[i] for i in used]
+        ids = {id(g) for g in gens}
+        gens += [g for g in kept if id(g) not in ids]
+        if len(gens) < len(level.gens):
+            index = {old: new for new, old in enumerate(used)}
+            level.transversal = {x: None if edge is None else (edge[0], index[edge[1]])
+                                 for x, edge in level.transversal.items()}
+            level.gens = gens
+        kept = level.gens
+
+
+def _seed(degree: int, generators) -> int:
+    # a digest of the generators, the same in every process
+    h = hashlib.blake2b(degree.to_bytes(8, "little"), digest_size=8)
+    for g in generators:
+        h.update(g.images.astype("<i4").tobytes())
+    return int.from_bytes(h.digest(), "little")
+
+
+def _product_replacement(degree: int, generators):
+    """Random elements of ``<generators>`` by product replacement.
+
+    Celler et al. (1995), with Leedham-Green's accumulator, as in
+    ``sympy.combinatorics``' ``random_pr``: ``_PR_SLOTS`` slots start as
+    the generators, repeated; each step replaces a slot ``s`` by
+    ``s * t^e`` or ``t^e * s`` for another slot ``t`` and ``e = +-1``, and
+    multiplies the accumulator by the new slot.  After ``_PR_WARMUP``
+    steps every step yields the accumulator.  The stream is seeded from
+    ``_seed``, never from the module-global one, and does nothing until
+    its first element is asked for.
+    """
+    rng = random.Random(_seed(degree, generators))
+    slots = list(generators) or [Perm.identity(degree)]
+    slots = [slots[i % len(slots)] for i in range(max(_PR_SLOTS, len(slots)))]
+    acc = Perm.identity(degree)
+    r = len(slots)
+    steps = 0
+    while True:
+        s = rng.randrange(r)
+        t = rng.randrange(r - 1)
+        t += t >= s
+        h = slots[t] if rng.random() < 0.5 else slots[t].inverse()
+        if rng.random() < 0.5:
+            slots[s] = slots[s] * h
+            acc = acc * slots[s]
+        else:
+            slots[s] = h * slots[s]
+            acc = slots[s] * acc
+        steps += 1
+        if steps > _PR_WARMUP:
+            yield acc
+
+
+def _jordan_primes(degree: int) -> list[int]:
+    # the primes p with degree/2 < p < degree - 2; none below degree 8
+    return [p for p in range(degree // 2 + 1, degree - 2)
+            if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _giant_order(degree: int, generators, draws) -> int | None:
+    """``|G|`` if a draw certifies ``G = <generators>`` to contain ``A_n``, else None.
+
+    The certificate is a proof, not a Monte Carlo answer (Jordan; Seress
+    2003, section 10.2).  Let ``G`` be transitive of degree ``n`` and let
+    ``g`` have a cycle of prime length ``p``, ``n/2 < p < n - 2``.  The
+    other cycles of ``g`` are shorter than ``p``, so a power of ``g`` is a
+    ``p``-cycle.  ``G`` is primitive: a ``p``-cycle fixes each of at most
+    ``n/2 < p`` blocks, so its support would lie in one block of at most
+    ``n/2`` points.  A primitive group with a ``p``-cycle, ``p <= n - 3``,
+    contains ``A_n``; it is ``S_n`` iff some generator is odd.
+
+    In ``S_n`` and in ``A_n`` a share ``sum(1/p)`` of the elements has such
+    a cycle (the proportion ``_eval_is_alt_sym_monte_carlo`` in
+    ``sympy.combinatorics`` estimates), so for uniform draws a giant
+    escapes the fixed number tried with probability at most
+    ``_GIANT_MISS``.  A group no draw certifies is left to the exact path.
+    """
+    primes = _jordan_primes(degree)
+    if not primes:
+        return None
+    labels, counts = _orbit_partition(degree, generators)
+    if counts[labels[0]] != degree:
+        return None
+    weight = sum(1 / p for p in primes)
+    tries = math.ceil(math.log(1 / _GIANT_MISS) / weight)
+    for g in itertools.islice(draws, tries):
+        if any(len(c) in primes for c in g.cycles()):
+            odd = any(sum(len(c) - 1 for c in s.cycles()) % 2 for s in generators)
+            return math.factorial(degree) // (1 if odd else 2)
+    return None
 
 
 def _verify(chain: StabilizerChain, order: int | None) -> None:
@@ -362,7 +557,9 @@ class PermGroup:
     ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
     group's own chain.  A group made from generators fills its view from
     ``build_chain`` on first use; a stabilizer is born a view of its
-    parent's chain suffix (see the module notes).  ``_subgroups`` is the
+    parent's chain suffix (see the module notes), whose conjugated
+    generators are made only when ``generators`` is first read.
+    ``_subgroups`` is the
     table of pointwise stabilizers that the exhaustive searches of
     ``basekit.bases`` fill and share; it stays ``None`` until one runs on
     this group, and lives as long as the group.
@@ -370,7 +567,7 @@ class PermGroup:
 
     __slots__ = (
         "degree",
-        "generators",
+        "_generators",
         "_view",
         "_order",
         "_hint",
@@ -399,7 +596,7 @@ class PermGroup:
             seen.add(g)
             gens.append(g)
         self.degree = degree
-        self.generators = tuple(gens)
+        self._generators = tuple(gens)
         self._view = None
         self._partition = None
         self._stab_classes = None
@@ -423,7 +620,7 @@ class PermGroup:
         if not gens:
             u = u_inv = None
         g.degree = degree
-        g.generators = gens if u is None else tuple(u_inv * s * u for s in gens)
+        g._generators = gens if u is None else None  # conjugated when first read
         g._view = (chain, u, u_inv)
         g._order = chain.order()
         g._hint = g._partition = g._stab_classes = g._subgroups = None
@@ -442,8 +639,17 @@ class PermGroup:
             self._view = (chain, None, None)
         return self._view
 
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        gens = self._generators
+        if gens is None:
+            chain, u, u_inv = self._view
+            gens = self._generators = tuple(u_inv * s * u for s in chain.level_generators(0))
+        return gens
+
     def is_trivial(self) -> bool:
-        return not self.generators
+        # a conjugated view, whose generators are not made yet, has a level
+        return self._generators is not None and not self._generators
 
     def chain(self) -> StabilizerChain:
         """A stabilizer chain of this group itself, with no conjugator.
@@ -542,17 +748,14 @@ class PermGroup:
         """A fresh chain of this group whose base starts with ``base_prefix``.
 
         The rebase: open one level per prefix point (a point with no descent
-        keeps a level of orbit size 1), sift the generators in, and, only
-        if the orbit sizes do not yet multiply up to ``self.order()``, sift
-        uniform random elements of this group until they do; the stop is
-        exact by the module notes.  A uniform element is one random
-        transversal element per level of the view's chain, conjugated by
-        the view's ``u``.  The random stream is a fresh ``random.Random``
-        seeded from the prefix and the order, so the same call gives the
-        same chain in every process and the module-global stream is never
-        read.  After ``_IDLE_DRAWS`` consecutive draws that add nothing, the
-        deterministic verification completes the chain, and raises
-        ``RuntimeError`` if the order is wrong.
+        keeps a level of orbit size 1) and complete the chain to
+        ``self.order()`` by ``_complete`` (see the module notes), drawing
+        uniform random elements of this group: one random transversal
+        element per level of the view's chain, conjugated by the view's
+        ``u``.  The random stream is a fresh ``random.Random`` seeded from
+        the prefix and the order, so the same call gives the same chain in
+        every process and the module-global stream is never read.  A wrong
+        order raises ``RuntimeError`` from the verification.
         """
         prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
         for k, b in enumerate(prefix):
@@ -563,37 +766,25 @@ class PermGroup:
         order = self.order()
         chain = StabilizerChain(self.degree)
         chain.levels = [_Level(b, self.degree) for b in prefix]
-        if not (_sift_in(chain, self.generators, order) or self._sift_uniform(chain, prefix, order)):
-            _verify(chain, order)
+        _complete(chain, self.generators, order, self._uniform_elements(prefix, order))
         return chain
 
-    def _sift_uniform(self, chain: StabilizerChain, prefix: tuple[int, ...], order: int) -> bool:
-        # sift uniform random elements of this group into ``chain``; True
-        # once its order is ``order``, False after _IDLE_DRAWS idle draws
+    def _uniform_elements(self, prefix: tuple[int, ...], order: int):
+        # uniform random elements of this group, read off its view; the view
+        # is read only when the first element is asked for
         source, u, u_inv = self._get_view()
         levels = [(level, list(level.transversal)) for level in reversed(source.levels)]
         seed = order
         for b in prefix:
             seed = seed * self.degree + b
         rng = random.Random(seed)
-        idle = 0
-        while idle < _IDLE_DRAWS:
+        while True:
             # deepest level first: tail * t_0 runs over the group once
             g = None
             for level, points in levels:
                 t = level.element(points[rng.randrange(len(points))])
                 g = t if g is None else g * t
-            if u is not None:
-                g = u_inv * g * u
-            residue, j = chain.sift(g)
-            if residue.is_identity():
-                idle += 1
-                continue
-            idle = 0
-            _add_strong_gen(chain, 0, residue, j)
-            if chain.order() == order:
-                return True
-        return False
+            yield g if u is None else u_inv * g * u
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """The subgroup fixing every point of ``points``.
@@ -609,7 +800,7 @@ class PermGroup:
         for k, x in enumerate(prefix):
             if H.is_trivial():
                 break
-            if all(g.images[x] == x for g in H.generators):
+            if H._fixes(x):
                 continue
             Hx = H._derived_point_stabilizer(x)
             if Hx is None:
@@ -617,6 +808,15 @@ class PermGroup:
                 return PermGroup._from_view(self.degree, H.stabilizer_chain(rest).suffix(len(rest)))
             H = Hx
         return H
+
+    def _fixes(self, x: int) -> bool:
+        # does the whole group fix x?  A conjugated view asks its chain's own
+        # generators about x^(u^-1), so its generators stay unmade
+        if self._generators is not None:
+            return all(g.images[x] == x for g in self._generators)
+        chain, _, u_inv = self._view
+        y = u_inv.images[x]
+        return all(g.images[y] == y for g in chain.levels[0].gens)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))
