@@ -1,6 +1,6 @@
 """Base-size analytics: spectra of minimal and irredundant bases.
 
-Search notes, which justify the pruned mode and the exhaustive searches' stabilizer reuse:
+Search notes, which justify the pruned mode and the searches' stabilizer reuse:
 
 * Shrinking a group refines its orbits, so the minimum of a point's orbit
   never decreases along a descending stabilizer chain, and a point lying in
@@ -31,9 +31,9 @@ Search notes, which justify the pruned mode and the exhaustive searches' stabili
   candidate reaching it and that candidate's child key, so a witness is a
   chain of lookups: candidates ascend, and one skipped as a repeat of a
   stabilizer class has the same stabilizer as an earlier one.
-* The exhaustive searches of one group ``G`` share one table of the
+* The searches of one group ``G`` in one mode share one table of the
   subgroups they computed, kept in ``G``'s slot: it is made by the first
-  exhaustive search on ``G`` and lives as long as ``G``.  A request
+  search in that mode on ``G`` and lives as long as ``G``.  A request
   ``K.point_stabilizer(x)``, with ``K`` a node or a deletion stabilizer, is
   named by ``R = Fix(K) ∪ {x}``, and ``K_x = G_(R)`` because
   ``K = G_(Fix(K))``.  A repeated ``R`` is one lookup.  Otherwise
@@ -41,13 +41,20 @@ Search notes, which justify the pruned mode and the exhaustive searches' stabili
   ``Fix(L) ⊇ R`` is ``G_(R) = K_x``, because ``L = G_(Fix(L)) ≤ G_(R)`` and
   ``|G_(R)| = |K_x| = t``.  Only when no stored ``L`` qualifies is ``K_x``
   computed, and it is stored once, under ``Fix(K_x)``.  So each subgroup is
-  computed once per group, whichever search or key asks for it.  Pruned mode
-  keeps no table: at large degree the kept groups, and the transversal
-  caches they hold, cost more memory than the repeats cost time.
+  computed once per group and mode, whichever search or key asks for it:
+  pruned height after pruned M on the same group computes none.
+* Each mode has its own table, never the other's.  The exhaustive searches
+  are the cross-check of the pruned ones, so no subgroup a pruned search
+  computed may answer an exhaustive request: a wrong stored group would
+  then give both modes the same wrong answer, and the check would pass.
+  The price is that a subgroup both modes need is computed once in each.
+  The tables keep their groups as long as ``G`` lives, which at degree
+  2400 is about 141 groups for one M search; ``basekit.group`` keeps a
+  stored group small (its module notes).
 
 All searches are deterministic functions of immutable groups.  The only
-state they leave is that table, a cache that changes no result; threads
-racing on it at worst compute a subgroup twice.
+state they leave is those tables, caches that change no result; threads
+racing on one at worst compute a subgroup twice.
 They run on explicit stacks, so their depth is not bounded by Python's
 recursion limit.  Node budgets abort with ``BudgetExceeded`` rather than
 truncate a result.
@@ -276,7 +283,7 @@ def _fixed_key(H: PermGroup, x: int | None = None) -> bytes:
 
 
 class _SubgroupTable:
-    """The pointwise stabilizers of one group that its exhaustive searches computed.
+    """The pointwise stabilizers of one group that its searches in one mode computed.
 
     ``requests`` maps a request key ``Fix(K) ∪ {x}`` to the subgroup key
     ``Fix(K_x)``, ``groups`` a subgroup key to its group, and ``by_order``
@@ -314,11 +321,12 @@ class _SubgroupTable:
         return key, self.groups[key]
 
 
-def _subgroup_table(G: PermGroup) -> _SubgroupTable:
-    # the table lives in G's slot, so it dies with G
-    if G._subgroups is None:
-        G._subgroups = _SubgroupTable()
-    return G._subgroups
+def _subgroup_table(G: PermGroup, mode: str) -> _SubgroupTable:
+    # one table per mode in G's slot, so it dies with G (module notes)
+    tables = G._subgroups
+    if tables is None:
+        tables = G._subgroups = {}
+    return tables.setdefault(mode, _SubgroupTable())
 
 
 # -- the independent-set walker -----------------------------------------
@@ -335,19 +343,16 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     ascending, or largest orbit first.  ``visit(points, x, hx_order, counts)``
     sees each independent candidate ``x`` and returns whether to descend
     into it; a candidate completing a base (``hx_order == 1``) is never
-    entered.  Exhaustive mode reads and fills ``G``'s subgroup table, so it
-    computes each subgroup once per group, and none that an earlier
-    exhaustive search on ``G`` computed (module notes).
+    entered.  Every stabilizer comes from ``G``'s subgroup table for the
+    walk's mode, so the walk computes each subgroup once per group, and none
+    that an earlier search on ``G`` in the same mode computed (module notes).
     """
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
-    if pruned:
-        stabilizer = PermGroup.point_stabilizer
-    else:
-        table = _subgroup_table(G)
+    table = _subgroup_table(G, "pruned" if pruned else "exhaustive")
 
-        def stabilizer(K, x):
-            return table.point_stabilizer(K, x)[1]
+    def stabilizer(K, x):
+        return table.point_stabilizer(K, x)[1]
 
     stack = []
 
@@ -480,8 +485,8 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     stabilizers, i.e. equal fixed points, share their futures, so each is
     memoized by its fixed points with its reachable lengths, each mapped to
     the first candidate reaching it and that candidate's child key.
-    Exhaustive mode takes each child from ``G``'s subgroup table, shared with
-    the other exhaustive searches on ``G`` (module notes); a child the memo
+    Each child comes from ``G``'s subgroup table for the mode, shared with
+    the other searches on ``G`` in that mode (module notes); a child the memo
     already holds still costs its budget node but no stabilizer.  With
     ``witnesses=True`` a witness of each length is read off the memo by
     lookups from ``G``'s key, at no further search or stabilizer cost.
@@ -493,14 +498,10 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     if mode == "pruned":
         pick = _minima_candidates
         classes = G.stabilizer_class_labels()
-
-        def stabilizer(H, x):
-            Hx = H.point_stabilizer(x)
-            return _fixed_key(Hx), Hx
     else:
         pick = _point_candidates
         classes = None
-        stabilizer = _subgroup_table(G).point_stabilizer
+    stabilizer = _subgroup_table(G, mode).point_stabilizer
     memo: dict[bytes, dict[int, tuple[int, bytes | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
     # ``done = (x, key)`` carries a finished subtree (or memo hit) below

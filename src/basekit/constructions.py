@@ -327,6 +327,17 @@ def coset_action(
     return PermGroup(expected_index, [Perm(col) for col in images])
 
 
+def _coset_index(n: int, k: int, ceiling: int) -> int | None:
+    # n!*n*k for n >= 2, or None once it is past the ceiling, before it
+    # grows any larger
+    index = n * k
+    for m in range(2, n + 1):
+        index *= m
+        if index > ceiling:
+            return None
+    return index
+
+
 def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
     """S_n wr C_k acting on the right cosets of H = S_n^(k-2) x Stab(n-1) x 1.
 
@@ -348,11 +359,9 @@ def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
         raise ValueError("need n >= 3 and k >= 2")
     if max_index < 1:
         raise ValueError(f"max_index {max_index} must be at least 1")
-    expected = n * k
-    for m in range(2, n + 1):  # n!*n*k, given up once past the ceiling
-        expected *= m
-        if expected > max_index:
-            raise BudgetExceeded(f"coset index {n}!*{n}*{k} exceeds the configured ceiling {max_index}")
+    expected = _coset_index(n, k, max_index)
+    if expected is None:
+        raise BudgetExceeded(f"coset index {n}!*{n}*{k} exceeds the configured ceiling {max_index}")
     W = wreath_imprimitive(n, k)
     S = ((k - 2) * n + n - 1, *range((k - 1) * n, k * n))
     action = coset_action(W, S, expected, max_index)
@@ -438,6 +447,9 @@ def _checked(key: str, value, kind=int):
 
 
 MAX_SPEC_DEPTH = 32
+# the most points a spec's group may act on; a larger one is refused before
+# anything is built (its arrays alone could exhaust memory)
+MAX_SPEC_DEGREE = 1 << 20
 
 # the fields each spec type takes, as in the README's spec table; every spec
 # also takes "type" and the boolean tag "product_indecomposable"
@@ -473,11 +485,102 @@ def _spec_depth(spec) -> int:
     return deepest
 
 
+def _spec_degree(spec) -> int:
+    """The degree of the group ``spec`` builds, from its fields alone.
+
+    Nothing is allocated, and every value stops growing once past
+    ``MAX_SPEC_DEGREE``.  A malformed spec or field counts as degree 1 and
+    is left to ``build_group``'s own checks, so the result is a lower bound;
+    so is a coset index past ``max_index``, which the construction refuses
+    before it builds anything.  Called on a spec no deeper than
+    ``MAX_SPEC_DEPTH``.
+    """
+    cap = MAX_SPEC_DEGREE + 1
+
+    def field(key, default=None):
+        value = spec.get(key, default)
+        return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+    def power(base, exp):
+        out = 1
+        for _ in range(exp if base > 1 else 0):
+            out *= base
+            if out >= cap:
+                return cap
+        return out
+
+    if not isinstance(spec, dict):
+        return 1
+    t = spec.get("type")
+    if t in ("disjoint_product", "product_action"):
+        factors = spec.get("factors")
+        degrees = [_spec_degree(f) for f in factors] if isinstance(factors, list) else []
+        if t == "disjoint_product":
+            return min(max(sum(degrees), 1), cap)
+        out = 1
+        for d in degrees:
+            out = min(out * d, cap)
+        return out
+    if t in ("sym", "cyclic_regular", "explicit"):
+        n = field({"sym": "n", "cyclic_regular": "p", "explicit": "degree"}[t])
+        return min(n, cap) if n is not None and n > 1 else 1
+    if t == "elem_abelian_regular":
+        p, d = field("p"), field("d")
+        return 1 if p is None or d is None else power(p, d)
+    if t == "theorem2":
+        xs, p = spec.get("X"), field("p", 2)
+        if not isinstance(xs, list) or not xs or p is None or p < 2 or any(
+                not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in xs):
+            return 1
+        xs = sorted(set(xs))
+        out = xs[0] if xs[0] > 1 else 0  # a symmetric factor shifts X to start at 1
+        xs = [x - xs[0] + 1 for x in xs]
+        dims = [xs[-1]] + [xs[-1] - x + 1 for x in xs[1:-1]]
+        for dim in dims:
+            out = min(out + power(p, dim), cap)
+        return min(out + (p * xs[-1] if len(xs) > 1 else 0), cap)
+    if t in ("theorem3_m", "theorem3_i"):
+        a, b = field("a"), field("b")
+        if a is None or b is None or a < 2 or b < a:
+            return 1
+        if a == b:
+            return min(a + 1, cap)
+        q, r = divmod(b, a - 1)
+        if t == "theorem3_m":
+            degree = power(a + 1, q) * (r + 2 if r else 1)
+        elif r:
+            degree = power(a + 1, q) * (r + 1)
+        else:
+            degree = power(a + 1, q - 1) * a
+        return min(degree, cap)
+    if t == "wreath_coset":
+        n, k, ceiling = field("n"), field("k"), field("max_index", 5000)
+        if n is None or k is None or ceiling is None or n < 3 or k < 2:
+            return 1
+        index = _coset_index(n, k, ceiling)
+        return 1 if index is None else min(index, cap)
+    if t == "k_subsets":
+        n, k = field("n"), field("k")
+        if n is None or k is None or not 1 <= k <= n // 2:
+            return 1
+        out = 1
+        for i in range(1, k + 1):  # C(n, i) grows with i up to n/2
+            out = out * (n - i + 1) // i
+            if out >= cap:
+                return cap
+        return out
+    if t == "gl42_planes":
+        return 35
+    return 1
+
+
 def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
     """Evaluate a group-spec document (see the JSON schema in the README).
 
     Specs may nest ``factors`` at most ``MAX_SPEC_DEPTH`` levels deep; a
     deeper spec is a ``SpecError``, since evaluation recurses per level.
+    A spec whose group would act on more than ``MAX_SPEC_DEGREE`` points
+    is a ``SpecError`` too, raised before anything is built.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise SpecError("a group spec is an object with a 'type' field")
@@ -494,6 +597,8 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
     tag = spec.get("product_indecomposable", False)
     if not isinstance(tag, bool):
         raise SpecError(f"'product_indecomposable' is true or false, got {tag!r}")
+    if _spec_degree(spec) > MAX_SPEC_DEGREE:
+        raise SpecError(f"spec {t!r} acts on more than {MAX_SPEC_DEGREE} points")
     try:
         if t == "sym":
             G = symmetric(_need(spec, "n"))

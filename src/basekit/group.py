@@ -41,6 +41,17 @@ drew them then prunes (``_prune``) the levels it hands to views, whose
 generators are conjugated and sifted again: each level keeps only the
 generators its Schreier tree uses and those the level below keeps.
 
+A group whose stabilizers ``basekit.bases`` stores in a subgroup table
+lives as long as the search's root group, so three things keep a stored
+group small.  A completed rebase drops the transversal elements and
+inverses its levels cached while completing, keeping only the base
+point's identity; the derived stabilizers read from it form the few they
+need again.  Uniform draws read the parent's transversal elements without
+caching them, so a stored parent does not grow with every rebase below
+it.  And orbit partitions keep their ``counts`` as int32; the ``labels``
+stay int64, because they index arrays on every search node, and int32
+indices cost more time there than their memory saves.
+
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
 membership sifts ``u p u^-1`` through the chain.  A group made from
@@ -98,9 +109,12 @@ class _Level:
     with the base point mapped to ``None``, such that ``gens[i]`` takes the
     parent to the point; a parent always precedes its children.  Coset
     representatives are materialized on demand by ``element`` and cached,
-    together with their inverses; a point keeps its entry once it has one,
-    so the caches never go stale.  The orbit partition of the generators is
-    cached too, once the chain is built.
+    together with their inverses.  The tree of a finished chain never
+    changes, so an entry never goes stale, and dropping entries
+    (``drop_caches``) only means forming them again when read.  A
+    completed rebase drops its levels' entries, and random draws
+    (``element(..., cache=False)``) add none (module notes).  The orbit
+    partition of the generators is cached too, once the chain is built.
     """
 
     __slots__ = ("point", "gens", "transversal", "_elements", "_inverses", "_partition")
@@ -138,14 +152,15 @@ class _Level:
                     trans[gamma] = (beta, i)
                     new.append(gamma)
 
-    def element(self, point: int) -> Perm:
+    def element(self, point: int, cache: bool = True) -> Perm:
         """The coset representative taking the base point to ``point``.
 
         Walks the Schreier vector up to the nearest cached ancestor and
-        caches every element on the way back down.
+        caches every element on the way back down, unless ``cache`` is
+        false: then the cache is read but left as it was.
         """
-        cache = self._elements
-        u = cache.get(point)
+        elements = self._elements
+        u = elements.get(point)
         if u is not None:
             return u
         path = []
@@ -153,11 +168,12 @@ class _Level:
         while u is None:
             path.append(x)
             x = self.transversal[x][0]
-            u = cache.get(x)
+            u = elements.get(x)
         gens = self.gens
         for y in reversed(path):
             u = u * gens[self.transversal[y][1]]
-            cache[y] = u
+            if cache:
+                elements[y] = u
         return u
 
     def inv_transversal(self, point: int) -> Perm:
@@ -166,6 +182,12 @@ class _Level:
             u = self.element(point).inverse()
             self._inverses[point] = u
         return u
+
+    def drop_caches(self) -> None:
+        """Forget every cached representative but the base point's identity."""
+        ident = self._elements[self.point]
+        self._elements = {self.point: ident}
+        self._inverses = {self.point: ident}
 
     def orbit_partition(self, degree: int):
         """``_orbit_partition`` of this level's generators, computed once.
@@ -524,7 +546,7 @@ def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
             labels = labels[labels]
             if (labels == before).all():
                 break
-    counts = np.bincount(labels, minlength=degree)
+    counts = np.bincount(labels, minlength=degree).astype(np.int32)
     labels.setflags(write=False)
     counts.setflags(write=False)
     return labels, counts
@@ -541,7 +563,7 @@ def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
     smallest = np.full(degree, degree, dtype=np.int64)
     np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
     out = smallest[ids]
-    counts = np.bincount(out, minlength=degree)
+    counts = np.bincount(out, minlength=degree).astype(np.int32)
     out.setflags(write=False)
     counts.setflags(write=False)
     return out, counts
@@ -559,10 +581,12 @@ class PermGroup:
     ``build_chain`` on first use; a stabilizer is born a view of its
     parent's chain suffix (see the module notes), whose conjugated
     generators are made only when ``generators`` is first read.
-    ``_subgroups`` is the
-    table of pointwise stabilizers that the exhaustive searches of
-    ``basekit.bases`` fill and share; it stays ``None`` until one runs on
-    this group, and lives as long as the group.
+    ``_subgroups`` maps a search mode of ``basekit.bases``, ``"pruned"`` or
+    ``"exhaustive"``, to the table of pointwise stabilizers that the
+    searches in that mode fill and share; the two are kept apart so that
+    the exhaustive cross-check never reads a pruned search's group.  It
+    stays ``None`` until a search runs on this group, and lives as long as
+    the group.
     """
 
     __slots__ = (
@@ -755,7 +779,9 @@ class PermGroup:
         ``u``.  The random stream is a fresh ``random.Random`` seeded from
         the prefix and the order, so the same call gives the same chain in
         every process and the module-global stream is never read.  A wrong
-        order raises ``RuntimeError`` from the verification.
+        order raises ``RuntimeError`` from the verification.  The finished
+        levels keep no cached transversal element but the base point's
+        (module notes).
         """
         prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
         for k, b in enumerate(prefix):
@@ -767,11 +793,14 @@ class PermGroup:
         chain = StabilizerChain(self.degree)
         chain.levels = [_Level(b, self.degree) for b in prefix]
         _complete(chain, self.generators, order, self._uniform_elements(prefix, order))
+        for level in chain.levels:
+            level.drop_caches()
         return chain
 
     def _uniform_elements(self, prefix: tuple[int, ...], order: int):
-        # uniform random elements of this group, read off its view; the view
-        # is read only when the first element is asked for
+        # uniform random elements of this group, read off its view without
+        # caching in it; the view is read only when the first element is
+        # asked for
         source, u, u_inv = self._get_view()
         levels = [(level, list(level.transversal)) for level in reversed(source.levels)]
         seed = order
@@ -782,7 +811,7 @@ class PermGroup:
             # deepest level first: tail * t_0 runs over the group once
             g = None
             for level, points in levels:
-                t = level.element(points[rng.randrange(len(points))])
+                t = level.element(points[rng.randrange(len(points))], cache=False)
                 g = t if g is None else g * t
             yield g if u is None else u_inv * g * u
 

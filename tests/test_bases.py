@@ -41,7 +41,8 @@ from basekit import (
     theorem2_group,
     wreath_coset_action,
 )
-from basekit.bases import _fixed_key, _walk_independent
+from basekit import cli
+from basekit.bases import _fixed_key, _SubgroupTable, _walk_independent
 
 import bruteforce as bf
 
@@ -324,20 +325,26 @@ def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
 
 @pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
 @pytest.mark.parametrize(
-    "make,nodes,computed",
+    "mode,make,nodes,computed",
     [
-        (lambda: k_subset_action(6, 2), 541, 65),
-        (lambda: theorem2_group([1, 3, 5, 7])[0], 2739, 126),
-        (lambda: symmetric(6), 57, 56),
+        ("exhaustive", lambda: k_subset_action(6, 2), 541, 65),
+        ("exhaustive", lambda: theorem2_group([1, 3, 5, 7])[0], 2739, 126),
+        ("exhaustive", lambda: symmetric(6), 57, 56),
+        ("pruned", lambda: k_subset_action(6, 2), 9, 15),
+        ("pruned", lambda: theorem2_group([1, 3, 5, 7])[0], 145, 126),
+        ("pruned", lambda: symmetric(6), 5, 10),
     ],
-    ids=["ksub62", "thm2_1357", "sym6"],
+    ids=["ksub62", "thm2_1357", "sym6", "pruned-ksub62", "pruned-thm2_1357", "pruned-sym6"],
 )
-def test_exhaustive_walk_computes_each_stabilizer_once(search, make, nodes, computed, monkeypatch):
-    # a request K.point_stabilizer(x) is computed only when no stored subgroup
-    # answers it, whether a node or a deletion stabilizer asks, so every
-    # computation yields a subgroup, named by its fixed points, not seen before
+def test_exhaustive_walk_computes_each_stabilizer_once(search, mode, make, nodes, computed,
+                                                       monkeypatch):
+    # in either mode a request K.point_stabilizer(x) is computed only when no
+    # stored subgroup answers it, whether a node or a deletion stabilizer
+    # asks, so every computation yields a subgroup, named by its fixed
+    # points, not seen before
     G = make()
     G.order()
+    G.stabilizer_class_labels()  # its stabilizers, one per orbit, are not the walk's
     original = PermGroup.pointwise_stabilizer
     requests, results = [], []
 
@@ -350,7 +357,7 @@ def test_exhaustive_walk_computes_each_stabilizer_once(search, make, nodes, comp
 
     monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
     budget = SearchBudget()
-    search(G, "exhaustive", budget)
+    search(G, mode, budget)
     assert budget.used == nodes
     assert len(set(requests)) == len(requests) == computed
     assert len(set(results)) == len(results) == computed
@@ -381,17 +388,87 @@ def test_exhaustive_irredundant_after_minimal_computes_no_stabilizer(make, monke
     assert fresh.used == budget.used
 
 
-def test_pruned_searches_leave_the_subgroup_table_unset():
-    # pruned mode keeps no table: at large degree the kept groups cost more
-    # memory than the repeated stabilizers cost time
-    G = k_subset_action(6, 2)
+@pytest.mark.parametrize(
+    "make", [lambda: k_subset_action(6, 2), lambda: theorem2_group([1, 3, 5, 7])[0]],
+    ids=["ksub62", "thm2_1357"],
+)
+def test_pruned_height_after_minimal_computes_no_stabilizer(make, monkeypatch):
+    # pruned height walks the tree pruned M walked, so every stabilizer it
+    # asks for is already in the group's pruned table
+    G = make()
     minimal_base_sizes(G)
-    irredundant_base_sizes(G, witnesses=True)
-    height(G)
-    min_base_size(G)
-    assert G._subgroups is None
-    height(G, "exhaustive")
-    assert G._subgroups is not None
+    calls = []
+    original = PermGroup.pointwise_stabilizer
+
+    def counting(self, points):
+        calls.append(points)
+        return original(self, points)
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", counting)
+    budget = SearchBudget()
+    h = height(G, "pruned", budget)
+    assert calls == []
+    fresh = SearchBudget()
+    assert height(make(), "pruned", fresh) == h
+    assert fresh.used == budget.used
+
+
+def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
+    # each mode reads and fills only its own table, so the exhaustive
+    # cross-check of analyze never reads a group a pruned search produced:
+    # every request goes to the table of the running search's mode, and
+    # asks about the root or a group that same table answered
+    spec = {"type": "k_subsets", "n": 6, "k": 2}
+    roots, modes, answered, asked = [], [], {}, []
+    original = _SubgroupTable.point_stabilizer
+
+    def recording(self, K, x):
+        asked.append((modes[-1], self, K))
+        key, Kx = original(self, K, x)
+        answered.setdefault(id(self), set()).add(id(Kx))
+        return key, Kx
+
+    def in_mode(search):
+        def run(G, mode, *args, **kwargs):
+            modes.append(mode)
+            try:
+                return search(G, mode, *args, **kwargs)
+            finally:
+                modes.pop()
+        return run
+
+    def building(s):
+        out = real_build(s)
+        roots.append(out[0])
+        return out
+
+    real_build = cli.build_group
+    monkeypatch.setattr(_SubgroupTable, "point_stabilizer", recording)
+    monkeypatch.setattr(cli, "build_group", building)
+    for name in ("minimal_base_sizes", "irredundant_base_sizes", "height"):
+        monkeypatch.setattr(cli, name, in_mode(getattr(cli, name)))
+    report = cli.analyze_report(spec)
+    assert report["exhaustive_cross_check"] == "match"
+    [G] = roots
+    pruned, exhaustive = G._subgroups["pruned"], G._subgroups["exhaustive"]
+    assert pruned is not exhaustive
+    assert set(map(id, pruned.groups.values())).isdisjoint(map(id, exhaustive.groups.values()))
+    assert {mode for mode, _, _ in asked} == {"pruned", "exhaustive"}
+    for mode, table, K in asked:
+        assert table is G._subgroups[mode]
+        assert K is G or id(K) in answered[id(table)]
+    monkeypatch.undo()
+    # a pruned search on a group whose exhaustive table is full leaves it as it was
+    H = k_subset_action(6, 2)
+    height(H, "exhaustive")
+    table = H._subgroups["exhaustive"]
+    before = (dict(table.requests), dict(table.groups))
+    minimal_base_sizes(H)
+    irredundant_base_sizes(H, witnesses=True)
+    height(H)
+    min_base_size(H)
+    assert (table.requests, table.groups) == before
+    assert H._subgroups["pruned"].groups
 
 
 def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
@@ -424,19 +501,19 @@ def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [want] * 4
-    table = G._subgroups
+    table = G._subgroups["exhaustive"]
     assert all(_fixed_key(H) == key for key, H in table.groups.items())
     assert set(table.requests.values()) == set(table.groups)
 
 
-def _check_table_answers(G):
-    # routes 1 and 2 of the group's subgroup table (a repeated request, or a
-    # stored subgroup of the request's order fixing its points) against a
-    # fresh pointwise_stabilizer, compared as element sets; route 3 is a
-    # fresh computation itself, seen as a new stored group
-    minimal_base_sizes(G, "exhaustive")
-    irredundant_base_sizes(G, "exhaustive")
-    table = G._subgroups
+def _check_table_answers(G, mode):
+    # routes 1 and 2 of the group's subgroup table for ``mode`` (a repeated
+    # request, or a stored subgroup of the request's order fixing its
+    # points) against a fresh pointwise_stabilizer, compared as element
+    # sets; route 3 is a fresh computation itself, seen as a new stored group
+    minimal_base_sizes(G, mode)
+    irredundant_base_sizes(G, mode)
+    table = G._subgroups[mode]
     elements = closure_of(G)
     closures = {}  # id -> element set of each answer, a group the table keeps alive
     answered = 0
@@ -461,7 +538,8 @@ def _check_table_answers(G):
 
 @pytest.mark.parametrize("name,G", ORACLE_GROUPS, ids=[n for n, _ in ORACLE_GROUPS])
 def test_subgroup_table_answers_equal_fresh_stabilizers(name, G):
-    assert _check_table_answers(G) > 0
+    for mode in ("pruned", "exhaustive"):
+        assert _check_table_answers(G, mode) > 0, mode
 
 
 @pytest.mark.parametrize("search", [minimal_base_sizes, height], ids=["minimal", "height"])
@@ -504,7 +582,8 @@ def test_random_group_spectra_match_bruteforce(G):
 
 @given(two_generator_groups())
 def test_random_group_subgroup_table_answers_equal_fresh_stabilizers(G):
-    _check_table_answers(G)
+    for mode in ("pruned", "exhaustive"):
+        _check_table_answers(G, mode)
 
 
 @given(two_generator_groups(), st.sampled_from([2, 3]), st.booleans())

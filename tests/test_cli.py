@@ -3,9 +3,11 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from basekit.cli import main
-from basekit.constructions import MAX_SPEC_DEPTH, build_group
+from basekit.constructions import MAX_SPEC_DEGREE, MAX_SPEC_DEPTH, build_group
 from basekit.errors import SpecError
 
 
@@ -140,6 +142,56 @@ def test_spec_depth_limit_is_inclusive():
     assert G.degree == 2 * MAX_SPEC_DEPTH and G.order() == 2**MAX_SPEC_DEPTH
     with pytest.raises(SpecError):
         build_group(json.loads(_nested_disjoint_product(MAX_SPEC_DEPTH)))
+
+
+_HUGE = st.integers(MAX_SPEC_DEGREE + 1, 10**30)
+_OVERSIZED_LEAVES = st.one_of(
+    st.builds(lambda n: {"type": "sym", "n": n}, _HUGE),
+    st.builds(lambda p: {"type": "cyclic_regular", "p": p}, _HUGE),
+    st.builds(lambda p, d: {"type": "elem_abelian_regular", "p": p, "d": d},
+              st.sampled_from([2, 3, 5]), st.integers(21, 10**18)),
+    st.builds(lambda p, d: {"type": "elem_abelian_regular", "p": p, "d": d},
+              _HUGE, st.integers(1, 10**18)),
+    st.builds(lambda xs, x, p: {"type": "theorem2", "X": xs + [x], "p": p},
+              st.lists(st.integers(1, 30), max_size=3), _HUGE, st.sampled_from([2, 3])),
+    st.builds(lambda n, k: {"type": "k_subsets", "n": n, "k": k}, _HUGE, st.integers(1, 10**6)),
+)
+_SMALL_FACTORS = st.sampled_from([{"type": "sym", "n": 3}, {"type": "cyclic_regular", "p": 2}])
+
+
+@st.composite
+def _oversized_specs(draw, depth=2):
+    # one oversized leaf, or factors holding one, or factors each small
+    # enough alone whose product action is not
+    kind = draw(st.sampled_from(["leaf", "factors", "product"] if depth else ["leaf"]))
+    if kind == "leaf":
+        return draw(_OVERSIZED_LEAVES)
+    if kind == "product":
+        ns = draw(st.lists(st.integers(1025, 4000), min_size=2, max_size=3))
+        return {"type": "product_action", "factors": [{"type": "sym", "n": n} for n in ns]}
+    factors = draw(st.lists(_SMALL_FACTORS, max_size=2))
+    factors.insert(draw(st.integers(0, len(factors))), draw(_oversized_specs(depth - 1)))
+    if len(factors) < 2:
+        factors.append(draw(_SMALL_FACTORS))
+    t = draw(st.sampled_from(["disjoint_product", "product_action"]))
+    return {"type": t, "factors": factors}
+
+
+@example({"type": "theorem2", "X": [1, 40]})
+@example({"type": "elem_abelian_regular", "p": 2, "d": 40})
+@given(_oversized_specs())
+def test_exit_code_2_on_oversized_spec(spec):
+    # refused from the spec's fields, before any array of that degree exists
+    code, out, err = run_cli(["analyze", json.dumps(spec)])
+    assert code == 2, spec
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err, err
+    assert f"more than {MAX_SPEC_DEGREE} points" in err
+
+
+def test_spec_degree_ceiling_is_inclusive():
+    assert build_group({"type": "cyclic_regular", "p": MAX_SPEC_DEGREE})[0].degree == MAX_SPEC_DEGREE
+    with pytest.raises(SpecError, match="more than"):
+        build_group({"type": "cyclic_regular", "p": MAX_SPEC_DEGREE + 1})
 
 
 @pytest.mark.parametrize("argv,message", [

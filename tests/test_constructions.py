@@ -3,6 +3,9 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from basekit import (
     BudgetExceeded,
@@ -25,7 +28,7 @@ from basekit import (
     wreath_coset_action,
     wreath_imprimitive,
 )
-from basekit.constructions import coset_action
+from basekit.constructions import _spec_degree, coset_action
 
 import bruteforce as bf
 
@@ -360,3 +363,48 @@ def test_build_group_errors():
     ):
         with pytest.raises(SpecError):
             build_group(bad)
+
+
+# -- order hints and degrees against independent counts ----------------------
+
+
+def _small_spec_strategies():
+    sym = st.builds(lambda n: {"type": "sym", "n": n}, st.integers(2, 8))
+    cyclic = st.builds(lambda p: {"type": "cyclic_regular", "p": p}, st.integers(2, 12))
+    elemab = st.sampled_from([(2, 1), (2, 2), (2, 4), (2, 6), (3, 1), (3, 3), (5, 2)]).map(
+        lambda pd: {"type": "elem_abelian_regular", "p": pd[0], "d": pd[1]})
+    factor = st.one_of(sym.filter(lambda s: s["n"] <= 4), cyclic.filter(lambda s: s["p"] <= 5))
+    products = st.builds(lambda t, fs: {"type": t, "factors": fs},
+                         st.sampled_from(["disjoint_product", "product_action"]),
+                         st.lists(factor, min_size=2, max_size=3))
+    theorem2 = st.builds(lambda xs, p: {"type": "theorem2", "X": xs, "p": p},
+                         st.lists(st.integers(1, 5), min_size=1, max_size=4), st.sampled_from([2, 3]))
+    theorem3 = st.builds(lambda t, a, extra: {"type": t, "a": a, "b": a + extra},
+                         st.sampled_from(["theorem3_m", "theorem3_i"]),
+                         st.integers(2, 3), st.integers(0, 3))
+    wreath = st.sampled_from([(3, 2), (4, 2), (3, 3), (3, 4)]).map(
+        lambda nk: {"type": "wreath_coset", "n": nk[0], "k": nk[1]})
+    ksub = st.integers(4, 8).flatmap(lambda n: st.builds(
+        lambda k: {"type": "k_subsets", "n": n, "k": k}, st.integers(1, n // 2)))
+    return st.one_of(sym, cyclic, elemab, products, theorem2, theorem3, wreath, ksub,
+                     st.just({"type": "gl42_planes"}))
+
+
+SMALL_SPECS = _small_spec_strategies()
+
+
+@settings(max_examples=60)
+@given(SMALL_SPECS)
+def test_order_hints_equal_sympy_orders(spec):
+    # every construction passes an order hint that build_chain trusts as
+    # exact, so each must equal the order sympy computes from the same
+    # generators; the hint is read before any chain of this group exists
+    G, _ = build_group(spec)
+    assert G._view is None and G._hint is not None, spec
+    want = PermutationGroup([Permutation(g.to_list()) for g in G.generators]).order()
+    assert G._hint == want, spec
+
+
+@given(SMALL_SPECS)
+def test_spec_degree_is_the_built_degree(spec):
+    assert _spec_degree(spec) == build_group(spec)[0].degree, spec

@@ -485,6 +485,25 @@ def test_rebase_of_a_derived_group_keeps_idle_prefix_points(monkeypatch):
     assert not chain.contains(Perm.from_cycles(6, (0, 3)))
 
 
+@pytest.mark.parametrize("derived", [False, True], ids=["root", "derived"])
+def test_completed_rebase_caches_only_its_base_points(derived):
+    # a rebase keeps no transversal element its completion formed, and its
+    # random draws leave the caches of the chain they read as they were
+    G = sym(8)
+    H = G.point_stabilizer(3) if derived else G
+    source = H._get_view()[0]
+    before = [(list(level._elements), list(level._inverses)) for level in source.levels]
+    chain = H.stabilizer_chain((5, 2))
+    assert chain.order() == H.order()
+    for level in chain.levels:
+        assert list(level._elements) == list(level._inverses) == [level.point]
+        assert level._elements[level.point].is_identity()
+    assert [(list(level._elements), list(level._inverses)) for level in source.levels] == before
+    for level in chain.levels:
+        for x in level.transversal:
+            assert level.element(x)[level.point] == x
+
+
 # -- points must be integers -----------------------------------------------
 
 
