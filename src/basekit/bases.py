@@ -27,7 +27,8 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   ``F``, and ``F`` contains ``S`` (the closure of Cameron and
   Fon-Der-Flaass, 1995).  So two nodes are the same subgroup exactly when
   they fix the same points, and the memo is a plain dict keyed by the
-  fixed-point bitmask.  Its value maps each reachable length to the first
+  subgroup's key: the int ``Fix(G_(S))`` with bit ``x`` set iff ``x`` is
+  fixed.  Its value maps each reachable length to the first
   candidate reaching it and that candidate's child key, so a witness is a
   chain of lookups: candidates ascend, and one skipped as a repeat of a
   stabilizer class has the same stabilizer as an earlier one.
@@ -35,14 +36,17 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   subgroups they computed, kept in ``G``'s slot: it is made by the first
   search in that mode on ``G`` and lives as long as ``G``.  A request
   ``K.point_stabilizer(x)``, with ``K`` a node or a deletion stabilizer, is
-  named by ``R = Fix(K) ∪ {x}``, and ``K_x = G_(R)`` because
-  ``K = G_(Fix(K))``.  A repeated ``R`` is one lookup.  Otherwise
+  named by ``R = Fix(K) ∪ {x}``, the int ``Fix(K) | 1 << x``, and
+  ``K_x = G_(R)`` because ``K = G_(Fix(K))``.  A repeated ``R`` is one
+  lookup.  Otherwise
   let ``t = |K| / |x^K|``: a stored ``L`` with ``|L| = t`` and
   ``Fix(L) ⊇ R`` is ``G_(R) = K_x``, because ``L = G_(Fix(L)) ≤ G_(R)`` and
   ``|G_(R)| = |K_x| = t``.  Only when no stored ``L`` qualifies is ``K_x``
   computed, and it is stored once, under ``Fix(K_x)``.  So each subgroup is
   computed once per group and mode, whichever search or key asks for it:
-  pruned height after pruned M on the same group computes none.
+  pruned height after pruned M on the same group computes none.  The walks
+  carry each group with its key, so a key is read off an orbit partition
+  only for the root and for each subgroup the table stores.
 * Each mode has its own table, never the other's.  The exhaustive searches
   are the cross-check of the pruned ones, so no subgroup a pruned search
   computed may answer an exhaustive request: a wrong stored group would
@@ -270,53 +274,48 @@ def is_independent_set(G: PermGroup, points) -> bool:
 # -- pointwise stabilizers named by their fixed points --------------------
 
 
-def _fixed_key(H: PermGroup, x: int | None = None) -> bytes:
-    """The bitmask of ``Fix(H) ∪ {x}``.  For pointwise stabilizers of one
-    group it names ``H``, equal iff the subgroups are equal, or with ``x``
-    the request ``H.point_stabilizer(x)``, equal only for equal subgroups
-    (module notes)."""
+def _fixed_key(H: PermGroup) -> int:
+    """``Fix(H)`` as an int, bit ``x`` set iff ``H`` fixes ``x``.  For
+    pointwise stabilizers of one group it names ``H``: equal iff the
+    subgroups are equal (module notes)."""
     labels, counts = H.orbit_partition()
-    fixed = counts[labels] == 1
-    if x is not None:
-        fixed[x] = True
-    return np.packbits(fixed).tobytes()
+    return int.from_bytes(np.packbits(counts[labels] == 1, bitorder="little").tobytes(), "little")
 
 
 class _SubgroupTable:
     """The pointwise stabilizers of one group that its searches in one mode computed.
 
-    ``requests`` maps a request key ``Fix(K) ∪ {x}`` to the subgroup key
+    ``requests`` maps a request key ``Fix(K) | 1 << x`` to the subgroup key
     ``Fix(K_x)``, ``groups`` a subgroup key to its group, and ``by_order``
-    an order to the ``(Fix(L) as an int, Fix(L))`` pairs of the stored
-    groups ``L`` of that order.  Each subgroup is stored once (module notes).
+    an order to the keys of the stored groups of that order.  Each subgroup
+    is stored once (module notes).
     """
 
     __slots__ = ("requests", "groups", "by_order")
 
     def __init__(self):
-        self.requests: dict[bytes, bytes] = {}
-        self.groups: dict[bytes, PermGroup] = {}
-        self.by_order: dict[int, list[tuple[int, bytes]]] = {}
+        self.requests: dict[int, int] = {}
+        self.groups: dict[int, PermGroup] = {}
+        self.by_order: dict[int, list[int]] = {}
 
-    def point_stabilizer(self, K: PermGroup, x: int) -> tuple[bytes, PermGroup]:
-        """``(Fix(K_x), K_x)`` for a pointwise stabilizer ``K`` of the table's group.
+    def point_stabilizer(self, k: int, K: PermGroup, x: int) -> tuple[int, PermGroup]:
+        """``(Fix(K_x), K_x)`` for a pointwise stabilizer ``K`` of the table's group, ``k = Fix(K)``.
 
         A repeated request is one lookup.  Otherwise a stored ``L`` of order
         ``|K| / |x^K|`` fixing every point of the request is ``K_x``; only
         when there is none is ``K_x`` computed, and then stored.
         """
-        request = _fixed_key(K, x)
+        request = k | 1 << x
         key = self.requests.get(request)
         if key is None:
             labels, counts = K.orbit_partition()
             stored = self.by_order.setdefault(K.order() // int(counts[labels[x]]), [])
-            r = int.from_bytes(request, "big")
-            key = next((k for f, k in stored if f & r == r), None)
+            key = next((f for f in stored if f & request == request), None)
             if key is None:
                 Kx = K.point_stabilizer(x)
                 key = _fixed_key(Kx)
                 self.groups[key] = Kx
-                stored.append((int.from_bytes(key, "big"), key))
+                stored.append(key)
             self.requests[request] = key
         return key, self.groups[key]
 
@@ -343,20 +342,17 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     ascending, or largest orbit first.  ``visit(points, x, hx_order, counts)``
     sees each independent candidate ``x`` and returns whether to descend
     into it; a candidate completing a base (``hx_order == 1``) is never
-    entered.  Every stabilizer comes from ``G``'s subgroup table for the
-    walk's mode, so the walk computes each subgroup once per group, and none
-    that an earlier search on ``G`` in the same mode computed (module notes).
+    entered.  The node and every deletion stabilizer are ``(key, group)``
+    pairs, and each comes from ``G``'s subgroup table for the walk's mode,
+    so the walk computes each subgroup once per group, and none that an
+    earlier search on ``G`` in the same mode computed (module notes).
     """
     pick = _minima_candidates if pruned else _point_candidates
     classes = G.stabilizer_class_labels() if pruned else None
-    table = _subgroup_table(G, "pruned" if pruned else "exhaustive")
-
-    def stabilizer(K, x):
-        return table.point_stabilizer(K, x)[1]
-
+    stabilizer = _subgroup_table(G, "pruned" if pruned else "exhaustive").point_stabilizer
     stack = []
 
-    def enter(points, H, dels):
+    def enter(points, k, H, dels):
         counter.tick()
         labels, counts = H.orbit_partition()
         cands = pick(labels, counts, points[-1] if points else -1)
@@ -364,19 +360,20 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
             return
         if largest_first:
             cands = cands[np.lexsort((cands, -counts[labels[cands]]))]
-        parts = [K.orbit_partition() for K in dels]
-        stack.append((points, H, H.order(), labels, counts, dels, parts,
+        parts = [K.orbit_partition() for _, K in dels]
+        stack.append((points, k, H, H.order(), labels, counts, dels, parts,
                       _one_per_class(cands.tolist(), classes)))
 
-    enter((), G, ())
+    enter((), _fixed_key(G), G, ())
     while stack:
-        points, H, h_ord, labels, counts, dels, parts, cands = stack[-1]
+        points, k, H, h_ord, labels, counts, dels, parts, cands = stack[-1]
         for x in cands:
             hx_order = h_ord // int(counts[labels[x]])
-            if any(K.order() // int(cnt[lab[x]]) <= hx_order for K, (lab, cnt) in zip(dels, parts)):
+            if any(K.order() // int(cnt[lab[x]]) <= hx_order for (_, K), (lab, cnt) in zip(dels, parts)):
                 continue
             if visit(points, x, hx_order, counts) and hx_order > 1:
-                enter(points + (x,), stabilizer(H, x), tuple(stabilizer(K, x) for K in dels) + (H,))
+                enter(points + (x,), *stabilizer(k, H, x),
+                      tuple(stabilizer(*d, x) for d in dels) + ((k, H),))
                 break
         else:
             stack.pop()
@@ -483,11 +480,13 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     candidates to per-level orbit minima, one per stabilizer class;
     exhaustive mode takes every moved point.  Nodes with equal pointwise
     stabilizers, i.e. equal fixed points, share their futures, so each is
-    memoized by its fixed points with its reachable lengths, each mapped to
-    the first candidate reaching it and that candidate's child key.
-    Each child comes from ``G``'s subgroup table for the mode, shared with
-    the other searches on ``G`` in that mode (module notes); a child the memo
-    already holds still costs its budget node but no stabilizer.  With
+    memoized by its key, the int of its fixed points, with its reachable
+    lengths, each mapped to the first candidate reaching it and that
+    candidate's child key.  Each frame keeps its group with its key, and
+    each ``(key, child)`` pair comes from ``G``'s subgroup table for the
+    mode, shared with the other searches on ``G`` in that mode (module
+    notes); a child the memo already holds still costs its budget node but
+    no stabilizer.  With
     ``witnesses=True`` a witness of each length is read off the memo by
     lookups from ``G``'s key, at no further search or stabilizer cost.
     """
@@ -502,7 +501,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
         pick = _point_candidates
         classes = None
     stabilizer = _subgroup_table(G, mode).point_stabilizer
-    memo: dict[bytes, dict[int, tuple[int, bytes | None]]] = {}
+    memo: dict[int, dict[int, tuple[int, int | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
     # ``done = (x, key)`` carries a finished subtree (or memo hit) below
     # candidate ``x`` up to the frame that tried it
@@ -529,7 +528,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
             if H.order() // int(counts[labels[x]]) == 1:
                 out.setdefault(1, (x, None))
                 continue
-            done = enter(x, *stabilizer(H, x))
+            done = enter(x, *stabilizer(key, H, x))
             break
         else:
             memo[key] = out

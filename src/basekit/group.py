@@ -42,15 +42,17 @@ generators are conjugated and sifted again: each level keeps only the
 generators its Schreier tree uses and those the level below keeps.
 
 A group whose stabilizers ``basekit.bases`` stores in a subgroup table
-lives as long as the search's root group, so three things keep a stored
+lives as long as the search's root group, so four things keep a stored
 group small.  A completed rebase drops the transversal elements and
 inverses its levels cached while completing, keeping only the base
 point's identity; the derived stabilizers read from it form the few they
 need again.  Uniform draws read the parent's transversal elements without
 caching them, so a stored parent does not grow with every rebase below
-it.  And orbit partitions keep their ``counts`` as int32; the ``labels``
-stay int64, because they index arrays on every search node, and int32
-indices cost more time there than their memory saves.
+it.  A conjugated view sifts its conjugated generators into its rebase
+without keeping them.  And orbit partitions keep their ``counts`` as
+int32; the ``labels`` stay int64, because they index arrays on every
+search node, and int32 indices cost more time there than their memory
+saves.
 
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -67,7 +69,7 @@ level 1, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
 t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  Only a
 point outside that basic orbit (moved by the group, but in another
 orbit) needs a new chain: ``stabilizer_chain`` rebases the group on that
-point.  Stabilizer class labels take this same route, one
+point.  Stabilizer class labels take this same route, at most one
 ``point_stabilizer`` per orbit, so they rebase only for a moved orbit other
 than the basic orbit of level 0.
 """
@@ -665,11 +667,14 @@ class PermGroup:
 
     @property
     def generators(self) -> tuple[Perm, ...]:
-        gens = self._generators
-        if gens is None:
-            chain, u, u_inv = self._view
-            gens = self._generators = tuple(u_inv * s * u for s in chain.level_generators(0))
-        return gens
+        if self._generators is None:
+            self._generators = self._conjugated_generators()
+        return self._generators
+
+    def _conjugated_generators(self) -> tuple[Perm, ...]:
+        # a conjugated view's generators, made afresh and not stored
+        chain, u, u_inv = self._view
+        return tuple(u_inv * s * u for s in chain.level_generators(0))
 
     def is_trivial(self) -> bool:
         # a conjugated view, whose generators are not made yet, has a level
@@ -735,12 +740,15 @@ class PermGroup:
         """``label[x] = min{y : the stabilizers of x and y are equal}``.
 
         Points with equal labels have literally equal point stabilizers, so
-        they are interchangeable in bases and independent sets.  Computed
-        orbit by orbit: the fixed points of ``point_stabilizer(rep)`` for the
-        orbit's smallest point ``rep`` are carried around the orbit
-        breadth-first by the generators, so the row reaching ``x`` is the
-        fixed-point set of ``x``'s stabilizer, and a fixed point with the
-        same orbit length has the same (not just containing) stabilizer.
+        they are interchangeable in bases and independent sets.  The class
+        of ``x`` is the set of fixed points of ``G_x`` with ``x``'s orbit
+        length: such a ``y`` has ``G_x <= G_y`` and ``|G_x| = |G_y|``.  It
+        is computed once per class, not per point: for the smallest point
+        ``rep`` of an orbit not yet labelled, the class of ``rep`` is read
+        off the generators of ``point_stabilizer(rep)``, and carried
+        breadth-first by the generators, since ``g`` maps the class of ``x``
+        onto that of ``x^g``.  Each class is labelled whole on first reach,
+        so every point is labelled once.
         """
         if self._stab_classes is not None:
             return self._stab_classes
@@ -749,21 +757,22 @@ class PermGroup:
         orbsize = part_counts[part_labels]
         ar = np.arange(degree)
         out = np.full(degree, -1, dtype=np.int64)
-        gens = [(g, g.images.tolist()) for g in self.generators]  # list reads beat numpy scalars
+        images = [g.images for g in self.generators]
         for rep in np.nonzero(part_labels == ar)[0].tolist():
-            mask = np.ones(degree, dtype=bool)
+            if out[rep] >= 0:  # labelled with a class of an earlier orbit
+                continue
+            mask = orbsize == orbsize[rep]
             for g in self.point_stabilizer(rep).generators:
                 mask &= g.images == ar
-            rows = {rep: np.nonzero(mask)[0]}
-            queue = [rep]
-            for x in queue:  # grows while walked: a breadth-first queue
-                fixed = rows.pop(x)
-                out[x] = int(fixed[orbsize[fixed] == orbsize[x]].min())
-                for g, img in gens:
-                    y = img[x]
-                    if out[y] < 0 and y not in rows:
-                        rows[y] = g.images[fixed]
-                        queue.append(y)
+            row = np.nonzero(mask)[0]
+            out[row] = row[0]
+            queue = [row]
+            for row in queue:  # grows while walked: a breadth-first queue
+                for im in images:
+                    image = im[row]
+                    if out[image[0]] < 0:
+                        out[image] = image.min()
+                        queue.append(image)
         out.setflags(write=False)
         self._stab_classes = out
         return out
@@ -773,10 +782,11 @@ class PermGroup:
 
         The rebase: open one level per prefix point (a point with no descent
         keeps a level of orbit size 1) and complete the chain to
-        ``self.order()`` by ``_complete`` (see the module notes), drawing
-        uniform random elements of this group: one random transversal
-        element per level of the view's chain, conjugated by the view's
-        ``u``.  The random stream is a fresh ``random.Random`` seeded from
+        ``self.order()`` by ``_complete`` (see the module notes) from this
+        group's generators, which a conjugated view makes for the rebase
+        without keeping them, and from uniform random elements of this
+        group: one random transversal element per level of the view's
+        chain, conjugated by the view's ``u``.  The random stream is a fresh ``random.Random`` seeded from
         the prefix and the order, so the same call gives the same chain in
         every process and the module-global stream is never read.  A wrong
         order raises ``RuntimeError`` from the verification.  The finished
@@ -792,7 +802,10 @@ class PermGroup:
         order = self.order()
         chain = StabilizerChain(self.degree)
         chain.levels = [_Level(b, self.degree) for b in prefix]
-        _complete(chain, self.generators, order, self._uniform_elements(prefix, order))
+        gens = self._generators
+        if gens is None:  # made for this rebase only (module notes)
+            gens = self._conjugated_generators()
+        _complete(chain, gens, order, self._uniform_elements(prefix, order))
         for level in chain.levels:
             level.drop_caches()
         return chain

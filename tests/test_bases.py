@@ -301,7 +301,8 @@ def test_searches_run_within_a_few_spare_frames():
 def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
     # G_(S) = G_(Fix(G_(S))), so two pointwise stabilizers of one group are
     # equal iff they fix the same points; checked against element sets.  A
-    # request K.point_stabilizer(x) with K = G_(S) is named by Fix(K) ∪ {x}:
+    # key is an int with bit x set iff x is fixed.  A request
+    # K.point_stabilizer(x) with K = G_(S) is named by Fix(K) | 1 << x:
     # its points fix exactly G_(S ∪ {x}), so equal request keys are equal
     # subgroups.  The converse fails (in c5 every request is the trivial
     # group, under five keys), which costs the walker a recomputation only.
@@ -315,10 +316,10 @@ def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
                 stabs.append(frozenset(bf.stabilizer(elements, S)))
                 labels, counts = K.orbit_partition()
                 for x in np.nonzero(counts[labels] > 1)[0].tolist():
-                    key = _fixed_key(K, x)
-                    named = np.nonzero(np.unpackbits(np.frombuffer(key, np.uint8)))[0]
+                    key = _fixed_key(K) | 1 << x
+                    named = [y for y in range(G.degree) if key >> y & 1]
                     want = frozenset(bf.stabilizer(elements, S + (x,)))
-                    assert frozenset(bf.stabilizer(elements, named.tolist())) == want, (name, S, x)
+                    assert frozenset(bf.stabilizer(elements, named)) == want, (name, S, x)
         # equal keys iff equal subgroups, for every pair of point sets
         assert len(set(keys)) == len(set(stabs)) == len(set(zip(keys, stabs))), name
 
@@ -350,7 +351,7 @@ def test_exhaustive_walk_computes_each_stabilizer_once(search, mode, make, nodes
 
     def counting(self, points):
         [x] = points
-        requests.append(_fixed_key(self, x))
+        requests.append(_fixed_key(self) | 1 << x)
         out = original(self, points)
         results.append(_fixed_key(out))
         return out
@@ -422,9 +423,10 @@ def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
     roots, modes, answered, asked = [], [], {}, []
     original = _SubgroupTable.point_stabilizer
 
-    def recording(self, K, x):
+    def recording(self, k, K, x):
+        assert k == _fixed_key(K)
         asked.append((modes[-1], self, K))
-        key, Kx = original(self, K, x)
+        key, Kx = original(self, k, K, x)
         answered.setdefault(id(self), set()).add(id(Kx))
         return key, Kx
 
@@ -524,7 +526,7 @@ def _check_table_answers(G, mode):
             labels, counts = K.orbit_partition()
             for x in np.nonzero(counts[labels] > 1)[0].tolist():
                 stored = len(table.groups)
-                key, Kx = table.point_stabilizer(K, x)
+                key, Kx = table.point_stabilizer(_fixed_key(K), K, x)
                 if len(table.groups) > stored:
                     continue
                 answered += 1

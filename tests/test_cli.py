@@ -3,11 +3,11 @@ import json
 import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basekit.cli import main
-from basekit.constructions import MAX_SPEC_DEGREE, MAX_SPEC_DEPTH, build_group
+from basekit.constructions import _SPEC_FIELDS, MAX_SPEC_DEGREE, MAX_SPEC_DEPTH, build_group
 from basekit.errors import SpecError
 
 
@@ -335,3 +335,54 @@ def test_analyze_stdin(monkeypatch):
     code, out, _ = run_cli(["analyze", "-"])
     assert code == 0
     assert json.loads(out)["order"] == 6
+
+
+# -- the spec fuzzer ---------------------------------------------------------
+
+# sizes are small or past the degree ceiling: a size in between is only a
+# slow valid spec, and the fuzzer looks for undefined failures, not for cost
+_SCALARS = st.one_of(
+    st.integers(-2, 5),
+    st.integers(MAX_SPEC_DEGREE + 1, 10**40),
+    st.integers(-10**40, -10**20),
+    st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+)
+_JUNK = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                  st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
+
+
+@st.composite
+def _fuzzed_specs(draw, depth=2):
+    # every known type, an unknown one or a junk value as the type; each
+    # field present or missing, with a fitting or a junk value; now and
+    # then a field the type does not take, or no type at all.  Each rare
+    # choice is one in ``n``, so many documents still reach a search.
+    def rarely(n=4):
+        return draw(st.integers(1, n)) == 1
+
+    types = sorted(_SPEC_FIELDS) + ["nonsense"]
+    t = draw(_SCALARS) if rarely(8) else draw(st.sampled_from(types))
+    spec = {"type": t}
+    fitting = {
+        "X": st.lists(st.integers(-1, 5), max_size=4),
+        "generators": st.lists(st.permutations(range(draw(st.integers(1, 5)))), max_size=3),
+        "factors": st.lists(_fuzzed_specs(depth - 1), max_size=3) if depth else _JUNK,
+        "product_indecomposable": st.booleans(),
+    }
+    fields = _SPEC_FIELDS.get(t, ("n", "p")) if isinstance(t, str) else ()
+    for key in fields + ("product_indecomposable",):
+        if not rarely():
+            spec[key] = draw(_JUNK if rarely() else fitting.get(key, st.integers(-1, 5)))
+    if rarely(8):
+        spec[draw(st.text(max_size=3))] = draw(_JUNK)
+    if rarely(8):
+        del spec["type"]
+    return spec
+
+
+@settings(max_examples=300)
+@given(_fuzzed_specs())
+def test_fuzzed_specs_end_in_a_defined_exit_code(spec):
+    code, out, err = run_cli(["analyze", json.dumps(spec), "--budget", "2000"])
+    assert code in (0, 1, 2, 3), (spec, err)
+    assert "Traceback" not in err, err

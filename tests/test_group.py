@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from basekit import Perm, PermGroup, build_chain
+from basekit.constructions import cyclic_regular
 
 import bruteforce as bf
 
@@ -393,12 +394,26 @@ CLASS_LABEL_GROUPS = SMALL_GROUPS + [
     ("s4xs3-stab2", PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
                                   Perm.from_cycles(7, (4, 5, 6)), Perm.from_cycles(7, (4, 5))])
      .point_stabilizer(2)),
+    # S3 acting alike on the orbits {0,2,4} and {5,3,1}: x and 5 - x share a
+    # stabilizer, so each class spans both orbits, and the generators carry
+    # the class {2,3} to {4,1}, whose smallest point comes second
+    ("interleaved-diagonal-s3", PermGroup(6, [Perm.from_cycles(6, (0, 2, 4), (5, 3, 1)),
+                                              Perm.from_cycles(6, (2, 4), (3, 1))])),
 ]
 
 
 @pytest.mark.parametrize("name,G", CLASS_LABEL_GROUPS, ids=[n for n, _ in CLASS_LABEL_GROUPS])
 def test_stabilizer_class_labels_match_bruteforce(name, G):
     assert G.stabilizer_class_labels().tolist() == _class_labels_oracle(G)
+
+
+def test_stabilizer_class_labels_are_linear_on_a_regular_group():
+    # one class holds the whole orbit, and it is labelled once, not per point
+    G = cyclic_regular(100003)
+    start = time.perf_counter()
+    labels = G.stabilizer_class_labels()
+    assert time.perf_counter() - start < 1
+    assert not labels.any()
 
 
 def test_stabilizer_class_labels_build_one_chain_per_off_orbit(monkeypatch):
@@ -502,6 +517,18 @@ def test_completed_rebase_caches_only_its_base_points(derived):
     for level in chain.levels:
         for x in level.transversal:
             assert level.element(x)[level.point] == x
+
+
+def test_rebase_of_a_conjugated_view_keeps_no_generators():
+    # the view's conjugated generators are made for the rebase and dropped,
+    # and the chain is the one a view with stored generators gets
+    H, stored = sym(8).point_stabilizer(3), sym(8).point_stabilizer(3)
+    assert H._view[1] is not None and H._generators is None
+    stored.generators
+    chain = H.stabilizer_chain((5, 2))
+    assert H._generators is None
+    assert _rebase_items(chain) == _rebase_items(stored.stabilizer_chain((5, 2)))
+    assert chain.base[:2] == (5, 2) and chain.order() == 5040
 
 
 # -- points must be integers -----------------------------------------------
