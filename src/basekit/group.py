@@ -33,8 +33,8 @@ so a chain is the same in every process:
   of degree at least 8 with no hint, the giant certificate
   (``_giant_order``): a drawn element with a cycle of prime length ``p``,
   ``n/2 < p < n - 2``, proves the group contains ``A_n``;
-- a rebase (``PermGroup.stabilizer_chain``) draws uniform elements off
-  the parent's own chain.
+- a rebase (``_rebase``) of a chain on a base prefix draws uniform
+  elements off that chain.
 
 Random residues pile up on the levels from 1 on, so a completion that
 drew them then prunes (``_prune``) the levels it hands to views, whose
@@ -42,17 +42,18 @@ generators are conjugated and sifted again: each level keeps only the
 generators its Schreier tree uses and those the level below keeps.
 
 A group whose stabilizers ``basekit.bases`` stores in a subgroup table
-lives as long as the search's root group, so four things keep a stored
+lives as long as the search's root group, so three things keep a stored
 group small.  A completed rebase drops the transversal elements and
 inverses its levels cached while completing, keeping only the base
 point's identity; the derived stabilizers read from it form the few they
 need again.  Uniform draws read the parent's transversal elements without
 caching them, so a stored parent does not grow with every rebase below
-it.  A conjugated view sifts its conjugated generators into its rebase
-without keeping them.  And orbit partitions keep their ``counts`` as
-int32; the ``labels`` stay int64, because they index arrays on every
-search node, and int32 indices cost more time there than their memory
-saves.
+it.  And orbit partitions keep their ``counts`` as int32.  A group's
+``labels`` stay int64, because they index arrays on every search node,
+and int32 indices cost more time there than their memory saves; a level
+caches only the ``labels`` of its generators' partition, for the views of
+its chain, as int32, and ``_relabelled_partition`` widens them as it
+reads them.
 
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -67,9 +68,12 @@ In ``<chain>`` the stabilizer of ``b`` is the group of the suffix from
 level 1, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
 ``y = x^(u^-1)`` the view's stabilizer of ``x`` is the view ``(suffix,
 t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  Only a
-point outside that basic orbit (moved by the group, but in another
-orbit) needs a new chain: ``stabilizer_chain`` rebases the group on that
-point.  Stabilizer class labels take this same route, at most one
+point ``x`` outside that basic orbit (moved by the group, but in another
+orbit) needs a new chain: ``_rebase`` rebases the view's chain, never the
+view, on ``y``, and the stabilizer is the view of the rebased chain below
+``y`` through the same ``u``.  This is base change by conjugation
+(Seress 2003, section 5.4): no rebase takes or applies a conjugator.
+Stabilizer class labels take this same route, at most one
 ``point_stabilizer`` per orbit, so they rebase only for a moved orbit other
 than the basic orbit of level 0.
 """
@@ -116,10 +120,10 @@ class _Level:
     (``drop_caches``) only means forming them again when read.  A
     completed rebase drops its levels' entries, and random draws
     (``element(..., cache=False)``) add none (module notes).  The orbit
-    partition of the generators is cached too, once the chain is built.
+    labels of the generators are cached too, once the chain is built.
     """
 
-    __slots__ = ("point", "gens", "transversal", "_elements", "_inverses", "_partition")
+    __slots__ = ("point", "gens", "transversal", "_elements", "_inverses", "_labels")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -128,7 +132,7 @@ class _Level:
         ident = Perm.identity(degree)
         self._elements: dict[int, Perm] = {point: ident}
         self._inverses: dict[int, Perm] = {point: ident}
-        self._partition = None
+        self._labels = None
 
     def add_gen(self, g: Perm) -> None:
         """Append a strong generator and extend the orbit.
@@ -191,14 +195,17 @@ class _Level:
         self._elements = {self.point: ident}
         self._inverses = {self.point: ident}
 
-    def orbit_partition(self, degree: int):
-        """``_orbit_partition`` of this level's generators, computed once.
+    def orbit_labels(self, degree: int) -> np.ndarray:
+        """The ``labels`` of ``_orbit_partition`` of this level's generators, computed once.
 
-        Only for a finished chain: a later ``add_gen`` would not reset it.
+        Kept as int32 (module notes).  Only for a finished chain: a later
+        ``add_gen`` would not reset them.
         """
-        if self._partition is None:
-            self._partition = _orbit_partition(degree, tuple(self.gens))
-        return self._partition
+        if self._labels is None:
+            labels = _orbit_partition(degree, tuple(self.gens))[0].astype(np.int32)
+            labels.setflags(write=False)
+            self._labels = labels
+        return self._labels
 
 
 class StabilizerChain:
@@ -314,7 +321,7 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     a smaller one that a partial chain reaches is returned as the order
     unchecked, since checking it would cost the verification the hint
     exists to skip.  Chains with a prescribed base prefix come from
-    ``PermGroup.stabilizer_chain``.
+    ``_rebase`` (``PermGroup.stabilizer_chain`` in the public API).
     """
     generators = tuple(generators)
     for g in generators:
@@ -523,6 +530,45 @@ def _verify(chain: StabilizerChain, order: int | None) -> None:
         raise RuntimeError(f"stabilizer chain order {chain.order()} != expected {order}")
 
 
+def _rebase(source: StabilizerChain, prefix: tuple[int, ...], order: int) -> StabilizerChain:
+    """A fresh chain of ``<source>`` whose base starts with ``prefix``.
+
+    Open one level per prefix point (a point with no descent keeps a level
+    of orbit size 1) and complete the chain to ``order`` by ``_complete``
+    (see the module notes) from the generators of ``source``'s level 0 and
+    from ``_uniform_elements`` of ``source``.  The random stream is a fresh
+    ``random.Random`` seeded from the prefix and the order, so the same call
+    gives the same chain in every process and the module-global stream is
+    never read.  A wrong order raises ``RuntimeError`` from the
+    verification.  The finished levels keep no cached transversal element
+    but the base point's (module notes).
+    """
+    chain = StabilizerChain(source.degree)
+    chain.levels = [_Level(b, source.degree) for b in prefix]
+    _complete(chain, source.level_generators(0), order, _uniform_elements(source, prefix, order))
+    for level in chain.levels:
+        level.drop_caches()
+    return chain
+
+
+def _uniform_elements(source: StabilizerChain, prefix: tuple[int, ...], order: int):
+    # uniform random elements of <source>, one random transversal element
+    # per level, read without caching in it; the stream is seeded from the
+    # prefix and the order, and starts when its first element is asked for
+    levels = [(level, list(level.transversal)) for level in reversed(source.levels)]
+    seed = order
+    for b in prefix:
+        seed = seed * source.degree + b
+    rng = random.Random(seed)
+    while True:
+        # deepest level first: tail * t_0 runs over the group once
+        g = None
+        for level, points in levels:
+            t = level.element(points[rng.randrange(len(points))], cache=False)
+            g = t if g is None else g * t
+        yield g
+
+
 def _as_point(x, degree: int) -> int:
     """``x`` as a point of {0, ..., degree-1}."""
     x = _as_int(x, "point")
@@ -561,7 +607,7 @@ def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
     ``G``-orbit; each orbit is then labelled by its smallest point again.
     """
     degree = labels.size
-    ids = labels[u_inv.images]
+    ids = labels[u_inv.images].astype(np.int64)  # np.minimum.at is slower on int32 ids
     smallest = np.full(degree, degree, dtype=np.int64)
     np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
     out = smallest[ids]
@@ -580,9 +626,9 @@ class PermGroup:
     one view, ``_view = (chain, u, u_inv)``: the group is
     ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
     group's own chain.  A group made from generators fills its view from
-    ``build_chain`` on first use; a stabilizer is born a view of its
-    parent's chain suffix (see the module notes), whose conjugated
-    generators are made only when ``generators`` is first read.
+    ``build_chain`` on first use; a stabilizer is born a view of a suffix
+    of its parent's chain or of its rebase (see the module notes), whose
+    conjugated generators are made only when ``generators`` is first read.
     ``_subgroups`` maps a search mode of ``basekit.bases``, ``"pruned"`` or
     ``"exhaustive"``, to the table of pointwise stabilizers that the
     searches in that mode fill and share; the two are kept apart so that
@@ -668,13 +714,9 @@ class PermGroup:
     @property
     def generators(self) -> tuple[Perm, ...]:
         if self._generators is None:
-            self._generators = self._conjugated_generators()
+            chain, u, u_inv = self._view
+            self._generators = tuple(u_inv * s * u for s in chain.level_generators(0))
         return self._generators
-
-    def _conjugated_generators(self) -> tuple[Perm, ...]:
-        # a conjugated view's generators, made afresh and not stored
-        chain, u, u_inv = self._view
-        return tuple(u_inv * s * u for s in chain.level_generators(0))
 
     def is_trivial(self) -> bool:
         # a conjugated view, whose generators are not made yet, has a level
@@ -714,7 +756,7 @@ class PermGroup:
                 self._partition = _orbit_partition(self.degree, self.generators)
             else:
                 chain, _, u_inv = view
-                labels, _ = chain.levels[0].orbit_partition(self.degree)
+                labels = chain.levels[0].orbit_labels(self.degree)
                 self._partition = _relabelled_partition(labels, u_inv)
         return self._partition
 
@@ -780,18 +822,9 @@ class PermGroup:
     def stabilizer_chain(self, base_prefix=()) -> StabilizerChain:
         """A fresh chain of this group whose base starts with ``base_prefix``.
 
-        The rebase: open one level per prefix point (a point with no descent
-        keeps a level of orbit size 1) and complete the chain to
-        ``self.order()`` by ``_complete`` (see the module notes) from this
-        group's generators, which a conjugated view makes for the rebase
-        without keeping them, and from uniform random elements of this
-        group: one random transversal element per level of the view's
-        chain, conjugated by the view's ``u``.  The random stream is a fresh ``random.Random`` seeded from
-        the prefix and the order, so the same call gives the same chain in
-        every process and the module-global stream is never read.  A wrong
-        order raises ``RuntimeError`` from the verification.  The finished
-        levels keep no cached transversal element but the base point's
-        (module notes).
+        ``_rebase`` of this group's own chain (``chain()``), which a
+        conjugated view builds first; the search's stabilizers rebase their
+        view's chain instead (``pointwise_stabilizer``).
         """
         prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
         for k, b in enumerate(prefix):
@@ -799,34 +832,7 @@ class PermGroup:
                 raise ValueError(f"duplicate base point {b}")
         if not prefix:
             return self.chain()
-        order = self.order()
-        chain = StabilizerChain(self.degree)
-        chain.levels = [_Level(b, self.degree) for b in prefix]
-        gens = self._generators
-        if gens is None:  # made for this rebase only (module notes)
-            gens = self._conjugated_generators()
-        _complete(chain, gens, order, self._uniform_elements(prefix, order))
-        for level in chain.levels:
-            level.drop_caches()
-        return chain
-
-    def _uniform_elements(self, prefix: tuple[int, ...], order: int):
-        # uniform random elements of this group, read off its view without
-        # caching in it; the view is read only when the first element is
-        # asked for
-        source, u, u_inv = self._get_view()
-        levels = [(level, list(level.transversal)) for level in reversed(source.levels)]
-        seed = order
-        for b in prefix:
-            seed = seed * self.degree + b
-        rng = random.Random(seed)
-        while True:
-            # deepest level first: tail * t_0 runs over the group once
-            g = None
-            for level, points in levels:
-                t = level.element(points[rng.randrange(len(points))], cache=False)
-                g = t if g is None else g * t
-            yield g if u is None else u_inv * g * u
+        return _rebase(self.chain(), prefix, self.order())
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """The subgroup fixing every point of ``points``.
@@ -834,8 +840,9 @@ class PermGroup:
         Folded point by point in ascending order.  A point fixed by the whole
         group is skipped; otherwise its stabilizer is derived from the
         chain (see the module notes).  The first point outside the chain's
-        level-0 basic orbit ends the fold with one rebase,
-        ``stabilizer_chain``, on that point and all points after it.
+        level-0 basic orbit ends the fold with one ``_rebase`` of the view's
+        chain on that point and all points after it, mapped through the
+        view's ``u^-1``; the stabilizer shares the view's conjugator.
         """
         prefix = tuple(sorted({_as_point(x, self.degree) for x in points}))
         H = self
@@ -846,8 +853,10 @@ class PermGroup:
                 continue
             Hx = H._derived_point_stabilizer(x)
             if Hx is None:
-                rest = prefix[k:]
-                return PermGroup._from_view(self.degree, H.stabilizer_chain(rest).suffix(len(rest)))
+                chain, u, u_inv = H._view
+                rest = tuple(y if u_inv is None else int(u_inv.images[y]) for y in prefix[k:])
+                rebased = _rebase(chain, rest, H.order())
+                return PermGroup._from_view(self.degree, rebased.suffix(len(rest)), u, u_inv)
             H = Hx
         return H
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basekit
@@ -45,6 +45,7 @@ from basekit import cli
 from basekit.bases import _fixed_key, _SubgroupTable, _walk_independent
 
 import bruteforce as bf
+from test_group import count_chain_builds
 
 
 def random_two_gen(n, seed):
@@ -561,19 +562,22 @@ def test_exhaustive_budget_running_out_mid_walk_is_budget_exceeded(search):
 
 
 @st.composite
-def two_generator_groups(draw):
-    # a non-trivial group of degree <= 7 on two drawn generators
-    n = draw(st.integers(min_value=2, max_value=7))
+def two_generator_groups(draw, min_degree=2, max_degree=7):
+    # a non-trivial group on two drawn generators
+    n = draw(st.integers(min_value=min_degree, max_value=max_degree))
     first = draw(st.permutations(range(n)).filter(lambda p: p != sorted(p)))
     return PermGroup(n, [Perm(first), Perm(draw(st.permutations(range(n))))])
 
 
-@given(two_generator_groups())
-def test_random_group_spectra_match_bruteforce(G):
-    elements = closure_of(G)
-    want_m = bf.minimal_base_sizes(G.degree, elements)
-    want_i = bf.irredundant_base_sizes(G.degree, elements) - {0}
-    want_h = bf.height(G.degree, elements)
+def brute_spectra(G, limit=6000):
+    # (M, I, height) of G from its elements
+    elements = bf.closure([g.to_list() for g in G.generators], limit=limit)
+    return (bf.minimal_base_sizes(G.degree, elements),
+            bf.irredundant_base_sizes(G.degree, elements) - {0},
+            bf.height(G.degree, elements))
+
+
+def check_spectra(G, want_m, want_i, want_h):
     for mode in ("pruned", "exhaustive"):
         M, I = minimal_base_sizes(G, mode), irredundant_base_sizes(G, mode)
         assert set(M) == want_m and set(I) == want_i, mode
@@ -583,30 +587,87 @@ def test_random_group_spectra_match_bruteforce(G):
 
 
 @given(two_generator_groups())
+def test_random_group_spectra_match_bruteforce(G):
+    check_spectra(G, *brute_spectra(G))
+
+
+@settings(max_examples=8)
+@given(two_generator_groups(min_degree=8, max_degree=8))
+def test_degree_8_random_group_spectra_match_bruteforce(G):
+    # most random pairs generate A8 or S8, which the 6,000-element cap of
+    # closure_of would cut short
+    check_spectra(G, *brute_spectra(G, limit=40320))
+
+
+@given(two_generator_groups())
 def test_random_group_subgroup_table_answers_equal_fresh_stabilizers(G):
     for mode in ("pruned", "exhaustive"):
         _check_table_answers(G, mode)
 
 
+def check_product_spectra(P, factors):
+    # the spectra of a disjoint product are the sumsets of its factors'
+    want_m, want_i, want_h = {0}, {0}, 0
+    for F in factors:
+        m, i, h = brute_spectra(F)
+        want_m = {a + b for a in want_m for b in m}
+        want_i = {a + b for a in want_i for b in i}
+        want_h += h
+    for mode in ("pruned", "exhaustive"):
+        assert set(minimal_base_sizes(P, mode)) == want_m, mode
+        assert set(irredundant_base_sizes(P, mode)) == want_i, mode
+        assert height(P, mode) == want_h, mode
+
+
 @given(two_generator_groups(), st.sampled_from([2, 3]), st.booleans())
 def test_random_disjoint_product_spectra_are_sumsets(G, p, cyclic_first):
-    # both factors' spectra from brute force; the product's from the search
     C = cyclic_regular(p)
     factors = (C, G) if cyclic_first else (G, C)
-    P = disjoint_product(*factors)
-    spectra = []
-    for F in factors:
-        elements = closure_of(F)
-        spectra.append((
-            bf.minimal_base_sizes(F.degree, elements),
-            bf.irredundant_base_sizes(F.degree, elements) - {0},
-            bf.height(F.degree, elements),
-        ))
-    (m1, i1, h1), (m2, i2, h2) = spectra
-    for mode in ("pruned", "exhaustive"):
-        assert set(minimal_base_sizes(P, mode)) == {a + b for a in m1 for b in m2}, mode
-        assert set(irredundant_base_sizes(P, mode)) == {a + b for a in i1 for b in i2}, mode
-        assert height(P, mode) == h1 + h2, mode
+    check_product_spectra(disjoint_product(*factors), factors)
+
+
+@st.composite
+def interleaved_three_factor_products(draw):
+    """(P, factors): a random two-generator group, ``C_p`` and a second small
+    group, as a disjoint product whose points are relabelled so that the
+    three orbits interleave."""
+    factors = (draw(two_generator_groups(max_degree=6)), cyclic_regular(draw(st.sampled_from([2, 3]))),
+               draw(two_generator_groups(max_degree=4)))
+    P = disjoint_product(disjoint_product(factors[0], factors[1]), factors[2])
+    n = P.degree
+    label = draw(st.permutations(range(n)))
+    gens = []
+    for g in P.generators:
+        images = [0] * n
+        for x in range(n):
+            images[label[x]] = label[g[x]]
+        gens.append(Perm(images))
+    return PermGroup(n, gens, order_hint=P.order()), factors
+
+
+@settings(max_examples=40)
+@given(interleaved_three_factor_products())
+def check_interleaved_three_factor_products(case):
+    check_product_spectra(*case)
+
+
+def test_interleaved_three_factor_product_spectra_are_sumsets(monkeypatch):
+    # the stabilizers rebase on more than one orbit, and the oracle must
+    # reach rebases of conjugated views
+    calls = count_chain_builds(monkeypatch)
+    conjugated = []
+    stabilizer = PermGroup.pointwise_stabilizer
+
+    def recording(self, points):
+        before = len(calls)
+        K = stabilizer(self, points)
+        if len(calls) > before and K._view[1] is not None:
+            conjugated.append(K)
+        return K
+
+    monkeypatch.setattr(PermGroup, "pointwise_stabilizer", recording)
+    check_interleaved_three_factor_products()
+    assert len(conjugated) >= 10, len(conjugated)
 
 
 def _relabelled_symmetric(n, seed):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+import basekit.group as group_module
 from basekit import Perm, PermGroup, build_chain
 from basekit.constructions import cyclic_regular
 
@@ -226,36 +227,33 @@ def test_identity_never_stored():
 
 def count_chain_builds(monkeypatch):
     """Record every new chain: ``()`` for a root ``build_chain``, the prefix for a rebase."""
-    import basekit.group as group_module
-
     calls = []
-    build, rebase = group_module.build_chain, PermGroup.stabilizer_chain
+    build, rebase = group_module.build_chain, group_module._rebase
 
     def counting_build(*args, **kwargs):
         calls.append(())
         return build(*args, **kwargs)
 
-    def counting_rebase(self, base_prefix=()):
-        if base_prefix:
-            calls.append(tuple(base_prefix))
-        return rebase(self, base_prefix)
+    def counting_rebase(source, prefix, order):
+        calls.append(prefix)
+        return rebase(source, prefix, order)
 
     monkeypatch.setattr(group_module, "build_chain", counting_build)
-    monkeypatch.setattr(PermGroup, "stabilizer_chain", counting_rebase)
+    monkeypatch.setattr(group_module, "_rebase", counting_rebase)
     return calls
 
 
 def count_random_phases(monkeypatch):
     """Record the prefix of every rebase that sifts random elements."""
     calls = []
-    original = PermGroup._uniform_elements
+    original = group_module._uniform_elements
 
-    def counting(self, prefix, order):
+    def counting(source, prefix, order):
         # a generator: the prefix is recorded when the first element is drawn
         calls.append(prefix)
-        yield from original(self, prefix, order)
+        yield from original(source, prefix, order)
 
-    monkeypatch.setattr(PermGroup, "_uniform_elements", counting)
+    monkeypatch.setattr(group_module, "_uniform_elements", counting)
     return calls
 
 
@@ -486,7 +484,7 @@ def test_rebase_leaves_the_global_random_state_alone(monkeypatch):
 
 def test_rebase_of_a_derived_group_keeps_idle_prefix_points(monkeypatch):
     # a conjugated stabilizer of S6, rebased on a point it fixes and then on
-    # points it moves: random elements are read through the frame
+    # points it moves: random elements are read off its own chain
     phases = count_random_phases(monkeypatch)
     H = sym(6).point_stabilizer(3)
     assert H._view[1] is not None
@@ -504,11 +502,12 @@ def test_rebase_of_a_derived_group_keeps_idle_prefix_points(monkeypatch):
 def test_completed_rebase_caches_only_its_base_points(derived):
     # a rebase keeps no transversal element its completion formed, and its
     # random draws leave the caches of the chain they read as they were
+    # the derived case rebases a conjugated view's chain, as the search does
     G = sym(8)
     H = G.point_stabilizer(3) if derived else G
     source = H._get_view()[0]
     before = [(list(level._elements), list(level._inverses)) for level in source.levels]
-    chain = H.stabilizer_chain((5, 2))
+    chain = group_module._rebase(source, (5, 2), H.order()) if derived else H.stabilizer_chain((5, 2))
     assert chain.order() == H.order()
     for level in chain.levels:
         assert list(level._elements) == list(level._inverses) == [level.point]
@@ -519,16 +518,35 @@ def test_completed_rebase_caches_only_its_base_points(derived):
             assert level.element(x)[level.point] == x
 
 
-def test_rebase_of_a_conjugated_view_keeps_no_generators():
-    # the view's conjugated generators are made for the rebase and dropped,
-    # and the chain is the one a view with stored generators gets
+def test_rebase_of_a_conjugated_view_keeps_no_generators(monkeypatch):
+    # S4 x S3 on {0..3} and {4,5,6}: the stabilizer of 2 is a conjugated
+    # view, and 5 lies off its first basic orbit.  The search route rebases
+    # the view's own chain and shares the view's conjugator, so no
+    # conjugated generator is made
+    G = PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
+                      Perm.from_cycles(7, (4, 5, 6)), Perm.from_cycles(7, (4, 5))])
+    H = G.point_stabilizer(2)
+    assert H._view[1] is not None and H._generators is None
+    calls = count_chain_builds(monkeypatch)
+    K = H.point_stabilizer(5)
+    assert len(calls) == 1 and calls[0] != ()
+    assert H._generators is None
+    assert K._view[1] is H._view[1] and K._view[2] is H._view[2]
+    assert K.order() == 12 and K.orbits() == [[0, 1, 3], [2], [4, 6], [5]]
+
+
+def test_public_rebase_of_a_conjugated_view_is_a_chain_of_the_view():
+    # stabilizer_chain builds the view's own chain first, then rebases it;
+    # a twin view whose generators were read first gets the same chain
     H, stored = sym(8).point_stabilizer(3), sym(8).point_stabilizer(3)
     assert H._view[1] is not None and H._generators is None
     stored.generators
     chain = H.stabilizer_chain((5, 2))
-    assert H._generators is None
     assert _rebase_items(chain) == _rebase_items(stored.stabilizer_chain((5, 2)))
     assert chain.base[:2] == (5, 2) and chain.order() == 5040
+    for g in H.generators:
+        assert chain.contains(g)
+    assert not chain.contains(Perm.from_cycles(8, (0, 3)))
 
 
 # -- points must be integers -----------------------------------------------
