@@ -50,10 +50,17 @@ need again.  Uniform draws read the parent's transversal elements without
 caching them, so a stored parent does not grow with every rebase below
 it.  And orbit partitions keep their ``counts`` as int32.  A group's
 ``labels`` stay int64, because they index arrays on every search node,
-and int32 indices cost more time there than their memory saves; a level
-caches only the ``labels`` of its generators' partition, for the views of
-its chain, as int32, and ``_relabelled_partition`` widens them as it
-reads them.
+and int32 indices cost more time there than their memory saves.  A level
+of a finished chain caches the ``labels`` of its generators' partition
+as int32, and nothing else of it; ``_relabelled_partition`` widens them
+as it reads them for a conjugated view.  Those labels have one route,
+``_chain_labels``: a level's orbits are the next level's orbits joined by
+the generators the level adds, so a level that shares most of its
+generators with the next level joins the few it adds, and a level whose
+generators are all shared keeps the very array of the level below.
+Groups made from generators, and views with no conjugator, partition
+their own generators instead.  A finished level also keeps its suffix
+order (``_finish``), so a view's order is a read.
 
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -119,11 +126,18 @@ class _Level:
     changes, so an entry never goes stale, and dropping entries
     (``drop_caches``) only means forming them again when read.  A
     completed rebase drops its levels' entries, and random draws
-    (``element(..., cache=False)``) add none (module notes).  The orbit
-    labels of the generators are cached too, once the chain is built.
+    (``element(..., cache=False)``) add none (module notes).
+
+    Two values of the group of this level's generators are kept once the
+    chain is finished: ``suffix_order``, the product of the orbit sizes
+    from this level to the bottom, set by ``_finish``; and ``_labels``, the
+    int32 orbit labels that ``_chain_labels`` fills for conjugated views.
+    Neither is reset by a later ``add_gen``, so a chain still being
+    completed keeps both ``None``.
     """
 
-    __slots__ = ("point", "gens", "transversal", "_elements", "_inverses", "_labels")
+    __slots__ = ("point", "gens", "transversal", "suffix_order", "_elements", "_inverses",
+                 "_labels")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -132,6 +146,7 @@ class _Level:
         ident = Perm.identity(degree)
         self._elements: dict[int, Perm] = {point: ident}
         self._inverses: dict[int, Perm] = {point: ident}
+        self.suffix_order: int | None = None
         self._labels = None
 
     def add_gen(self, g: Perm) -> None:
@@ -195,18 +210,6 @@ class _Level:
         self._elements = {self.point: ident}
         self._inverses = {self.point: ident}
 
-    def orbit_labels(self, degree: int) -> np.ndarray:
-        """The ``labels`` of ``_orbit_partition`` of this level's generators, computed once.
-
-        Kept as int32 (module notes).  Only for a finished chain: a later
-        ``add_gen`` would not reset them.
-        """
-        if self._labels is None:
-            labels = _orbit_partition(degree, tuple(self.gens))[0].astype(np.int32)
-            labels.setflags(write=False)
-            self._labels = labels
-        return self._labels
-
 
 class StabilizerChain:
     """Base points with per-level strong generators, orbits, and transversals.
@@ -230,6 +233,9 @@ class StabilizerChain:
         return tuple(len(level.transversal) for level in self.levels)
 
     def order(self) -> int:
+        """The product of the orbit sizes: a read once the chain is finished."""
+        if self.levels and self.levels[0].suffix_order is not None:
+            return self.levels[0].suffix_order
         n = 1
         for level in self.levels:
             n *= len(level.transversal)
@@ -332,6 +338,7 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
         known_order = _giant_order(degree, generators, draws)
     chain = StabilizerChain(degree)
     _complete(chain, generators, known_order, draws)
+    _finish(chain)
     return chain
 
 
@@ -406,6 +413,15 @@ def _prune(chain: StabilizerChain, low: int) -> None:
                                  for x, edge in level.transversal.items()}
             level.gens = gens
         kept = level.gens
+
+
+def _finish(chain: StabilizerChain) -> None:
+    # a finished chain never changes, so each level keeps its suffix's
+    # order, bottom-up, and a view's order is a read
+    n = 1
+    for level in reversed(chain.levels):
+        n *= len(level.transversal)
+        level.suffix_order = n
 
 
 def _seed(degree: int, generators) -> int:
@@ -548,6 +564,7 @@ def _rebase(source: StabilizerChain, prefix: tuple[int, ...], order: int) -> Sta
     _complete(chain, source.level_generators(0), order, _uniform_elements(source, prefix, order))
     for level in chain.levels:
         level.drop_caches()
+    _finish(chain)
     return chain
 
 
@@ -598,6 +615,74 @@ def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
     labels.setflags(write=False)
     counts.setflags(write=False)
     return labels, counts
+
+
+def _join(labels: np.ndarray, gens) -> np.ndarray:
+    """The orbit labels of ``<K, gens>`` from ``labels``, those of ``K``.
+
+    Each round hooks, for every edge ``x -> x^g``, the larger of the two
+    labels onto the smaller (``np.minimum.at``), so a whole orbit of ``K``
+    moves with its label, then jumps pointers until every point reads its
+    root.  A round that hooks nothing ends the join: every edge then joins
+    equal labels, each orbit's label is its smallest point, and it is one
+    of the labels of ``K``.  Min-label sweeps along the new edges alone
+    would not do: they move single points, not the ``K``-orbits behind
+    their labels.
+    """
+    roots = labels.astype(np.int64)
+    images = [g.images for g in gens]
+    while True:
+        hooked = roots.copy()
+        for im in images:
+            ends = roots[im]
+            np.minimum.at(hooked, np.maximum(roots, ends), np.minimum(roots, ends))
+        if (hooked == roots).all():
+            return roots
+        while True:
+            roots = hooked[hooked]
+            if (roots == hooked).all():
+                break
+            hooked = roots
+
+
+def _chain_labels(chain: StabilizerChain) -> np.ndarray:
+    """The int32 orbit labels of the group of ``chain``'s level 0, cached on each level.
+
+    A level's group contains the next level's group, by the definition of
+    a stabilizer chain (Seress 2003), so its orbits are the next level's
+    orbits joined by the level's generators that are not in the next
+    level's list (``_join``).  The route walks down while a level shares at
+    least half of its generators, by identity, with the next level, since
+    then its join sweeps at most half of them; it stops at a level whose
+    labels are cached, at the first level that shares fewer, or at the
+    bottom level, computes that level's labels with ``_orbit_partition``,
+    and joins back up.  A level that adds no generator keeps the array of
+    the level below.  Only for a finished chain: a later ``add_gen`` would
+    not reset the labels.
+    """
+    levels = chain.levels
+    path = []
+    i = 0
+    while levels[i]._labels is None and i + 1 < len(levels):
+        below = {id(g) for g in levels[i + 1].gens}
+        new = [g for g in levels[i].gens if id(g) not in below]
+        if 2 * len(new) > len(levels[i].gens):
+            break
+        path.append(new)
+        i += 1
+    labels = levels[i]._labels
+    if labels is None:
+        labels = _orbit_partition(chain.degree, tuple(levels[i].gens))[0].astype(np.int32)
+        labels.setflags(write=False)
+        levels[i]._labels = labels
+    while path:
+        new = path.pop()
+        i -= 1
+        if new:
+            labels = _join(labels, new).astype(np.int32)
+            labels.setflags(write=False)
+        levels[i]._labels = labels
+    return labels
 
 
 def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
@@ -756,8 +841,7 @@ class PermGroup:
                 self._partition = _orbit_partition(self.degree, self.generators)
             else:
                 chain, _, u_inv = view
-                labels = chain.levels[0].orbit_labels(self.degree)
-                self._partition = _relabelled_partition(labels, u_inv)
+                self._partition = _relabelled_partition(_chain_labels(chain), u_inv)
         return self._partition
 
     def orbit(self, point: int) -> set[int]:

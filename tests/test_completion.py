@@ -246,3 +246,16 @@ def test_root_chains_meet_their_time_targets():
     start = time.perf_counter()
     assert minimal_base_sizes(PermGroup(30, [Perm(g) for g in symmetric_gens(30)])).to_list() == [29]
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.slow
+def test_symmetric_searches_meet_their_time_target_at_degree_120():
+    # the root chain, then M, height and I of S120: about 0.9 s here
+    from basekit.bases import height, irredundant_base_sizes, minimal_base_sizes
+
+    start = time.perf_counter()
+    G = constructions.symmetric(120)
+    assert minimal_base_sizes(G).to_list() == [119]
+    assert height(G) == 119
+    assert irredundant_base_sizes(G).to_list() == [119]
+    assert time.perf_counter() - start < 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -11,6 +12,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 import basekit.group as group_module
 from basekit import Perm, PermGroup, build_chain
+from basekit.bases import SearchBudget, height, irredundant_base_sizes, minimal_base_sizes
 from basekit.constructions import cyclic_regular
 
 import bruteforce as bf
@@ -549,6 +551,115 @@ def test_public_rebase_of_a_conjugated_view_is_a_chain_of_the_view():
     assert not chain.contains(Perm.from_cycles(8, (0, 3)))
 
 
+# -- level labels and suffix orders of finished chains ---------------------
+
+
+def _finished_chains(G):
+    """The root chain of ``G``, its rebases on one and two points, and the
+    chains read by the conjugated views among its stabilizers of up to two
+    points, after each of those views has read its orbit partition."""
+    chains = [G.chain()]
+    chains += [G.stabilizer_chain(S) for r in (1, 2)
+               for S in itertools.permutations(range(G.degree), r)]
+    for r in (1, 2):
+        for S in itertools.combinations(range(G.degree), r):
+            H = G.pointwise_stabilizer(S)
+            if H._view[1] is not None:
+                H.orbit_partition()
+                chains.append(H._view[0])
+    return chains
+
+
+def test_level_labels_and_orders_match_bruteforce(monkeypatch):
+    # every level of every finished chain: its labels, read top-down so that
+    # levels above join the labels of those below, are those of its own
+    # generators; its suffix order is the product of its orbit sizes
+    joined = []
+    join = group_module._join
+
+    def counting_join(labels, gens):
+        joined.append(len(gens))
+        return join(labels, gens)
+
+    monkeypatch.setattr(group_module, "_join", counting_join)
+    levels_seen = 0
+    for name, G in CLASS_LABEL_GROUPS[1:]:
+        for chain in _finished_chains(G):
+            levels = chain.levels
+            for i, level in enumerate(levels):
+                labels = group_module._chain_labels(chain.suffix(i))
+                assert labels.dtype == np.int32 and not labels.flags.writeable, name
+                gens = tuple(level.gens)
+                own = group_module._orbit_partition(G.degree, gens)[0]
+                assert labels.tolist() == own.tolist(), name
+                images = [g.to_list() for g in gens]
+                assert labels.tolist() == [min(bf.orbit_under(images, x)) for x in range(G.degree)]
+                assert level.suffix_order == math.prod(len(lv.transversal) for lv in levels[i:])
+                # the join's premise: the next level's group lies in this one's
+                if i + 1 < len(levels):
+                    assert all(chain.suffix(i).contains(g) for g in levels[i + 1].gens), name
+                levels_seen += 1
+    assert levels_seen > 4000 and len(joined) > 2000
+
+
+def test_join_merges_whole_orbits_of_the_level_below():
+    # the lower group has the orbit {3, 5}; a new generator swapping 5 and 0
+    # must carry 3 along, though no new edge touches it
+    lower = np.array([0, 1, 2, 3, 4, 3, 6], dtype=np.int32)
+    swap = Perm.from_cycles(7, (0, 5))
+    assert group_module._join(lower, [swap]).tolist() == [0, 1, 2, 0, 4, 0, 6]
+    # a chain of hooks that needs several rounds: {1,6}, {2,5}, {3,4} under
+    # the lower group, joined by 6 -> 2 and 5 -> 3
+    lower = np.array([0, 1, 2, 3, 3, 2, 1], dtype=np.int32)
+    joined = group_module._join(lower, [Perm.from_cycles(7, (6, 2), (5, 3))])
+    assert joined.tolist() == [0, 1, 1, 1, 1, 1, 1]
+
+
+def test_a_view_reads_its_order_off_its_chain(monkeypatch):
+    # a finished chain keeps each level's suffix order, so the views of the
+    # search take their order without multiplying orbit sizes again
+    G = sym(8)
+    G.order()
+    reads = []
+    order = group_module.StabilizerChain.order
+    monkeypatch.setattr(group_module.StabilizerChain, "order",
+                        lambda chain: reads.append(chain.levels[0].suffix_order) or order(chain))
+    H = G.pointwise_stabilizer([3, 5])
+    assert H.order() == 720 and reads and None not in reads
+
+
+def test_relabelled_s20_sweeps_few_generators_through_partitions(monkeypatch):
+    # S20 relabelled, with no order hint: M, I and height walk 19 nodes each.
+    # The conjugated views read their labels off their chain, each level
+    # joining only the generators it adds to the level below: 28 generators
+    # in all go through a partition routine, where a fresh partition of each
+    # level's generators sweeps 231
+    gens = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 12, 13, 14, 15, 16, 11, 18, 19],
+            [2, 18, 9, 6, 19, 1, 13, 5, 7, 4, 11, 17, 14, 16, 8, 10, 15, 12, 0, 3]]
+    swept = []
+    partition, join = group_module._orbit_partition, group_module._join
+
+    def counting_partition(degree, gens):
+        swept.append(len(gens))
+        return partition(degree, gens)
+
+    def counting_join(labels, gens):
+        swept.append(len(gens))
+        return join(labels, gens)
+
+    monkeypatch.setattr(group_module, "_orbit_partition", counting_partition)
+    monkeypatch.setattr(group_module, "_join", counting_join)
+    G = PermGroup(20, [Perm(g) for g in gens])
+    nodes = []
+    for search, want in ((minimal_base_sizes, [19]), (irredundant_base_sizes, [19]), (height, 19)):
+        budget = SearchBudget(10**6)
+        got = search(G, "pruned", budget)
+        assert (got if search is height else got.to_list()) == want
+        nodes.append(budget.used)
+    assert nodes == [19, 19, 19]
+    assert 0 < sum(swept) <= 60, swept
+
+
 # -- points must be integers -----------------------------------------------
 
 
@@ -694,13 +805,19 @@ def test_build_chain_matches_sympy_at_larger_degree(case, data):
         chain = build_chain(n, [Perm(g) for g in gens], known_order=hint)
     assert chain.base[: len(prefix)] == prefix
     assert chain.order() == ref.order()
-    # basic orbits, from a sympy strong generating set relative to the same base
+    # basic orbits and every level's orbit labels, top-down as a view reads
+    # them, from a sympy strong generating set relative to the same base
     base, strong = ref.schreier_sims_incremental(base=list(chain.base))
     assert tuple(base) == chain.base
     for i, level in enumerate(chain.levels):
         fixing = [s for s in strong if all(s(b) == b for b in base[:i])]
         orbit = PermutationGroup(fixing).orbit(base[i]) if fixing else {base[i]}
         assert set(level.transversal) == orbit
+        want = list(range(n))
+        for orb in (PermutationGroup(fixing).orbits() if fixing else ()):
+            for x in orb:
+                want[x] = min(orb)
+        assert group_module._chain_labels(chain.suffix(i)).tolist() == want
     # membership: words in the generators, their near misses, and random permutations
     for _ in range(3):
         word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=6))
