@@ -53,14 +53,19 @@ it.  And orbit partitions keep their ``counts`` as int32.  A group's
 and int32 indices cost more time there than their memory saves.  A level
 of a finished chain caches the ``labels`` of its generators' partition
 as int32, and nothing else of it; ``_relabelled_partition`` widens them
-as it reads them for a conjugated view.  Those labels have one route,
-``_chain_labels``: a level's orbits are the next level's orbits joined by
-the generators the level adds, so a level that shares most of its
+as it reads them for a conjugated view.
+
+Every orbit label comes from one kernel, ``_join(labels, gens)``: the
+orbits of ``<K, gens>`` from the labels of ``K``, each orbit labelled by
+its smallest point.  It has two starting points.  Groups made from
+generators, and views with no conjugator, join their own generators onto
+the single points, the orbits of the trivial group (``_orbit_partition``).
+A level of a finished chain joins the generators it adds onto the labels
+of the level below (``_chain_labels``), so a level that shares most of its
 generators with the next level joins the few it adds, and a level whose
-generators are all shared keeps the very array of the level below.
-Groups made from generators, and views with no conjugator, partition
-their own generators instead.  A finished level also keeps its suffix
-order (``_finish``), so a view's order is a read.
+generators are all shared keeps the very array of the level below.  A
+finished level also keeps its suffix order (``_finish``), so a view's
+order is a read.
 
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -595,23 +600,13 @@ def _as_point(x, degree: int) -> int:
 
 
 def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
-    """Label every point with the smallest point of its orbit.
+    """Label every point with the smallest point of its orbit: ``_join`` from the single points."""
+    return _with_counts(_join(np.arange(degree), gens))
 
-    Iterated min-label propagation along generator edges with path halving;
-    the fixpoint is independent of sweep order.
-    """
-    labels = np.arange(degree, dtype=np.int64)
-    if gens:
-        images = [g.images for g in gens]
-        while True:
-            before = labels.copy()
-            for im in images:
-                np.minimum(labels, labels[im], out=labels)
-                labels[im] = np.minimum(labels[im], labels)
-            labels = labels[labels]
-            if (labels == before).all():
-                break
-    counts = np.bincount(labels, minlength=degree).astype(np.int32)
+
+def _with_counts(labels: np.ndarray):
+    """``(labels, counts)``, read-only, with the int32 orbit size at each label."""
+    counts = np.bincount(labels, minlength=labels.size).astype(np.int32)
     labels.setflags(write=False)
     counts.setflags(write=False)
     return labels, counts
@@ -655,10 +650,10 @@ def _chain_labels(chain: StabilizerChain) -> np.ndarray:
     least half of its generators, by identity, with the next level, since
     then its join sweeps at most half of them; it stops at a level whose
     labels are cached, at the first level that shares fewer, or at the
-    bottom level, computes that level's labels with ``_orbit_partition``,
-    and joins back up.  A level that adds no generator keeps the array of
-    the level below.  Only for a finished chain: a later ``add_gen`` would
-    not reset the labels.
+    bottom level, joins all of that level's generators onto the single
+    points, and joins back up.  A level that adds no generator keeps the
+    array of the level below.  Only for a finished chain: a later
+    ``add_gen`` would not reset the labels.
     """
     levels = chain.levels
     path = []
@@ -671,10 +666,11 @@ def _chain_labels(chain: StabilizerChain) -> np.ndarray:
         path.append(new)
         i += 1
     labels = levels[i]._labels
-    if labels is None:
-        labels = _orbit_partition(chain.degree, tuple(levels[i].gens))[0].astype(np.int32)
+    if labels is None:  # join all of this level's generators onto the single points
+        labels = np.arange(chain.degree, dtype=np.int32)
         labels.setflags(write=False)
-        levels[i]._labels = labels
+        path.append(levels[i].gens)
+        i += 1
     while path:
         new = path.pop()
         i -= 1
@@ -695,11 +691,7 @@ def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
     ids = labels[u_inv.images].astype(np.int64)  # np.minimum.at is slower on int32 ids
     smallest = np.full(degree, degree, dtype=np.int64)
     np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
-    out = smallest[ids]
-    counts = np.bincount(out, minlength=degree).astype(np.int32)
-    out.setflags(write=False)
-    counts.setflags(write=False)
-    return out, counts
+    return _with_counts(smallest[ids])
 
 
 class PermGroup:
@@ -904,11 +896,14 @@ class PermGroup:
         return out
 
     def stabilizer_chain(self, base_prefix=()) -> StabilizerChain:
-        """A fresh chain of this group whose base starts with ``base_prefix``.
+        """A chain of this group whose base starts with ``base_prefix``.
 
-        ``_rebase`` of this group's own chain (``chain()``), which a
-        conjugated view builds first; the search's stabilizers rebase their
-        view's chain instead (``pointwise_stabilizer``).
+        With a prefix, a fresh ``_rebase`` of this group's own chain
+        (``chain()``), which a conjugated view builds first; the search's
+        stabilizers rebase their view's chain instead
+        (``pointwise_stabilizer``).  With ``base_prefix=()`` it is the
+        group's own chain, ``chain()`` itself, which the views made from
+        the group share: treat it as read-only.
         """
         prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
         for k, b in enumerate(prefix):
@@ -971,4 +966,7 @@ class PermGroup:
         return PermGroup._from_view(self.degree, chain.suffix(1), u, u_inv)
 
     def __repr__(self) -> str:
-        return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"
+        # a conjugated view counts its chain's level-0 generators, left unmade
+        gens = self._generators
+        count = len(self._view[0].levels[0].gens) if gens is None else len(gens)
+        return f"PermGroup(degree={self.degree}, gens={count})"

@@ -63,6 +63,21 @@ def orbit_under(gens, point):
     return seen
 
 
+def orbit_labels(degree, gens):
+    """Each point's smallest orbit point, one breadth-first search per orbit."""
+    labels = [None] * degree
+    for start in range(degree):
+        if labels[start] is None:
+            labels[start] = start
+            queue = [start]
+            for x in queue:  # grows while walked
+                for g in gens:
+                    if labels[g[x]] is None:
+                        labels[g[x]] = start
+                        queue.append(g[x])
+    return labels
+
+
 def stabilizer_orders(degree, elements):
     """The order of the pointwise stabilizer of every subset of points, keyed
     by the subset as a sorted tuple.

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 import basekit.group as group_module
 from basekit import Perm, PermGroup, build_chain
 from basekit.bases import SearchBudget, height, irredundant_base_sizes, minimal_base_sizes
-from basekit.constructions import cyclic_regular
+from basekit.constructions import cyclic_regular, wreath_coset_action
 
 import bruteforce as bf
 
@@ -589,10 +590,7 @@ def test_level_labels_and_orders_match_bruteforce(monkeypatch):
             for i, level in enumerate(levels):
                 labels = group_module._chain_labels(chain.suffix(i))
                 assert labels.dtype == np.int32 and not labels.flags.writeable, name
-                gens = tuple(level.gens)
-                own = group_module._orbit_partition(G.degree, gens)[0]
-                assert labels.tolist() == own.tolist(), name
-                images = [g.to_list() for g in gens]
+                images = [g.to_list() for g in level.gens]
                 assert labels.tolist() == [min(bf.orbit_under(images, x)) for x in range(G.degree)]
                 assert level.suffix_order == math.prod(len(lv.transversal) for lv in levels[i:])
                 # the join's premise: the next level's group lies in this one's
@@ -615,6 +613,55 @@ def test_join_merges_whole_orbits_of_the_level_below():
     assert joined.tolist() == [0, 1, 1, 1, 1, 1, 1]
 
 
+@st.composite
+def generator_lists(draw):
+    """A degree of 1 to 12 and 0 to 3 generators as image lists, drawn from
+    a small pool that holds the identity, so repeats and identities occur."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    gens = draw(st.lists(st.sampled_from(pool + [list(range(n))]), max_size=3))
+    return n, gens
+
+
+@settings(max_examples=300)
+@given(generator_lists())
+def test_orbit_partitions_match_bruteforce_orbits(case):
+    # the group's partition, and the kernel's on the raw list, which keeps
+    # the identities and repeats that PermGroup drops
+    n, gens = case
+    perms = [Perm(g) for g in gens]
+    want = [bf.orbit_under(gens, x) for x in range(n)]
+    for labels, counts in (PermGroup(n, perms).orbit_partition(),
+                           group_module._orbit_partition(n, tuple(perms))):
+        assert labels.dtype == np.int64 and counts.dtype == np.int32
+        assert not labels.flags.writeable and not counts.flags.writeable
+        assert labels.tolist() == [min(orbit) for orbit in want]
+        assert [int(counts[labels[x]]) for x in range(n)] == [len(orbit) for orbit in want]
+
+
+def test_degree_2400_orbit_partitions_match_breadth_first_search():
+    # the (5,4) wreath coset group is transitive; its two-point stabilizer,
+    # a conjugated view read off its chain, and a group made from that
+    # view's generators have many orbits
+    W = wreath_coset_action(5, 4)
+    H = W.pointwise_stabilizer((0, 1))
+    for G in (W, H, PermGroup(W.degree, H.generators)):
+        labels, counts = G.orbit_partition()
+        want = bf.orbit_labels(W.degree, [g.to_list() for g in G.generators])
+        sizes = collections.Counter(want)
+        assert labels.tolist() == want
+        assert counts.tolist() == [sizes[x] for x in range(W.degree)]
+    assert len(set(H.orbit_partition()[0].tolist())) > 2
+
+
+def test_repr_leaves_a_views_generators_unmade():
+    H = sym(6).point_stabilizer(3)
+    assert H._generators is None
+    assert repr(H) == f"PermGroup(degree=6, gens={len(H._view[0].levels[0].gens)})"
+    assert H._generators is None
+    assert repr(H) == f"PermGroup(degree=6, gens={len(H.generators)})"
+
+
 def test_a_view_reads_its_order_off_its_chain(monkeypatch):
     # a finished chain keeps each level's suffix order, so the views of the
     # search take their order without multiplying orbit sizes again
@@ -632,22 +679,18 @@ def test_relabelled_s20_sweeps_few_generators_through_partitions(monkeypatch):
     # S20 relabelled, with no order hint: M, I and height walk 19 nodes each.
     # The conjugated views read their labels off their chain, each level
     # joining only the generators it adds to the level below: 28 generators
-    # in all go through a partition routine, where a fresh partition of each
-    # level's generators sweeps 231
+    # in all go through the labelling kernel, where a fresh partition of each
+    # level's generators sweeps 231.  Every partition is a ``_join``, so
+    # counting the kernel counts each sweep once
     gens = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 12, 13, 14, 15, 16, 11, 18, 19],
             [2, 18, 9, 6, 19, 1, 13, 5, 7, 4, 11, 17, 14, 16, 8, 10, 15, 12, 0, 3]]
     swept = []
-    partition, join = group_module._orbit_partition, group_module._join
-
-    def counting_partition(degree, gens):
-        swept.append(len(gens))
-        return partition(degree, gens)
+    join = group_module._join
 
     def counting_join(labels, gens):
         swept.append(len(gens))
         return join(labels, gens)
 
-    monkeypatch.setattr(group_module, "_orbit_partition", counting_partition)
     monkeypatch.setattr(group_module, "_join", counting_join)
     G = PermGroup(20, [Perm(g) for g in gens])
     nodes = []
