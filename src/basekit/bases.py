@@ -170,16 +170,18 @@ class IndicatorVectors:
 class SearchBudget:
     """Shared node-count ceiling for one run of searches.
 
-    ``limit`` is ``None`` (no ceiling) or a non-negative ``int``; anything
-    else, ``bool`` included, raises ``ValueError`` rather than being
-    truncated or parsed.
+    ``limit`` is ``None`` (no ceiling) or a non-negative ``int`` or numpy
+    integer, kept as an ``int``; anything else, ``bool`` included, raises
+    ``ValueError`` rather than being truncated or parsed.
     """
 
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None = None):
-        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 0):
-            raise ValueError(f"a node budget is None or a non-negative int, got {limit!r}")
+        if limit is not None:
+            limit = _as_int(limit, "node budget")
+            if limit < 0:
+                raise ValueError(f"node budget {limit} is negative")
         self.limit = limit
         self.used = 0
 
@@ -205,14 +207,14 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'pruned' or 'exhaustive', got {mode!r}")
 
 
-def _minima_candidates(labels, counts, last):
+def _minima_candidates(labels, sizes, last):
     ar = np.arange(labels.size)
-    return np.nonzero((labels == ar) & (counts > 1) & (ar > last))[0]
+    return np.nonzero((labels == ar) & (sizes > 1) & (ar > last))[0]
 
 
-def _point_candidates(labels, counts, last):
+def _point_candidates(labels, sizes, last):
     ar = np.arange(labels.size)
-    return np.nonzero((counts[labels] > 1) & (ar > last))[0]
+    return np.nonzero((sizes > 1) & (ar > last))[0]
 
 
 def _one_per_class(cands, classes):
@@ -278,8 +280,8 @@ def _fixed_key(H: PermGroup) -> int:
     """``Fix(H)`` as an int, bit ``x`` set iff ``H`` fixes ``x``.  For
     pointwise stabilizers of one group it names ``H``: equal iff the
     subgroups are equal (module notes)."""
-    labels, counts = H.orbit_partition()
-    return int.from_bytes(np.packbits(counts[labels] == 1, bitorder="little").tobytes(), "little")
+    fixed = H.orbit_partition()[1] == 1
+    return int.from_bytes(np.packbits(fixed, bitorder="little").tobytes(), "little")
 
 
 class _SubgroupTable:
@@ -308,8 +310,7 @@ class _SubgroupTable:
         request = k | 1 << x
         key = self.requests.get(request)
         if key is None:
-            labels, counts = K.orbit_partition()
-            stored = self.by_order.setdefault(K.order() // int(counts[labels[x]]), [])
+            stored = self.by_order.setdefault(K.order() // int(K.orbit_partition()[1][x]), [])
             key = next((f for f in stored if f & request == request), None)
             if key is None:
                 Kx = K.point_stabilizer(x)
@@ -339,7 +340,7 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     after the previous child's subtree is done, so the hook sees every
     earlier result.  Candidates are per-level orbit minima, one per
     stabilizer class (pruned), or every larger moved point (exhaustive);
-    ascending, or largest orbit first.  ``visit(points, x, hx_order, counts)``
+    ascending, or largest orbit first.  ``visit(points, x, hx_order, sizes)``
     sees each independent candidate ``x`` and returns whether to descend
     into it; a candidate completing a base (``hx_order == 1``) is never
     entered.  The node and every deletion stabilizer are ``(key, group)``
@@ -354,24 +355,24 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
 
     def enter(points, k, H, dels):
         counter.tick()
-        labels, counts = H.orbit_partition()
-        cands = pick(labels, counts, points[-1] if points else -1)
+        labels, sizes = H.orbit_partition()
+        cands = pick(labels, sizes, points[-1] if points else -1)
         if cands.size == 0:
             return
         if largest_first:
-            cands = cands[np.lexsort((cands, -counts[labels[cands]]))]
-        parts = [K.orbit_partition() for _, K in dels]
-        stack.append((points, k, H, H.order(), labels, counts, dels, parts,
+            cands = cands[np.lexsort((cands, -sizes[cands]))]
+        parts = [K.orbit_partition()[1] for _, K in dels]
+        stack.append((points, k, H, H.order(), sizes, dels, parts,
                       _one_per_class(cands.tolist(), classes)))
 
     enter((), _fixed_key(G), G, ())
     while stack:
-        points, k, H, h_ord, labels, counts, dels, parts, cands = stack[-1]
+        points, k, H, h_ord, sizes, dels, parts, cands = stack[-1]
         for x in cands:
-            hx_order = h_ord // int(counts[labels[x]])
-            if any(K.order() // int(cnt[lab[x]]) <= hx_order for (_, K), (lab, cnt) in zip(dels, parts)):
+            hx_order = h_ord // int(sizes[x])
+            if any(K.order() // int(ks[x]) <= hx_order for (_, K), ks in zip(dels, parts)):
                 continue
-            if visit(points, x, hx_order, counts) and hx_order > 1:
+            if visit(points, x, hx_order, sizes) and hx_order > 1:
                 enter(points + (x,), *stabilizer(k, H, x),
                       tuple(stabilizer(*d, x) for d in dels) + ((k, H),))
                 break
@@ -393,7 +394,7 @@ def _independent_sets(G: PermGroup, mode: str, budget) -> tuple[dict[int, tuple[
     found: dict[int, tuple[int, ...]] = {}
     largest = 0
 
-    def visit(points, x, hx_order, counts):
+    def visit(points, x, hx_order, sizes):
         nonlocal largest
         size = len(points) + 1
         largest = max(largest, size)
@@ -446,12 +447,12 @@ def min_base_size(G: PermGroup, budget=None) -> int:
             k += 1
         return k
 
-    def visit(points, x, hx_order, counts):
+    def visit(points, x, hx_order, sizes):
         nonlocal best
         depth = len(points) + 1
         if hx_order == 1 and (best is None or depth < best):
             best = depth
-        return best is None or depth + bound_steps(hx_order, int(counts.max())) < best
+        return best is None or depth + bound_steps(hx_order, int(sizes.max())) < best
 
     _walk_independent(G, counter, pruned=True, largest_first=True, visit=visit)
     assert best is not None  # every non-trivial group has a base
@@ -511,21 +512,21 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
         counter.tick()
         if key in memo:
             return x, key
-        labels, counts = H.orbit_partition()
-        cands = _one_per_class(pick(labels, counts, -1).tolist(), classes)
-        stack.append((x, key, H, labels, counts, cands, {}))
+        labels, sizes = H.orbit_partition()
+        cands = _one_per_class(pick(labels, sizes, -1).tolist(), classes)
+        stack.append((x, key, H, sizes, cands, {}))
         return None
 
     done = enter(None, _fixed_key(G), G)
     while stack:
-        _, key, H, labels, counts, cands, out = stack[-1]
+        _, key, H, sizes, cands, out = stack[-1]
         if done is not None:
             x, child = done
             for l in memo[child]:
                 out.setdefault(l + 1, (x, child))
             done = None
         for x in cands:
-            if H.order() // int(counts[labels[x]]) == 1:
+            if H.order() // int(sizes[x]) == 1:
                 out.setdefault(1, (x, None))
                 continue
             done = enter(x, *stabilizer(key, H, x))
@@ -594,9 +595,8 @@ def indicator_vectors(G: PermGroup, H: PermGroup, base) -> IndicatorVectors:
         out = []
         for i in range(len(coords)):
             others = {coords[j] for j in range(len(coords)) if j != i}
-            stab = group.pointwise_stabilizer(others)
-            moved = any(g[coords[i]] != coords[i] for g in stab.generators)
-            out.append(1 if moved else 0)
+            sizes = group.pointwise_stabilizer(others).orbit_partition()[1]
+            out.append(1 if sizes[coords[i]] > 1 else 0)
         return tuple(out)
 
     return IndicatorVectors(

@@ -48,7 +48,7 @@ inverses its levels cached while completing, keeping only the base
 point's identity; the derived stabilizers read from it form the few they
 need again.  Uniform draws read the parent's transversal elements without
 caching them, so a stored parent does not grow with every rebase below
-it.  And orbit partitions keep their ``counts`` as int32.  A group's
+it.  And orbit partitions keep their ``sizes`` as int32.  A group's
 ``labels`` stay int64, because they index arrays on every search node,
 and int32 indices cost more time there than their memory saves.  A level
 of a finished chain caches the ``labels`` of its generators' partition
@@ -498,8 +498,7 @@ def _giant_order(degree: int, generators, draws) -> int | None:
     primes = _jordan_primes(degree)
     if not primes:
         return None
-    labels, counts = _orbit_partition(degree, generators)
-    if counts[labels[0]] != degree:
+    if _orbit_partition(degree, generators)[1][0] != degree:
         return None
     weight = sum(1 / p for p in primes)
     tries = math.ceil(math.log(1 / _GIANT_MISS) / weight)
@@ -601,15 +600,15 @@ def _as_point(x, degree: int) -> int:
 
 def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
     """Label every point with the smallest point of its orbit: ``_join`` from the single points."""
-    return _with_counts(_join(np.arange(degree), gens))
+    return _with_sizes(_join(np.arange(degree), gens))
 
 
-def _with_counts(labels: np.ndarray):
-    """``(labels, counts)``, read-only, with the int32 orbit size at each label."""
-    counts = np.bincount(labels, minlength=labels.size).astype(np.int32)
+def _with_sizes(labels: np.ndarray):
+    """``(labels, sizes)``, read-only, with ``sizes[x]`` the int32 length of x's orbit."""
+    sizes = np.bincount(labels, minlength=labels.size).astype(np.int32)[labels]
     labels.setflags(write=False)
-    counts.setflags(write=False)
-    return labels, counts
+    sizes.setflags(write=False)
+    return labels, sizes
 
 
 def _join(labels: np.ndarray, gens) -> np.ndarray:
@@ -691,7 +690,7 @@ def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
     ids = labels[u_inv.images].astype(np.int64)  # np.minimum.at is slower on int32 ids
     smallest = np.full(degree, degree, dtype=np.int64)
     np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
-    return _with_counts(smallest[ids])
+    return _with_sizes(smallest[ids])
 
 
 class PermGroup:
@@ -796,8 +795,9 @@ class PermGroup:
         return self._generators
 
     def is_trivial(self) -> bool:
-        # a conjugated view, whose generators are not made yet, has a level
-        return self._generators is not None and not self._generators
+        # a group made from generators has order 1 iff it has none; a view
+        # takes its order from its chain
+        return self._order == 1
 
     def chain(self) -> StabilizerChain:
         """A stabilizer chain of this group itself, with no conjugator.
@@ -825,7 +825,12 @@ class PermGroup:
         return chain.contains(p if u is None else u * p * u_inv)
 
     def orbit_partition(self):
-        """(labels, counts): ``labels[x]`` is min of x's orbit, ``counts[x]`` ignored off-labels."""
+        """``(labels, sizes)``: x's orbit's smallest point and its int32 length.
+
+        ``labels[x]`` is the smallest point of x's orbit and ``sizes[x]`` the
+        orbit's length, so the group fixes exactly the points with
+        ``sizes == 1``.  Both arrays are read-only and cached.
+        """
         if self._partition is None:
             # the slot, not _get_view: a partition never builds a chain
             view = self._view
@@ -851,8 +856,7 @@ class PermGroup:
         return [buckets[rep] for rep in sorted(buckets)]
 
     def is_transitive(self) -> bool:
-        labels, counts = self.orbit_partition()
-        return int(counts[labels[0]]) == self.degree
+        return int(self.orbit_partition()[1][0]) == self.degree
 
     def stabilizer_class_labels(self) -> np.ndarray:
         """``label[x] = min{y : the stabilizers of x and y are equal}``.
@@ -863,7 +867,7 @@ class PermGroup:
         length: such a ``y`` has ``G_x <= G_y`` and ``|G_x| = |G_y|``.  It
         is computed once per class, not per point: for the smallest point
         ``rep`` of an orbit not yet labelled, the class of ``rep`` is read
-        off the generators of ``point_stabilizer(rep)``, and carried
+        off the orbit partition of ``point_stabilizer(rep)``, and carried
         breadth-first by the generators, since ``g`` maps the class of ``x``
         onto that of ``x^g``.  Each class is labelled whole on first reach,
         so every point is labelled once.
@@ -871,18 +875,14 @@ class PermGroup:
         if self._stab_classes is not None:
             return self._stab_classes
         degree = self.degree
-        part_labels, part_counts = self.orbit_partition()
-        orbsize = part_counts[part_labels]
-        ar = np.arange(degree)
+        labels, sizes = self.orbit_partition()
         out = np.full(degree, -1, dtype=np.int64)
         images = [g.images for g in self.generators]
-        for rep in np.nonzero(part_labels == ar)[0].tolist():
+        for rep in np.nonzero(labels == np.arange(degree))[0].tolist():
             if out[rep] >= 0:  # labelled with a class of an earlier orbit
                 continue
-            mask = orbsize == orbsize[rep]
-            for g in self.point_stabilizer(rep).generators:
-                mask &= g.images == ar
-            row = np.nonzero(mask)[0]
+            fixed = self.point_stabilizer(rep).orbit_partition()[1] == 1
+            row = np.nonzero(fixed & (sizes == sizes[rep]))[0]
             out[row] = row[0]
             queue = [row]
             for row in queue:  # grows while walked: a breadth-first queue
@@ -917,18 +917,17 @@ class PermGroup:
         """The subgroup fixing every point of ``points``.
 
         Folded point by point in ascending order.  A point fixed by the whole
-        group is skipped; otherwise its stabilizer is derived from the
-        chain (see the module notes).  The first point outside the chain's
-        level-0 basic orbit ends the fold with one ``_rebase`` of the view's
-        chain on that point and all points after it, mapped through the
-        view's ``u^-1``; the stabilizer shares the view's conjugator.
+        group, of orbit size 1 in its orbit partition, is skipped; otherwise
+        its stabilizer is derived from the chain (see the module notes).  The
+        first point outside the chain's level-0 basic orbit ends the fold with
+        one ``_rebase`` of the view's chain on that point and all points after
+        it, mapped through the view's ``u^-1``; the stabilizer shares the
+        view's conjugator.
         """
         prefix = tuple(sorted({_as_point(x, self.degree) for x in points}))
         H = self
         for k, x in enumerate(prefix):
-            if H.is_trivial():
-                break
-            if H._fixes(x):
+            if H.orbit_partition()[1][x] == 1:
                 continue
             Hx = H._derived_point_stabilizer(x)
             if Hx is None:
@@ -938,15 +937,6 @@ class PermGroup:
                 return PermGroup._from_view(self.degree, rebased.suffix(len(rest)), u, u_inv)
             H = Hx
         return H
-
-    def _fixes(self, x: int) -> bool:
-        # does the whole group fix x?  A conjugated view asks its chain's own
-        # generators about x^(u^-1), so its generators stay unmade
-        if self._generators is not None:
-            return all(g.images[x] == x for g in self._generators)
-        chain, _, u_inv = self._view
-        y = u_inv.images[x]
-        return all(g.images[y] == y for g in chain.levels[0].gens)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))

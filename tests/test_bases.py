@@ -241,8 +241,16 @@ def test_budget_exceeded_is_an_error_not_a_truncation():
             minimal_base_sizes(G, budget=limit)
 
 
-@pytest.mark.parametrize("budget", [2.7, 3.0, True, False, "7", -1, [5]],
-                         ids=["float", "integral-float", "true", "false", "str", "negative", "list"])
+def test_budget_takes_numpy_integers_as_ints():
+    assert minimal_base_sizes(symmetric(4), budget=np.int64(100)) == SizeSet({3})
+    limit = SearchBudget(np.int32(5)).limit
+    assert limit == 5 and type(limit) is int
+
+
+@pytest.mark.parametrize("budget", [2.7, 3.0, True, False, "7", -1, [5],
+                                    np.int64(-1), np.bool_(True), np.float64(3.0)],
+                         ids=["float", "integral-float", "true", "false", "str", "negative", "list",
+                              "numpy-negative", "numpy-bool", "numpy-float"])
 def test_budget_is_none_a_search_budget_or_a_non_negative_int(budget):
     # never truncated (2.7 -> 2, True -> 1) or parsed ("7" -> 7)
     with pytest.raises(ValueError):
@@ -299,6 +307,26 @@ def test_searches_run_within_a_few_spare_frames():
     assert proc.stdout == "[13] [13] 13\n"
 
 
+@pytest.mark.parametrize("spec", [{"type": "k_subsets", "n": 5, "k": 2},
+                                  {"type": "wreath_coset", "n": 4, "k": 2}],
+                         ids=["k_subsets(5,2)", "wreath_coset(4,2)"])
+def test_analyze_makes_no_views_generators(spec, monkeypatch):
+    # orbit lengths, fixed points, subgroup keys and stabilizer classes are
+    # all read off orbit partitions, so no conjugated view's generators are
+    # made: only the public property makes them
+    made = []
+    prop = PermGroup.generators
+
+    def generators(self):
+        if self._generators is None:
+            made.append(self)
+        return prop.fget(self)
+
+    monkeypatch.setattr(PermGroup, "generators", property(generators))
+    cli.analyze_report(spec, witnesses=True)
+    assert made == []
+
+
 def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
     # G_(S) = G_(Fix(G_(S))), so two pointwise stabilizers of one group are
     # equal iff they fix the same points; checked against element sets.  A
@@ -315,8 +343,7 @@ def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
                 K = G.pointwise_stabilizer(S)
                 keys.append(_fixed_key(K))
                 stabs.append(frozenset(bf.stabilizer(elements, S)))
-                labels, counts = K.orbit_partition()
-                for x in np.nonzero(counts[labels] > 1)[0].tolist():
+                for x in np.nonzero(K.orbit_partition()[1] > 1)[0].tolist():
                     key = _fixed_key(K) | 1 << x
                     named = [y for y in range(G.degree) if key >> y & 1]
                     want = frozenset(bf.stabilizer(elements, S + (x,)))
@@ -524,8 +551,7 @@ def _check_table_answers(G, mode):
         for S in combinations(range(G.degree), r):
             K = G.pointwise_stabilizer(S)
             fixing_s = bf.stabilizer(elements, S)
-            labels, counts = K.orbit_partition()
-            for x in np.nonzero(counts[labels] > 1)[0].tolist():
+            for x in np.nonzero(K.orbit_partition()[1] > 1)[0].tolist():
                 stored = len(table.groups)
                 key, Kx = table.point_stabilizer(_fixed_key(K), K, x)
                 if len(table.groups) > stored:
@@ -826,6 +852,33 @@ def test_indicator_vectors_rejects_non_minimal():
         indicator_vectors(symmetric(3), symmetric(3), [(0, 0), (1, 1), (2, 2)])
     with pytest.raises(ValueError):
         indicator_vectors(symmetric(3), symmetric(3), [(0, 7)])
+
+
+LEMMAVECT_PAIRS = [
+    (symmetric(3), symmetric(3)),
+    (symmetric(3), symmetric(4)),
+    (symmetric(4), symmetric(4)),
+    (elem_abelian_regular(2, 2), symmetric(3)),
+    (product_action(symmetric(3), symmetric(3)), product_action(symmetric(3), symmetric(3))),
+]
+
+
+@pytest.mark.parametrize("A,B", LEMMAVECT_PAIRS, ids=["s3,s3", "s3,s4", "s4,s4", "elemab22,s3", "s3xs3,s3xs3"])
+def test_indicator_vectors_match_bruteforce_stabilizers(A, B):
+    # coordinate i is 1 iff some element fixing the other coordinates moves
+    # coordinate i, on every witness of the lemmavect suite's pairs
+    closures = [closure_of(A), closure_of(B)]
+    _, wits = minimal_base_sizes(product_action(A, B), witnesses=True)
+    for base in wits.values():
+        coords = [divmod(p, B.degree) for p in base]
+        iv = indicator_vectors(A, B, coords)
+        for vector, elements, side in zip((iv.vG, iv.vH), closures, (0, 1)):
+            points = [c[side] for c in coords]
+            want = []
+            for i, x in enumerate(points):
+                fixing = bf.stabilizer(elements, points[:i] + points[i + 1:])
+                want.append(int(any(e[x] != x for e in fixing)))
+            assert vector == tuple(want), (base, side)
 
 
 def test_indicator_vector_facts_on_witnesses():
