@@ -47,14 +47,25 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   pruned height after pruned M on the same group computes none.  The walks
   carry each group with its key, so a key is read off an orbit partition
   only for the root and for each subgroup the table stores.
+* The table also keeps, per key a search has entered (the root's
+  included), that subgroup's candidate points as an ascending list, made
+  from its orbit partition the first time the key is entered: the minima
+  of its moved orbits in pruned mode, its moved points in exhaustive
+  mode.  A node reads the candidates above its last point by bisection,
+  and the order arithmetic of its independence test uses Python ints:
+  orbit sizes read one at a time from the int32 arrays, and each deletion
+  stabilizer's order read once per node.  So a walk makes no array
+  operation at a node, and the orders, which exceed 2^63 from S21 on,
+  never meet a fixed-width integer.
 * Each mode has its own table, never the other's.  The exhaustive searches
   are the cross-check of the pruned ones, so no subgroup a pruned search
   computed may answer an exhaustive request: a wrong stored group would
   then give both modes the same wrong answer, and the check would pass.
   The price is that a subgroup both modes need is computed once in each.
-  The tables keep their groups as long as ``G`` lives, which at degree
-  2400 is about 141 groups for one M search; ``basekit.group`` keeps a
-  stored group small (its module notes).
+  The tables keep their groups and candidate lists as long as ``G``
+  lives, which at degree 2400 is about 141 groups and 31 lists of 8,825
+  candidates for one M search; ``basekit.group`` keeps a stored group
+  small (its module notes).
 
 All searches are deterministic functions of immutable groups.  The only
 state they leave is those tables, caches that change no result; threads
@@ -66,6 +77,7 @@ truncate a result.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,16 +219,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'pruned' or 'exhaustive', got {mode!r}")
 
 
-def _minima_candidates(labels, sizes, last):
-    ar = np.arange(labels.size)
-    return np.nonzero((labels == ar) & (sizes > 1) & (ar > last))[0]
-
-
-def _point_candidates(labels, sizes, last):
-    ar = np.arange(labels.size)
-    return np.nonzero((sizes > 1) & (ar > last))[0]
-
-
 def _one_per_class(cands, classes):
     """``cands`` in order, but only the first of each stabilizer class if ``classes`` is given.
 
@@ -228,7 +230,7 @@ def _one_per_class(cands, classes):
         return
     seen = set()
     for x in cands:
-        c = int(classes[x])
+        c = classes[x]
         if c not in seen:
             seen.add(c)
             yield x
@@ -290,15 +292,30 @@ class _SubgroupTable:
     ``requests`` maps a request key ``Fix(K) | 1 << x`` to the subgroup key
     ``Fix(K_x)``, ``groups`` a subgroup key to its group, and ``by_order``
     an order to the keys of the stored groups of that order.  Each subgroup
-    is stored once (module notes).
+    is stored once (module notes).  ``cands`` maps the key of each group a
+    search entered, the root's included, to its ascending candidate points:
+    the minima of its moved orbits when ``pruned``, else its moved points.
     """
 
-    __slots__ = ("requests", "groups", "by_order")
+    __slots__ = ("pruned", "requests", "groups", "by_order", "cands")
 
-    def __init__(self):
+    def __init__(self, pruned: bool):
+        self.pruned = pruned
         self.requests: dict[int, int] = {}
         self.groups: dict[int, PermGroup] = {}
         self.by_order: dict[int, list[int]] = {}
+        self.cands: dict[int, list[int]] = {}
+
+    def candidates(self, k: int, H: PermGroup) -> list[int]:
+        """The search candidates of ``H``, ``k = Fix(H)``, made the first time ``k`` is entered."""
+        cands = self.cands.get(k)
+        if cands is None:
+            labels, sizes = H.orbit_partition()
+            moved = sizes > 1
+            if self.pruned:
+                moved &= labels == np.arange(labels.size)
+            cands = self.cands[k] = np.nonzero(moved)[0].tolist()
+        return cands
 
     def point_stabilizer(self, k: int, K: PermGroup, x: int) -> tuple[int, PermGroup]:
         """``(Fix(K_x), K_x)`` for a pointwise stabilizer ``K`` of the table's group, ``k = Fix(K)``.
@@ -310,7 +327,7 @@ class _SubgroupTable:
         request = k | 1 << x
         key = self.requests.get(request)
         if key is None:
-            stored = self.by_order.setdefault(K.order() // int(K.orbit_partition()[1][x]), [])
+            stored = self.by_order.setdefault(K.order() // K.orbit_partition()[1].item(x), [])
             key = next((f for f in stored if f & request == request), None)
             if key is None:
                 Kx = K.point_stabilizer(x)
@@ -326,7 +343,10 @@ def _subgroup_table(G: PermGroup, mode: str) -> _SubgroupTable:
     tables = G._subgroups
     if tables is None:
         tables = G._subgroups = {}
-    return tables.setdefault(mode, _SubgroupTable())
+    table = tables.get(mode)
+    if table is None:
+        table = tables[mode] = _SubgroupTable(mode == "pruned")
+    return table
 
 
 # -- the independent-set walker -----------------------------------------
@@ -340,7 +360,8 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     after the previous child's subtree is done, so the hook sees every
     earlier result.  Candidates are per-level orbit minima, one per
     stabilizer class (pruned), or every larger moved point (exhaustive);
-    ascending, or largest orbit first.  ``visit(points, x, hx_order, sizes)``
+    ascending, or largest orbit first; each node slices its group's list
+    in the table above its last point.  ``visit(points, x, hx_order, sizes)``
     sees each independent candidate ``x`` and returns whether to descend
     into it; a candidate completing a base (``hx_order == 1``) is never
     entered.  The node and every deletion stabilizer are ``(key, group)``
@@ -348,34 +369,39 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     so the walk computes each subgroup once per group, and none that an
     earlier search on ``G`` in the same mode computed (module notes).
     """
-    pick = _minima_candidates if pruned else _point_candidates
-    classes = G.stabilizer_class_labels() if pruned else None
-    stabilizer = _subgroup_table(G, "pruned" if pruned else "exhaustive").point_stabilizer
+    table = _subgroup_table(G, "pruned" if pruned else "exhaustive")
+    stabilizer = table.point_stabilizer
+    classes = G.stabilizer_class_labels().tolist() if pruned else None
     stack = []
 
     def enter(points, k, H, dels):
         counter.tick()
-        labels, sizes = H.orbit_partition()
-        cands = pick(labels, sizes, points[-1] if points else -1)
-        if cands.size == 0:
+        cands = table.candidates(k, H)
+        if points:
+            cands = cands[bisect_right(cands, points[-1]):]
+        if not cands:
             return
+        sizes = H.orbit_partition()[1]
+        size = sizes.item
         if largest_first:
-            cands = cands[np.lexsort((cands, -sizes[cands]))]
-        parts = [K.orbit_partition()[1] for _, K in dels]
-        stack.append((points, k, H, H.order(), sizes, dels, parts,
-                      _one_per_class(cands.tolist(), classes)))
+            cands = sorted(cands, key=lambda x: -size(x))  # stable: ties stay ascending
+        parts = [(K.order(), K.orbit_partition()[1].item) for _, K in dels]
+        stack.append((points, k, H, H.order(), sizes, size, dels, parts,
+                      _one_per_class(cands, classes)))
 
     enter((), _fixed_key(G), G, ())
     while stack:
-        points, k, H, h_ord, sizes, dels, parts, cands = stack[-1]
+        points, k, H, h_ord, sizes, size, dels, parts, cands = stack[-1]
         for x in cands:
-            hx_order = h_ord // int(sizes[x])
-            if any(K.order() // int(ks[x]) <= hx_order for (_, K), ks in zip(dels, parts)):
-                continue
-            if visit(points, x, hx_order, sizes) and hx_order > 1:
-                enter(points + (x,), *stabilizer(k, H, x),
-                      tuple(stabilizer(*d, x) for d in dels) + ((k, H),))
-                break
+            hx_order = h_ord // size(x)
+            for order, ks in parts:
+                if order // ks(x) <= hx_order:
+                    break  # not independent: x is fixed without p_j
+            else:  # a break here leaves the candidate loop
+                if visit(points, x, hx_order, sizes) and hx_order > 1:
+                    enter(points + (x,), *stabilizer(k, H, x),
+                          [stabilizer(*d, x) for d in dels] + [(k, H)])
+                    break
         else:
             stack.pop()
 
@@ -495,13 +521,8 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     _check_mode(mode)
     counter = _as_budget(budget)
     G.order()
-    if mode == "pruned":
-        pick = _minima_candidates
-        classes = G.stabilizer_class_labels()
-    else:
-        pick = _point_candidates
-        classes = None
-    stabilizer = _subgroup_table(G, mode).point_stabilizer
+    table = _subgroup_table(G, mode)
+    classes = G.stabilizer_class_labels().tolist() if mode == "pruned" else None
     memo: dict[int, dict[int, tuple[int, int | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
     # ``done = (x, key)`` carries a finished subtree (or memo hit) below
@@ -512,24 +533,23 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
         counter.tick()
         if key in memo:
             return x, key
-        labels, sizes = H.orbit_partition()
-        cands = _one_per_class(pick(labels, sizes, -1).tolist(), classes)
-        stack.append((x, key, H, sizes, cands, {}))
+        stack.append((x, key, H, H.order(), H.orbit_partition()[1].item,
+                      _one_per_class(table.candidates(key, H), classes), {}))
         return None
 
     done = enter(None, _fixed_key(G), G)
     while stack:
-        _, key, H, sizes, cands, out = stack[-1]
+        _, key, H, h_ord, size, cands, out = stack[-1]
         if done is not None:
             x, child = done
             for l in memo[child]:
                 out.setdefault(l + 1, (x, child))
             done = None
         for x in cands:
-            if H.order() // int(sizes[x]) == 1:
+            if h_ord // size(x) == 1:
                 out.setdefault(1, (x, None))
                 continue
-            done = enter(x, *stabilizer(key, H, x))
+            done = enter(x, *table.point_stabilizer(key, H, x))
             break
         else:
             memo[key] = out

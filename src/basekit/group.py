@@ -764,11 +764,11 @@ class PermGroup:
         # the group u_inv <chain> u, sharing the chain's levels; the trivial
         # group is its own conjugate, so it keeps no conjugator
         g = object.__new__(cls)
-        gens = chain.level_generators(0)
-        if not gens:
+        levels = chain.levels
+        if not levels or not levels[0].gens:
             u = u_inv = None
         g.degree = degree
-        g._generators = gens if u is None else None  # conjugated when first read
+        g._generators = chain.level_generators(0) if u is None else None  # conjugated when first read
         g._view = (chain, u, u_inv)
         g._order = chain.order()
         g._hint = g._partition = g._stab_classes = g._subgroups = None
@@ -870,14 +870,21 @@ class PermGroup:
         off the orbit partition of ``point_stabilizer(rep)``, and carried
         breadth-first by the generators, since ``g`` maps the class of ``x``
         onto that of ``x^g``.  Each class is labelled whole on first reach,
-        so every point is labelled once.
+        so every point is labelled once.  A conjugated view carries them by
+        its chain's level-0 generators ``s`` through its conjugator, ``x``
+        to ``x^(u_inv s u)`` in three gathers, so its generators stay unmade.
         """
         if self._stab_classes is not None:
             return self._stab_classes
         degree = self.degree
         labels, sizes = self.orbit_partition()
         out = np.full(degree, -1, dtype=np.int64)
-        images = [g.images for g in self.generators]
+        view = self._view
+        if view is None or view[1] is None:
+            images, u = [g.images for g in self.generators], None
+        else:
+            chain, u, u_inv = view
+            images = [s.images for s in chain.levels[0].gens]
         for rep in np.nonzero(labels == np.arange(degree))[0].tolist():
             if out[rep] >= 0:  # labelled with a class of an earlier orbit
                 continue
@@ -887,7 +894,7 @@ class PermGroup:
             queue = [row]
             for row in queue:  # grows while walked: a breadth-first queue
                 for im in images:
-                    image = im[row]
+                    image = im[row] if u is None else u.images[im[u_inv.images[row]]]
                     if out[image[0]] < 0:
                         out[image] = image.min()
                         queue.append(image)

@@ -307,13 +307,19 @@ def test_searches_run_within_a_few_spare_frames():
     assert proc.stdout == "[13] [13] 13\n"
 
 
-@pytest.mark.parametrize("spec", [{"type": "k_subsets", "n": 5, "k": 2},
-                                  {"type": "wreath_coset", "n": 4, "k": 2}],
-                         ids=["k_subsets(5,2)", "wreath_coset(4,2)"])
-def test_analyze_makes_no_views_generators(spec, monkeypatch):
+@pytest.mark.parametrize(
+    "run",
+    [lambda: cli.analyze_report({"type": "k_subsets", "n": 5, "k": 2}, witnesses=True),
+     lambda: cli.analyze_report({"type": "wreath_coset", "n": 4, "k": 2}, witnesses=True),
+     # a search on a conjugated view carries its stabilizer classes through
+     # its conjugator, not by its generators
+     lambda: minimal_base_sizes(symmetric(7).point_stabilizer(3))],
+    ids=["k_subsets(5,2)", "wreath_coset(4,2)", "sym7-stab3"],
+)
+def test_analyze_makes_no_views_generators(run, monkeypatch):
     # orbit lengths, fixed points, subgroup keys and stabilizer classes are
-    # all read off orbit partitions, so no conjugated view's generators are
-    # made: only the public property makes them
+    # all read off orbit partitions and chains, so no conjugated view's
+    # generators are made: only the public property makes them
     made = []
     prop = PermGroup.generators
 
@@ -323,7 +329,7 @@ def test_analyze_makes_no_views_generators(spec, monkeypatch):
         return prop.fget(self)
 
     monkeypatch.setattr(PermGroup, "generators", property(generators))
-    cli.analyze_report(spec, witnesses=True)
+    run()
     assert made == []
 
 
@@ -492,13 +498,45 @@ def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
     H = k_subset_action(6, 2)
     height(H, "exhaustive")
     table = H._subgroups["exhaustive"]
-    before = (dict(table.requests), dict(table.groups))
+    before = (dict(table.requests), dict(table.groups), dict(table.cands))
     minimal_base_sizes(H)
     irredundant_base_sizes(H, witnesses=True)
     height(H)
     min_base_size(H)
-    assert (table.requests, table.groups) == before
-    assert H._subgroups["pruned"].groups
+    assert (table.requests, table.groups, table.cands) == before
+    assert H._subgroups["pruned"].groups and H._subgroups["pruned"].cands
+
+
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+def test_each_keys_candidates_are_made_once_per_table(mode, monkeypatch):
+    # M, height and I in one mode read a subgroup's candidates off one list
+    # per key in the group's table, made the first time a search enters the
+    # key: the minima of its moved orbits (pruned) or its moved points
+    G = k_subset_action(6, 2)
+    returned = {}
+    original = _SubgroupTable.candidates
+
+    def recording(self, k, H):
+        cands = original(self, k, H)
+        returned.setdefault(k, []).append(cands)
+        return cands
+
+    monkeypatch.setattr(_SubgroupTable, "candidates", recording)
+    minimal_base_sizes(G, mode)
+    table = G._subgroups[mode]
+    after_m = dict(table.cands)
+    height(G, mode)
+    irredundant_base_sizes(G, mode, witnesses=True)
+    assert len(table.cands) >= len(after_m) > 1
+    assert all(table.cands[k] is cands for k, cands in after_m.items())
+    assert set(returned) == set(table.cands)
+    assert all(c is lists[0] for lists in returned.values() for c in lists)
+    assert sum(map(len, returned.values())) > len(returned)
+    groups = {**table.groups, _fixed_key(G): G}
+    for k, cands in table.cands.items():
+        labels, sizes = groups[k].orbit_partition()
+        assert cands == [x for x in range(G.degree)
+                         if sizes[x] > 1 and (mode == "exhaustive" or labels[x] == x)]
 
 
 def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():

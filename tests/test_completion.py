@@ -241,11 +241,17 @@ def test_root_chains_meet_their_time_targets():
         start = time.perf_counter()
         assert build_chain(60, sym60, known_order=hint).order() == math.factorial(60)
         assert time.perf_counter() - start < 1
-    from basekit.bases import minimal_base_sizes
+    from basekit.bases import height, irredundant_base_sizes, min_base_size, minimal_base_sizes
 
     start = time.perf_counter()
-    assert minimal_base_sizes(PermGroup(30, [Perm(g) for g in symmetric_gens(30)])).to_list() == [29]
+    G = PermGroup(30, [Perm(g) for g in symmetric_gens(30)])
+    assert minimal_base_sizes(G).to_list() == [29]
     assert time.perf_counter() - start < 1
+    # |S30| > 2^63: the searches divide it by int32 orbit sizes read as Python ints
+    assert G.order() == math.factorial(30) > 2**63
+    assert height(G) == 29
+    assert irredundant_base_sizes(G).to_list() == [29]
+    assert min_base_size(G) == 29
 
 
 @pytest.mark.slow

@@ -1,8 +1,10 @@
 """``basekit analyze`` output pinned byte for byte.
 
 Each file under ``tests/data`` is the stdout of
-``basekit analyze SPEC --witnesses`` or ``basekit analyze SPEC --mode
-exhaustive``.  A change to the group layer or the searches that keeps the
+``basekit analyze SPEC --witnesses``, ``basekit analyze SPEC --mode
+exhaustive`` or ``basekit analyze SPEC --mode exhaustive --witnesses``;
+the last pins the order in which the exhaustive walks meet their
+witnesses.  A change to the group layer or the searches that keeps the
 same results keeps these bytes.  The specs cover the three ways a
 stabilizer is formed: the base point's suffix (``sym5``), a conjugated
 suffix (``sym5``, ``prod_s3_s3``) and a rebase on a point off the first
@@ -25,7 +27,11 @@ SPECS = {
     "ksubsets_6_2": '{"type":"k_subsets","n":6,"k":2}',
     "prod_s3_s3": '{"type":"product_action","factors":[{"type":"sym","n":3},{"type":"sym","n":3}]}',
 }
-FLAGS = {"witnesses": ["--witnesses"], "exhaustive": ["--mode", "exhaustive"]}
+FLAGS = {
+    "witnesses": ["--witnesses"],
+    "exhaustive": ["--mode", "exhaustive"],
+    "exhaustive_witnesses": ["--mode", "exhaustive", "--witnesses"],
+}
 
 
 @pytest.mark.parametrize("flags", FLAGS, ids=FLAGS)
