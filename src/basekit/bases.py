@@ -62,6 +62,13 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   computed may answer an exhaustive request: a wrong stored group would
   then give both modes the same wrong answer, and the check would pass.
   The price is that a subgroup both modes need is computed once in each.
+  Below the tables, both modes share the group layer, as they always
+  have: the root chain, and the rebases ``basekit.group`` keeps on a
+  chain's levels, one per orbit, so an exhaustive stabilizer may read a
+  rebase a pruned search made.  The cross-check still means something:
+  a rebase is a deterministic function of its chain and point, exact by
+  the order stop, and what each mode computes from it, its own
+  stabilizers and spectra, still comes from its own table and walk.
   The tables keep their groups and candidate lists as long as ``G``
   lives, which at degree 2400 is about 141 groups and 31 lists of 8,825
   candidates for one M search; ``basekit.group`` keeps a stored group

@@ -46,9 +46,10 @@ lives as long as the search's root group, so three things keep a stored
 group small.  A completed rebase drops the transversal elements and
 inverses its levels cached while completing, keeping only the base
 point's identity; the derived stabilizers read from it form the few they
-need again.  Uniform draws read the parent's transversal elements without
-caching them, so a stored parent does not grow with every rebase below
-it.  And orbit partitions keep their ``sizes`` as int32.  A group's
+need again.  The level it rebased keeps it, one per orbit, as long as
+that level lives.  Uniform draws read the parent's transversal elements
+without caching them, so a stored parent does not grow with every rebase
+below it.  And orbit partitions keep their ``sizes`` as int32.  A group's
 ``labels`` stay int64, because they index arrays on every search node,
 and int32 indices cost more time there than their memory saves.  A level
 of a finished chain caches the ``labels`` of its generators' partition
@@ -79,15 +80,18 @@ of level 0 and ``t_y`` its transversal element taking ``b`` to ``y``.
 In ``<chain>`` the stabilizer of ``b`` is the group of the suffix from
 level 1, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
 ``y = x^(u^-1)`` the view's stabilizer of ``x`` is the view ``(suffix,
-t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  Only a
-point ``x`` outside that basic orbit (moved by the group, but in another
-orbit) needs a new chain: ``_rebase`` rebases the view's chain, never the
-view, on ``y``, and the stabilizer is the view of the rebased chain below
-``y`` through the same ``u``.  This is base change by conjugation
-(Seress 2003, section 5.4): no rebase takes or applies a conjugator.
-Stabilizer class labels take this same route, at most one
-``point_stabilizer`` per orbit, so they rebase only for a moved orbit other
-than the basic orbit of level 0.
+t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  A point
+``x`` outside that basic orbit (moved by the group, but in another orbit)
+takes the same route from a chain whose level 0 is the orbit of ``y``:
+the rebase of the view's chain, never of the view, on one point of that
+orbit (``_orbit_rebase``).  Level 0 of the view's chain keeps that rebase
+under the orbit's label, so each orbit of each level's group is rebased
+at most once, for every view of the level, every conjugator and every
+point of the orbit: the first request rebases on its own ``y``, and a
+later one reads ``t_y`` off the rebase's level 0.  This is base change by
+conjugation (Seress 2003, section 5.4), one orbit at a time: no rebase
+takes or applies a conjugator.  Stabilizer class labels take this same
+route, at most one ``point_stabilizer`` per orbit.
 """
 
 from __future__ import annotations
@@ -133,16 +137,18 @@ class _Level:
     completed rebase drops its levels' entries, and random draws
     (``element(..., cache=False)``) add none (module notes).
 
-    Two values of the group of this level's generators are kept once the
+    Three values of the group of this level's generators are kept once the
     chain is finished: ``suffix_order``, the product of the orbit sizes
-    from this level to the bottom, set by ``_finish``; and ``_labels``, the
-    int32 orbit labels that ``_chain_labels`` fills for conjugated views.
-    Neither is reset by a later ``add_gen``, so a chain still being
-    completed keeps both ``None``.
+    from this level to the bottom, set by ``_finish``; ``_labels``, the
+    int32 orbit labels that ``_chain_labels`` fills for conjugated views;
+    and ``_rebases``, the group's rebases on single points, at most one
+    per orbit, keyed by the orbit's label (``_orbit_rebase``).  None is
+    reset by a later ``add_gen``, so a chain still being completed keeps
+    all three ``None``.
     """
 
     __slots__ = ("point", "gens", "transversal", "suffix_order", "_elements", "_inverses",
-                 "_labels")
+                 "_labels", "_rebases")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -153,6 +159,7 @@ class _Level:
         self._inverses: dict[int, Perm] = {point: ident}
         self.suffix_order: int | None = None
         self._labels = None
+        self._rebases: dict[int, StabilizerChain] | None = None
 
     def add_gen(self, g: Perm) -> None:
         """Append a strong generator and extend the orbit.
@@ -572,6 +579,27 @@ def _rebase(source: StabilizerChain, prefix: tuple[int, ...], order: int) -> Sta
     return chain
 
 
+def _orbit_rebase(chain: StabilizerChain, y: int) -> StabilizerChain:
+    """The rebase of the finished ``chain`` on the orbit of ``y``, made once per orbit.
+
+    The first request in an orbit makes ``_rebase(chain, (y,), order)`` and
+    keeps it on ``chain``'s level 0 under the orbit's label; a later
+    request for any point of that orbit reads it, and ``y`` is then in its
+    level 0's basic orbit.  A level heads the same levels below it in
+    every chain that shares it, so its group, and the rebase, is the same
+    whichever chain or view asks.
+    """
+    level = chain.levels[0]
+    label = int(_chain_labels(chain)[y])
+    rebases = level._rebases
+    if rebases is None:
+        rebases = level._rebases = {}
+    rebased = rebases.get(label)
+    if rebased is None:
+        rebased = rebases[label] = _rebase(chain, (y,), chain.order())
+    return rebased
+
+
 def _uniform_elements(source: StabilizerChain, prefix: tuple[int, ...], order: int):
     # uniform random elements of <source>, one random transversal element
     # per level, read without caching in it; the stream is seeded from the
@@ -925,38 +953,29 @@ class PermGroup:
 
         Folded point by point in ascending order.  A point fixed by the whole
         group, of orbit size 1 in its orbit partition, is skipped; otherwise
-        its stabilizer is derived from the chain (see the module notes).  The
-        first point outside the chain's level-0 basic orbit ends the fold with
-        one ``_rebase`` of the view's chain on that point and all points after
-        it, mapped through the view's ``u^-1``; the stabilizer shares the
-        view's conjugator.
+        its stabilizer is derived from the chain (see the module notes),
+        after reading or making the rebase of its orbit when it lies outside
+        the chain's level-0 basic orbit.
         """
-        prefix = tuple(sorted({_as_point(x, self.degree) for x in points}))
         H = self
-        for k, x in enumerate(prefix):
-            if H.orbit_partition()[1][x] == 1:
-                continue
-            Hx = H._derived_point_stabilizer(x)
-            if Hx is None:
-                chain, u, u_inv = H._view
-                rest = tuple(y if u_inv is None else int(u_inv.images[y]) for y in prefix[k:])
-                rebased = _rebase(chain, rest, H.order())
-                return PermGroup._from_view(self.degree, rebased.suffix(len(rest)), u, u_inv)
-            H = Hx
+        for x in sorted({_as_point(x, self.degree) for x in points}):
+            if H.orbit_partition()[1][x] > 1:
+                H = H._derived_point_stabilizer(x)
         return H
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer((point,))
 
-    def _derived_point_stabilizer(self, x: int) -> "PermGroup | None":
-        # H_x by the module notes' suffix-and-conjugator route, or None when
-        # x lies outside the basic orbit of level 0
+    def _derived_point_stabilizer(self, x: int) -> "PermGroup":
+        # H_x, for a point x that H moves, by the module notes' suffix and
+        # conjugator route, from the rebase of y's orbit when y lies outside
+        # the basic orbit of level 0
         chain, u, u_inv = self._get_view()
-        level = chain.levels[0]
         y = x if u_inv is None else int(u_inv.images[x])
+        if y not in chain.levels[0].transversal:
+            chain = _orbit_rebase(chain, y)
+        level = chain.levels[0]
         if y != level.point:
-            if y not in level.transversal:
-                return None
             t = level.element(y)
             u = t if u is None else t * u
             u_inv = u.inverse()

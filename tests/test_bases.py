@@ -804,6 +804,30 @@ def test_off_orbit_stabilizers_make_a_bounded_number_of_multiplications(monkeypa
     assert calls[0] <= 4000
 
 
+def test_each_orbit_of_a_chain_level_is_rebased_once(monkeypatch):
+    # an off-orbit stabilizer reads the rebase of its orbit, made once per
+    # chain level and orbit and shared by both search modes; a rebase per
+    # request made 19 on the wreath, and 26 then 347 on the 2-subsets
+    calls = count_chain_builds(monkeypatch)
+
+    def rebases():
+        return len([prefix for prefix in calls if prefix])
+
+    W = wreath_coset_action(5, 3)
+    assert minimal_base_sizes(W) == SizeSet({3, 5})
+    assert irredundant_base_sizes(W) == SizeSet(range(3, 9))
+    assert height(W) == 5
+    assert rebases() == 8
+    del calls[:]
+    K = k_subset_action(7, 2)
+    assert minimal_base_sizes(K) == SizeSet({4, 5})
+    assert irredundant_base_sizes(K) == SizeSet({4, 5, 6})
+    assert height(K) == 5
+    assert rebases() == 10
+    assert minimal_base_sizes(K, "exhaustive") == SizeSet({4, 5})
+    assert rebases() == 10
+
+
 def test_witnesses_are_real_bases():
     for (name, G), mode in product(ORACLE_GROUPS[:8], ["pruned", "exhaustive"]):
         sizes, wits = minimal_base_sizes(G, mode, witnesses=True)

@@ -317,7 +317,7 @@ def test_own_chain_of_a_conjugated_view_is_built_once(monkeypatch):
 
 def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
     # S3 x S3 on {0,1,2} and {3,4,5}: point 4 lies outside level 0's orbit,
-    # so the group is rebased on it; no root chain is built
+    # so the chain is rebased on it; no root chain is built
     G = PermGroup(6, [Perm.from_cycles(6, (0, 1)), Perm.from_cycles(6, (0, 1, 2)),
                       Perm.from_cycles(6, (3, 4)), Perm.from_cycles(6, (3, 4, 5))])
     G.order()
@@ -325,13 +325,45 @@ def test_stabilizer_off_the_first_orbit_rebuilds(monkeypatch):
     H = G.point_stabilizer(4)
     assert calls == [(4,)]
     assert H.order() == 12 and H.orbits() == [[0, 1, 2], [3, 5], [4]]
-    # 0 is the base point; the first off-orbit point rebases once for the
-    # rest of the fold
+    # 5 shares 4's orbit: the rebase on 4 is read, through its transversal
+    K = G.point_stabilizer(5)
+    assert calls == [(4,)]
+    assert K._view[0].levels[0] is H._view[0].levels[0] and K._view[1] is not None
+    assert K.order() == 12 and K.orbits() == [[0, 1, 2], [3, 4], [5]]
+    # the fold goes point by point: 0 is the base point, then 3 and 4 each
+    # lie off the first basic orbit of the stabilizer before them
     S = G.pointwise_stabilizer([0, 3, 4])
-    assert calls == [(4,), (3, 4)]
-    assert S.order() == 2
+    assert calls == [(4,), (3,), (4,)]
+    assert S.order() == 2 and S.orbits() == [[0], [1, 2], [3], [4], [5]]
+    # the same fold again reads every rebase it made
+    assert G.pointwise_stabilizer([4, 3, 0]).order() == 2
+    assert calls == [(4,), (3,), (4,)]
     # a point the group fixes is skipped
     assert H.point_stabilizer(4) is H
+
+
+def test_one_rebase_serves_an_orbit_from_every_view(monkeypatch):
+    # S4 x S3 on {0..3} and {4,5,6}: the stabilizers of 2 and of 3 read one
+    # chain through different conjugators, and {4,5,6} lies off its first
+    # basic orbit.  Every point of that orbit, asked from either view, reads
+    # the one rebase made for the orbit; asking again makes none
+    G = PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
+                      Perm.from_cycles(7, (4, 5, 6)), Perm.from_cycles(7, (4, 5))])
+    H, K = G.point_stabilizer(2), G.point_stabilizer(3)
+    assert H._view[0].levels[0] is K._view[0].levels[0]
+    assert H._view[1] is not None and K._view[1] is not None and H._view[1] != K._view[1]
+    calls = count_chain_builds(monkeypatch)
+    first = [(L, x, L.point_stabilizer(x)) for L in (H, K) for x in (4, 5, 6)]
+    assert len(calls) == 1 and calls[0] in [(4,), (5,), (6,)]
+    again = [L.point_stabilizer(x) for L in (H, K) for x in (4, 5, 6)]
+    assert len(calls) == 1
+    for (L, x, Lx), Mx in zip(first, again):
+        fixed = 2 if L is H else 3
+        assert Lx.order() == Mx.order() == 12
+        assert Lx.orbits() == Mx.orbits() == sorted(
+            [[p for p in range(4) if p != fixed], [fixed], [p for p in (4, 5, 6) if p != x], [x]])
+        for g in Lx.generators:
+            assert g[x] == x and g[fixed] == fixed and L.contains(g)
 
 
 def test_every_level_of_a_view_chain_moves_its_base_point():
@@ -781,6 +813,83 @@ def test_successive_point_stabilizers_match_sympy(monkeypatch):
     check_successive_point_stabilizers()
     rebases = [p for p in calls if p]
     assert len(rebases) >= 10 and len(phases) >= 5, (len(rebases), len(phases))
+
+
+@st.composite
+def intransitive_groups(draw):
+    """A relabelled direct product of two or three blocks on at most 10
+    points, each block a symmetric or cyclic group or an imprimitive wreath
+    of a symmetric group by a symmetric or cyclic top group."""
+    gens, n = [], 0
+    count = draw(st.integers(2, 3))
+    for b in range(count):
+        room = 10 - n - 2 * (count - b - 1)  # two points for each block after this one
+        kind = draw(st.sampled_from(["cyclic", "sym", "wreath"] if room >= 4 else ["cyclic", "sym"]))
+        if kind == "wreath":
+            m = draw(st.integers(2, min(3, room // 2)))
+            k = draw(st.integers(2, min(3, room // m)))
+            top = [[(x + 1) % k for x in range(k)]]
+            if draw(st.booleans()):
+                top.append([1, 0] + list(range(2, k)))
+            block = [[(x + 1) % m if x < m else x for x in range(m * k)],
+                     [1, 0] + list(range(2, m * k))]
+            block += [[t[x // m] * m + x % m for x in range(m * k)] for t in top]
+        else:
+            m = draw(st.integers(2, min(4, room)))
+            block = [[(x + 1) % m for x in range(m)]]
+            if kind == "sym":
+                block.append([1, 0] + list(range(2, m)))
+        width = len(block[0])
+        gens = [g + list(range(n, n + width)) for g in gens]
+        gens += [list(range(n)) + [n + x for x in g] for g in block]
+        n += width
+    relabel = draw(st.permutations(range(n)))
+    inv = [0] * n
+    for i, r in enumerate(relabel):
+        inv[r] = i
+    return n, [[relabel[g[inv[x]]] for x in range(n)] for g in gens]
+
+
+@settings(max_examples=25)
+@given(intransitive_groups(), st.lists(st.integers(0, 9), min_size=2, max_size=4))
+def check_cached_rebases(case, points):
+    # every stabilizer of one or two points, then a sequence asked forwards
+    # and backwards, so most off-orbit requests read a rebase made earlier
+    n, gens = case
+    points = [x % n for x in points]
+    G = PermGroup(n, [Perm(g) for g in gens])
+    elements = bf.closure(gens)
+    assert G.order() == len(elements)
+    for r in (1, 2):
+        for S in itertools.combinations(range(n), r):
+            assert G.pointwise_stabilizer(S).order() == len(bf.stabilizer(elements, S))
+    want = bf.stabilizer(elements, points)
+    ref = PermutationGroup([Permutation(g) for g in gens]).pointwise_stabilizer(points)
+    assert ref.order() == len(want)
+    for seq in (points, points[::-1]):
+        H = G
+        for x in seq:
+            H = H.point_stabilizer(x)
+        assert H.order() == len(want)
+        assert H.orbits() == sorted(map(sorted, {frozenset(bf.orbit(want, x)) for x in range(n)}))
+        for e in elements:
+            assert H.contains(Perm(list(e))) == (e in want)
+
+
+def test_cached_rebases_match_bruteforce_and_sympy(monkeypatch):
+    # the oracle must reach rebases made and rebases read from the cache
+    calls = count_chain_builds(monkeypatch)
+    reads = []
+    original = group_module._orbit_rebase
+
+    def counting(chain, y):
+        reads.append(y)
+        return original(chain, y)
+
+    monkeypatch.setattr(group_module, "_orbit_rebase", counting)
+    check_cached_rebases()
+    rebases = [p for p in calls if p]
+    assert len(rebases) >= 20 and len(reads) >= 3 * len(rebases), (len(rebases), len(reads))
 
 
 # -- build_chain and the rebase against sympy at larger degree -------------
