@@ -359,7 +359,7 @@ def _subgroup_table(G: PermGroup, mode: str) -> _SubgroupTable:
 # -- the independent-set walker -----------------------------------------
 
 
-def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest_first: bool,
+def _walk_independent(G: PermGroup, counter: SearchBudget, mode: str, largest_first: bool,
                       visit) -> None:
     """Depth-first over independent point sets with strict stabilizer descent.
 
@@ -376,9 +376,9 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, pruned: bool, largest
     so the walk computes each subgroup once per group, and none that an
     earlier search on ``G`` in the same mode computed (module notes).
     """
-    table = _subgroup_table(G, "pruned" if pruned else "exhaustive")
+    table = _subgroup_table(G, mode)
     stabilizer = table.point_stabilizer
-    classes = G.stabilizer_class_labels().tolist() if pruned else None
+    classes = G.stabilizer_class_labels().tolist() if table.pruned else None
     stack = []
 
     def enter(points, k, H, dels):
@@ -435,7 +435,7 @@ def _independent_sets(G: PermGroup, mode: str, budget) -> tuple[dict[int, tuple[
             found.setdefault(size, points + (x,))
         return True
 
-    _walk_independent(G, counter, pruned=mode == "pruned", largest_first=False, visit=visit)
+    _walk_independent(G, counter, mode, largest_first=False, visit=visit)
     return found, largest
 
 
@@ -487,7 +487,7 @@ def min_base_size(G: PermGroup, budget=None) -> int:
             best = depth
         return best is None or depth + bound_steps(hx_order, int(sizes.max())) < best
 
-    _walk_independent(G, counter, pruned=True, largest_first=True, visit=visit)
+    _walk_independent(G, counter, "pruned", largest_first=True, visit=visit)
     assert best is not None  # every non-trivial group has a base
     return best
 
@@ -529,7 +529,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     counter = _as_budget(budget)
     G.order()
     table = _subgroup_table(G, mode)
-    classes = G.stabilizer_class_labels().tolist() if mode == "pruned" else None
+    classes = G.stabilizer_class_labels().tolist() if table.pruned else None
     memo: dict[int, dict[int, tuple[int, int | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
     # ``done = (x, key)`` carries a finished subtree (or memo hit) below

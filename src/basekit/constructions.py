@@ -153,11 +153,18 @@ def product_action(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
 
 
 def product_point(d: int, l: int, h_degree: int) -> int:
-    """Encode the pair (d, l) as a point of the product action."""
+    """Encode the pair (d, l), ``d >= 0``, ``0 <= l < h_degree``, as a product-action point."""
+    d, l, h_degree = _as_int(d, "d"), _as_int(l, "l"), _as_int(h_degree, "h_degree")
+    if h_degree < 1 or d < 0 or not 0 <= l < h_degree:
+        raise ValueError(f"({d}, {l}) is not a pair of a product action with h_degree {h_degree}")
     return d * h_degree + l
 
 
 def product_coords(point: int, h_degree: int) -> tuple[int, int]:
+    """The pair (d, l) that ``product_point`` encodes as ``point``."""
+    point, h_degree = _as_int(point, "point"), _as_int(h_degree, "h_degree")
+    if h_degree < 1 or point < 0:
+        raise ValueError(f"{point} is not a point of a product action with h_degree {h_degree}")
     return divmod(point, h_degree)
 
 

@@ -36,10 +36,14 @@ so a chain is the same in every process:
 - a rebase (``_rebase``) of a chain on a base prefix draws uniform
   elements off that chain.
 
-Random residues pile up on the levels from 1 on, so a completion that
-drew them then prunes (``_prune``) the levels it hands to views, whose
-generators are conjugated and sifted again: each level keeps only the
-generators its Schreier tree uses and those the level below keeps.
+Every strong generator of a finished level is an edge of the level's
+Schreier tree or a strong generator, the same object, of the level
+below.  A residue that stops at level ``j`` joins the levels up to ``j``,
+so above ``j`` it is in the next level's list.  At ``j`` it takes the
+base point out of the basic orbit, or opens the level at a point it
+moves, and ``add_gen`` records it as the edge from the base point.  So
+no level keeps a generator that neither its tree nor the level below
+uses, and a completion has nothing to prune.
 
 A group whose stabilizers ``basekit.bases`` stores in a subgroup table
 lives as long as the search's root group, so three things keep a stored
@@ -372,12 +376,11 @@ def _complete(chain: StabilizerChain, generators, order: int | None, draws) -> N
     elements of ``draws``, random elements of ``<generators>``, and add each
     nontrivial residue as a strong generator.  A draw is already in the
     group of level 0's generators, so its residue joins the levels from 1
-    on; once the draws reach the order, ``_prune`` drops the strong
-    generators that the levels after those ``chain`` came with do not
-    need.  With no order, or after ``_IDLE_DRAWS`` consecutive draws that
-    add nothing, ``_verify`` finishes the chain.
+    on.  Every residue is a tree edge of the last level it joins (module
+    notes), so no level needs pruning afterwards.  With no order, or after
+    ``_IDLE_DRAWS`` consecutive draws that add nothing, ``_verify``
+    finishes the chain.
     """
-    given = len(chain.levels)  # a rebase's prefix levels
     for g in generators:
         residue, j = chain.sift(g)
         if not residue.is_identity():
@@ -398,33 +401,8 @@ def _complete(chain: StabilizerChain, generators, order: int | None, draws) -> N
             idle = 0
             _add_strong_gen(chain, 1, residue, j)
             if chain.order() == order:
-                _prune(chain, given)
                 return
     _verify(chain, order)
-
-
-def _prune(chain: StabilizerChain, low: int) -> None:
-    """Drop the strong generators that levels ``low`` on (1 at least) do not need.
-
-    Bottom-up, level ``i`` keeps the generators its Schreier tree uses and
-    those kept at level ``i + 1``, which generate its stabilizer of
-    ``b_i``.  A group holding that stabilizer and the whole orbit of
-    ``b_i`` is the level's group, so the chain stays exact; the tree's
-    generator indices are renumbered.  Only a chain no view shares yet may
-    be pruned.
-    """
-    kept: list[Perm] = []
-    for level in reversed(chain.levels[max(low, 1):]):
-        used = sorted({edge[1] for edge in level.transversal.values() if edge is not None})
-        gens = [level.gens[i] for i in used]
-        ids = {id(g) for g in gens}
-        gens += [g for g in kept if id(g) not in ids]
-        if len(gens) < len(level.gens):
-            index = {old: new for new, old in enumerate(used)}
-            level.transversal = {x: None if edge is None else (edge[0], index[edge[1]])
-                                 for x, edge in level.transversal.items()}
-            level.gens = gens
-        kept = level.gens
 
 
 def _finish(chain: StabilizerChain) -> None:
@@ -827,24 +805,15 @@ class PermGroup:
         # takes its order from its chain
         return self._order == 1
 
-    def chain(self) -> StabilizerChain:
-        """A stabilizer chain of this group itself, with no conjugator.
-
-        A conjugated view builds one from its generators, once, and then
-        reads everything through it.
-        """
-        chain, u, _ = self._get_view()
-        if u is not None:
-            chain = build_chain(self.degree, self.generators, known_order=self._order)
-            self._view = (chain, None, None)
-        return chain
-
     def order(self) -> int:
         if self._order is None:
             self._get_view()
         return self._order
 
-    def contains(self, p: Perm) -> bool:
+    def contains(self, p) -> bool:
+        """Membership of ``p``, a ``Perm`` or an image sequence."""
+        if not isinstance(p, Perm):
+            p = Perm(p)
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         if self.is_trivial():
@@ -933,20 +902,23 @@ class PermGroup:
     def stabilizer_chain(self, base_prefix=()) -> StabilizerChain:
         """A chain of this group whose base starts with ``base_prefix``.
 
-        With a prefix, a fresh ``_rebase`` of this group's own chain
-        (``chain()``), which a conjugated view builds first; the search's
-        stabilizers rebase their view's chain instead
-        (``pointwise_stabilizer``).  With ``base_prefix=()`` it is the
-        group's own chain, ``chain()`` itself, which the views made from
-        the group share: treat it as read-only.
+        With ``base_prefix=()`` it is the group's own chain, which the views
+        made from the group share: treat it as read-only.  With a prefix it
+        is a fresh ``_rebase`` of that chain; the search's stabilizers
+        rebase their view's chain instead (``pointwise_stabilizer``).  A
+        conjugated view has no chain of its own until asked: it builds one
+        from its generators, once, and from then on reads everything
+        through it.
         """
         prefix = tuple(_as_point(b, self.degree) for b in base_prefix)
         for k, b in enumerate(prefix):
             if b in prefix[:k]:
                 raise ValueError(f"duplicate base point {b}")
-        if not prefix:
-            return self.chain()
-        return _rebase(self.chain(), prefix, self.order())
+        chain, u, _ = self._get_view()
+        if u is not None:
+            chain = build_chain(self.degree, self.generators, known_order=self._order)
+            self._view = (chain, None, None)
+        return _rebase(chain, prefix, self.order()) if prefix else chain
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """The subgroup fixing every point of ``points``.

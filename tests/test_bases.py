@@ -112,8 +112,8 @@ def test_min_base_size_node_counts_on_k_subsets(n, k, b, nodes):
     assert budget.used == nodes
 
 
-@pytest.mark.parametrize("pruned", [True, False], ids=["pruned", "exhaustive"])
-def test_walker_never_enters_a_base(pruned):
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+def test_walker_never_enters_a_base(mode):
     # a hook that always asks to descend is refused at every base: the nodes
     # entered are the root and the non-base candidates it saw, the same tree
     # that minimal_base_sizes and height each walk
@@ -125,10 +125,9 @@ def test_walker_never_enters_a_base(pruned):
             return True
 
         budget = SearchBudget()
-        _walk_independent(PermGroup(G.degree, G.generators), budget, pruned, False, visit)
+        _walk_independent(PermGroup(G.degree, G.generators), budget, mode, False, visit)
         assert 1 in seen, name
         assert budget.used == 1 + sum(h > 1 for h in seen), name
-        mode = "pruned" if pruned else "exhaustive"
         for search in (minimal_base_sizes, height):
             other = SearchBudget()
             search(PermGroup(G.degree, G.generators), mode, other)

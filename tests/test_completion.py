@@ -139,7 +139,7 @@ def test_certificate_fires_on_relabelled_giants(n):
         assert certificate(n, gens) == order
         G = PermGroup(n, [Perm(g) for g in gens])
         assert G.order() == order
-        assert G.chain().order() == order
+        assert G.stabilizer_chain().order() == order
 
 
 def test_certified_orders_match_sympy():
@@ -204,6 +204,103 @@ def test_certificate_needs_a_transitive_group():
     gens = [g + [9] for g in symmetric_gens(9)]
     assert certificate(10, gens) is None
     assert PermGroup(10, [Perm(g) for g in gens]).order() == math.factorial(9)
+
+
+# -- nothing to prune ----------------------------------------------------------
+
+
+def assert_nothing_to_prune(chain):
+    """Every strong generator of every level is an edge of the level's
+    Schreier tree or, the same object, a strong generator of the next level."""
+    levels = chain.levels
+    for i, level in enumerate(levels):
+        edges = {edge[1] for edge in level.transversal.values() if edge is not None}
+        below = {id(g) for g in levels[i + 1].gens} if i + 1 < len(levels) else set()
+        for j, g in enumerate(level.gens):
+            assert j in edges or id(g) in below, (chain.base, i, j)
+
+
+def intransitive_gens(seed):
+    """Two to four blocks of 2 to 5 points, each with two random generators,
+    relabelled: a group with no order hint and no giant certificate."""
+    rng = random.Random(seed)
+    gens, n = [], 0
+    for _ in range(rng.randint(2, 4)):
+        m = rng.randint(2, 5)
+        block = [rng.sample(range(m), m) for _ in range(2)]
+        gens = [g + list(range(n, n + m)) for g in gens]
+        gens += [list(range(n)) + [n + x for x in g] for g in block]
+        n += m
+    return n, [Perm(g) for g in relabelled(n, gens, seed)]
+
+
+def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
+    # a residue stopping at level j joins the levels up to j and is level j's
+    # tree edge from its base point, so every level's generators are tree
+    # edges or the next level's; checked on every route a chain is made by,
+    # each of which must have added residues in its random or verify phase
+    phases = []
+    add, verify = group_module._add_strong_gen, group_module._verify
+    in_verify = []
+
+    def recording_add(chain, low, g, stuck):
+        phases.append("verify" if in_verify else "draw" if low == 1 else "generator")
+        add(chain, low, g, stuck)
+
+    def recording_verify(chain, order):
+        in_verify.append(True)
+        try:
+            verify(chain, order)
+        finally:
+            in_verify.pop()
+
+    monkeypatch.setattr(group_module, "_add_strong_gen", recording_add)
+    monkeypatch.setattr(group_module, "_verify", recording_verify)
+
+    def hinted():
+        sym = constructions.symmetric
+        for G in (constructions.k_subset_action(8, 3), constructions.k_subset_action(9, 2),
+                  constructions.wreath_coset_action(4, 3), constructions.wreath_coset_action(3, 4),
+                  constructions.wreath_imprimitive(4, 3), constructions.gl42_on_2subspaces(),
+                  constructions.product_action(sym(4), sym(5)),
+                  constructions.product_action(sym(3), sym(3), sym(4)),
+                  constructions.disjoint_product(sym(5), constructions.wreath_imprimitive(3, 3)),
+                  constructions.theorem2_group([1, 3, 4])[0]):
+            yield G.stabilizer_chain()
+
+    def giant():
+        for n in (16, 20):
+            for seed in range(4):
+                yield build_chain(n, [Perm(g) for g in relabelled(n, symmetric_gens(n), seed)])
+
+    def verified():
+        for seed in range(40):
+            yield build_chain(*intransitive_gens(seed))
+
+    def orbit_rebases():
+        roots = list(hinted()) + [build_chain(*intransitive_gens(seed)) for seed in range(10)]
+        for chain in roots:
+            labels = group_module._chain_labels(chain)
+            for y in sorted(set(labels.tolist())):
+                yield group_module._orbit_rebase(chain, y)
+
+    def prefix_rebases():
+        groups = [constructions.k_subset_action(7, 2),
+                  PermGroup(16, [Perm(g) for g in relabelled(16, symmetric_gens(16), 3)])]
+        groups += [PermGroup(*intransitive_gens(seed)) for seed in range(10)]
+        for G in groups:
+            n = G.degree
+            for prefix in ((n - 1, 0), (1, n - 2, 0), (n // 2, 2, n - 1, 1)):
+                yield G.stabilizer_chain(prefix)
+
+    for route, want in ((hinted, "draw"), (giant, "draw"), (verified, "verify"),
+                        (orbit_rebases, "draw"), (prefix_rebases, "draw")):
+        phases.clear()
+        chains = 0
+        for chain in route():
+            assert_nothing_to_prune(chain)
+            chains += 1
+        assert chains >= 8 and phases.count(want) >= 10, (route.__name__, chains, phases.count(want))
 
 
 # -- the order hint on both routes --------------------------------------------

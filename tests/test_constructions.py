@@ -2,6 +2,7 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,29 @@ def test_product_action():
             img = g[product_point(d, l, 4)]
             d2, l2 = product_coords(img, 4)
             assert l2 == l
+
+
+def test_product_point_round_trips_on_valid_pairs():
+    for h_degree in (1, 2, 5):
+        for d in range(4):
+            for l in range(h_degree):
+                point = product_point(d, l, h_degree)
+                assert product_coords(point, h_degree) == (d, l)
+    assert product_coords(np.int64(11), np.int32(4)) == (2, 3)
+
+
+@pytest.mark.parametrize("args", [(1.5, 2, 3), (0, 2.0, 3), (0, 2, 3.0), (True, 0, 3),
+                                  (0, 3, 3), (0, 5, 3), (0, -1, 3), (-1, 0, 3),
+                                  (0, 0, 0), (0, 0, -2)])
+def test_product_point_rejects_bad_pairs(args):
+    with pytest.raises(ValueError):
+        product_point(*args)
+
+
+@pytest.mark.parametrize("args", [(-1, 3), (1.5, 3), ("4", 3), (4, 0), (4, -3), (4, 2.0)])
+def test_product_coords_rejects_bad_points(args):
+    with pytest.raises(ValueError):
+        product_coords(*args)
 
 
 def test_product_action_many():

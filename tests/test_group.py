@@ -91,6 +91,17 @@ def test_contains():
         G.contains(Perm.identity(5))
 
 
+def test_contains_takes_image_sequences():
+    G = sym(4)
+    alt = PermGroup(4, [[1, 2, 0, 3], [0, 2, 3, 1]])
+    assert G.contains([1, 0, 2, 3]) and not alt.contains([1, 0, 2, 3])
+    assert alt.contains((1, 2, 0, 3)) and alt.contains(np.array([0, 2, 3, 1]))
+    assert PermGroup(3).contains([0, 1, 2])
+    for bad in ([0, 0, 1, 2], [0.0, 1.0, 2.0, 3.0], [], [0, 1, 2]):
+        with pytest.raises(ValueError):
+            G.contains(bad)
+
+
 def test_trivial_group_contains_only_identity():
     G = PermGroup(3)
     assert G.contains(Perm.identity(3))
@@ -99,7 +110,7 @@ def test_trivial_group_contains_only_identity():
 
 @pytest.mark.parametrize("name,G", SMALL_GROUPS, ids=[n for n, _ in SMALL_GROUPS])
 def test_chain_invariants(name, G):
-    chain = G.chain()
+    chain = G.stabilizer_chain()
     base = chain.base
     # level generators fix all earlier base points
     for i in range(len(chain.levels)):
@@ -131,7 +142,7 @@ def test_chain_invariants(name, G):
 def test_chain_elements_enumeration(name, G):
     if G.order() > 200:
         return
-    listed = {p for p in G.chain().elements()}
+    listed = {p for p in G.stabilizer_chain().elements()}
     assert len(listed) == G.order()
     if not G.is_trivial():
         elements = bf.closure([g.to_list() for g in G.generators])
@@ -262,11 +273,11 @@ def count_random_phases(monkeypatch):
 
 def test_stabilizer_of_the_base_point_shares_the_suffix(monkeypatch):
     G = sym(5)
-    chain = G.chain()
+    chain = G.stabilizer_chain()
     calls = count_chain_builds(monkeypatch)
     H = G.point_stabilizer(chain.base[0])
     assert calls == []
-    assert H._view[1] is None and H.chain().levels[0] is chain.levels[1]
+    assert H._view[1] is None and H.stabilizer_chain().levels[0] is chain.levels[1]
     assert H.order() == 24 and H.orbits() == [[0], [1, 2, 3, 4]]
 
 
@@ -278,7 +289,7 @@ def test_stabilizer_in_the_basic_orbit_is_conjugated(monkeypatch):
     K = H.point_stabilizer(5)  # composes the conjugators
     assert len(calls) == 1  # the root chain only
     assert H._view[1] is not None and K._view[1] is not None
-    assert H._view[0].levels[0] is G.chain().levels[1]
+    assert H._view[0].levels[0] is G.stabilizer_chain().levels[1]
     assert (H.order(), K.order()) == (120, 24)
     assert K.orbits() == [[0, 1, 2, 4], [3], [5]]
     for g in K.generators:
@@ -287,7 +298,7 @@ def test_stabilizer_in_the_basic_orbit_is_conjugated(monkeypatch):
     assert not K.contains(Perm.from_cycles(6, (0, 3)))
     assert not H.contains(Perm.from_cycles(6, (0, 3)))
     # the derived group's own chain is built on demand and agrees
-    assert K.chain().order() == 24 and len(calls) == 2
+    assert K.stabilizer_chain().order() == 24 and len(calls) == 2
 
 
 def test_own_chain_of_a_conjugated_view_is_built_once(monkeypatch):
@@ -304,10 +315,10 @@ def test_own_chain_of_a_conjugated_view_is_built_once(monkeypatch):
                 [H.point_stabilizer(x).order() for x in range(6)])
 
     calls = count_chain_builds(monkeypatch)
-    chain = K.chain()
+    chain = K.stabilizer_chain()
     assert len(calls) == 1 and chain.order() == K.order() == 24
     # the view is now the group's own chain, and a second call reuses it
-    assert K._view == (chain, None, None) and K.chain() is chain
+    assert K._view == (chain, None, None) and K.stabilizer_chain() is chain
     assert len(calls) == 1
     before = answers(L)
     assert answers(K) == before
@@ -374,7 +385,7 @@ def test_every_level_of_a_view_chain_moves_its_base_point():
                           Perm.from_cycles(6, (3, 4)), Perm.from_cycles(6, (3, 4, 5))])
     routes = set()
     for name, G in SMALL_GROUPS[1:] + [("s3xs3", s3xs3)]:
-        root = G.chain()
+        root = G.stabilizer_chain()
         groups = [G] + [G.pointwise_stabilizer(S) for r in (1, 2, 3)
                         for S in itertools.combinations(range(G.degree), r)]
         for H in groups:
@@ -480,7 +491,7 @@ def test_rebase_with_a_wrong_order_raises_promptly(wrong, root):
     H = PermGroup(8, G.generators)
     H._order = wrong
     if root:
-        H._view = (G.chain(), None, None)
+        H._view = (G.stabilizer_chain(), None, None)
     start = time.perf_counter()
     with pytest.raises(RuntimeError):
         H.stabilizer_chain((3,))
@@ -591,7 +602,7 @@ def _finished_chains(G):
     """The root chain of ``G``, its rebases on one and two points, and the
     chains read by the conjugated views among its stabilizers of up to two
     points, after each of those views has read its orbit partition."""
-    chains = [G.chain()]
+    chains = [G.stabilizer_chain()]
     chains += [G.stabilizer_chain(S) for r in (1, 2)
                for S in itertools.permutations(range(G.degree), r)]
     for r in (1, 2):
