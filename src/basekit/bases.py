@@ -642,6 +642,7 @@ def grid_minimal_base(base_g, base_h, k: int) -> list[tuple[int, int]]:
     """
     g = [_as_int(x, "point") for x in base_g]
     h = [_as_int(x, "point") for x in base_h]
+    k = _as_int(k, "k")
     if len(g) > len(h):
         return [(d, l) for l, d in grid_minimal_base(h, g, k)]
     a, b = len(g), len(h)

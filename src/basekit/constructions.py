@@ -304,6 +304,11 @@ def coset_action(
     Point 0 is the coset H; further cosets are numbered in discovery order
     over representatives times generators (generator list order).
     """
+    expected_index = _as_int(expected_index, "expected_index")
+    max_index = _as_int(max_index, "max_index")
+    for name, value in (("expected_index", expected_index), ("max_index", max_index)):
+        if value < 1:
+            raise ValueError(f"{name} {value} must be at least 1")
     if expected_index > max_index:
         raise BudgetExceeded(
             f"coset index {expected_index} exceeds the configured ceiling {max_index}"

@@ -58,19 +58,20 @@ below it.  And orbit partitions keep their ``sizes`` as int32.  A group's
 and int32 indices cost more time there than their memory saves.  A level
 of a finished chain caches the ``labels`` of its generators' partition
 as int32, and nothing else of it; ``_relabelled_partition`` widens them
-as it reads them for a conjugated view.
+as it reads them for a view, relabelling them for a conjugated one.
 
-Every orbit label comes from one kernel, ``_join(labels, gens)``: the
-orbits of ``<K, gens>`` from the labels of ``K``, each orbit labelled by
-its smallest point.  It has two starting points.  Groups made from
-generators, and views with no conjugator, join their own generators onto
-the single points, the orbits of the trivial group (``_orbit_partition``).
-A level of a finished chain joins the generators it adds onto the labels
-of the level below (``_chain_labels``), so a level that shares most of its
-generators with the next level joins the few it adds, and a level whose
-generators are all shared keeps the very array of the level below.  A
-finished level also keeps its suffix order (``_finish``), so a view's
-order is a read.
+Every orbit label of a group comes from its chain (``_chain_labels``),
+through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
+from the labels of ``K``, each orbit labelled by its smallest point.  A
+level of a finished chain joins the generators it adds onto the labels of
+the level below, so a level that shares most of its generators with the
+next level joins the few it adds, and a level whose generators are all
+shared keeps the very array of the level below; a chain with no levels
+labels the single points.  A group made from generators builds its chain
+for its first orbit read.  The one other join is the giant certificate's
+transitivity test, which runs before the chain exists: ``_giant_order``
+joins the raw generators onto the single points once.  A finished level
+also keeps its suffix order (``_finish``), so a view's order is a read.
 
 Every group reads a chain through one view ``(chain, u, u_inv)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -144,7 +145,7 @@ class _Level:
     Three values of the group of this level's generators are kept once the
     chain is finished: ``suffix_order``, the product of the orbit sizes
     from this level to the bottom, set by ``_finish``; ``_labels``, the
-    int32 orbit labels that ``_chain_labels`` fills for conjugated views;
+    int32 orbit labels that ``_chain_labels`` fills for every view;
     and ``_rebases``, the group's rebases on single points, at most one
     per orbit, keyed by the orbit's label (``_orbit_rebase``).  None is
     reset by a later ``add_gen``, so a chain still being completed keeps
@@ -266,11 +267,14 @@ class StabilizerChain:
     def sift(self, p: Perm, start: int = 0) -> tuple[Perm, int]:
         """Strip ``p`` level by level; returns (residue, level reached).
 
-        Membership holds iff the residue is the identity, in which case the
-        level reached is ``len(self.levels)``.  After a level whose base
-        point the residue fixes, one comparison of its images of the
-        remaining base points finds the next level it moves, when at least
-        ``_SCAN_LEVELS`` levels remain.
+        ``p`` must be a ``Perm`` of the chain's degree: every completion
+        sifts each generator and draw here, so ``p`` is neither converted
+        nor checked (``contains`` does both).  Membership holds iff the
+        residue is the identity, in which case the level reached is
+        ``len(self.levels)``.  After a level whose base point the residue
+        fixes, one comparison of its images of the remaining base points
+        finds the next level it moves, when at least ``_SCAN_LEVELS``
+        levels remain.
         """
         levels, points = self.levels, self._points
         i = start
@@ -295,7 +299,10 @@ class StabilizerChain:
             i += 1
         return p, len(levels)
 
-    def contains(self, p: Perm) -> bool:
+    def contains(self, p) -> bool:
+        """Membership of ``p``, a ``Perm`` or an image sequence."""
+        if not isinstance(p, Perm):
+            p = Perm(p)
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         residue, _ = self.sift(p)
@@ -483,7 +490,7 @@ def _giant_order(degree: int, generators, draws) -> int | None:
     primes = _jordan_primes(degree)
     if not primes:
         return None
-    if _orbit_partition(degree, generators)[1][0] != degree:
+    if _join(np.arange(degree), generators).any():  # not transitive: a label other than 0
         return None
     weight = sum(1 / p for p in primes)
     tries = math.ceil(math.log(1 / _GIANT_MISS) / weight)
@@ -604,11 +611,6 @@ def _as_point(x, degree: int) -> int:
     return x
 
 
-def _orbit_partition(degree: int, gens: tuple[Perm, ...]):
-    """Label every point with the smallest point of its orbit: ``_join`` from the single points."""
-    return _with_sizes(_join(np.arange(degree), gens))
-
-
 def _with_sizes(labels: np.ndarray):
     """``(labels, sizes)``, read-only, with ``sizes[x]`` the int32 length of x's orbit."""
     sizes = np.bincount(labels, minlength=labels.size).astype(np.int32)[labels]
@@ -657,10 +659,15 @@ def _chain_labels(chain: StabilizerChain) -> np.ndarray:
     labels are cached, at the first level that shares fewer, or at the
     bottom level, joins all of that level's generators onto the single
     points, and joins back up.  A level that adds no generator keeps the
-    array of the level below.  Only for a finished chain: a later
+    array of the level below.  A chain with no levels, of the trivial
+    group, labels the single points.  Only for a finished chain: a later
     ``add_gen`` would not reset the labels.
     """
     levels = chain.levels
+    if not levels:
+        labels = np.arange(chain.degree, dtype=np.int32)
+        labels.setflags(write=False)
+        return labels
     path = []
     i = 0
     while levels[i]._labels is None and i + 1 < len(levels):
@@ -686,12 +693,15 @@ def _chain_labels(chain: StabilizerChain) -> np.ndarray:
     return labels
 
 
-def _relabelled_partition(labels: np.ndarray, u_inv: Perm):
-    """The orbit partition of ``u_inv <G> u`` from that of ``G``.
+def _relabelled_partition(labels: np.ndarray, u_inv: Perm | None):
+    """The orbit partition of ``u_inv <G> u`` from the int32 labels of ``G``.
 
     ``x`` and ``y`` share an orbit iff ``x^u_inv`` and ``y^u_inv`` share a
     ``G``-orbit; each orbit is then labelled by its smallest point again.
+    With no ``u_inv`` it is the partition of ``G``, its labels widened.
     """
+    if u_inv is None:
+        return _with_sizes(labels.astype(np.int64))
     degree = labels.size
     ids = labels[u_inv.images].astype(np.int64)  # np.minimum.at is slower on int32 ids
     smallest = np.full(degree, degree, dtype=np.int64)
@@ -708,9 +718,10 @@ class PermGroup:
     one view, ``_view = (chain, u, u_inv)``: the group is
     ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
     group's own chain.  A group made from generators fills its view from
-    ``build_chain`` on first use; a stabilizer is born a view of a suffix
-    of its parent's chain or of its rebase (see the module notes), whose
-    conjugated generators are made only when ``generators`` is first read.
+    ``build_chain`` on first use, and its first order, membership, orbit
+    or stabilizer read is such a use; a stabilizer is born a view of a
+    suffix of its parent's chain or of its rebase (see the module notes),
+    whose generators are made only when ``generators`` is first read.
     ``_subgroups`` maps a search mode of ``basekit.bases``, ``"pruned"`` or
     ``"exhaustive"``, to the table of pointwise stabilizers that the
     searches in that mode fill and share; the two are kept apart so that
@@ -774,10 +785,9 @@ class PermGroup:
         if not levels or not levels[0].gens:
             u = u_inv = None
         g.degree = degree
-        g._generators = chain.level_generators(0) if u is None else None  # conjugated when first read
         g._view = (chain, u, u_inv)
         g._order = chain.order()
-        g._hint = g._partition = g._stab_classes = g._subgroups = None
+        g._generators = g._hint = g._partition = g._stab_classes = g._subgroups = None
         return g
 
     def _get_view(self) -> tuple:
@@ -788,16 +798,16 @@ class PermGroup:
                 self.generators,
                 known_order=self._order if self._order is not None else self._hint,
             )
-            if self._order is None:
-                self._order = chain.order()
+            self._order = chain.order()
             self._view = (chain, None, None)
         return self._view
 
     @property
     def generators(self) -> tuple[Perm, ...]:
-        if self._generators is None:
+        if self._generators is None:  # a view's, made on first read
             chain, u, u_inv = self._view
-            self._generators = tuple(u_inv * s * u for s in chain.level_generators(0))
+            gens = chain.level_generators(0)
+            self._generators = gens if u is None else tuple(u_inv * s * u for s in gens)
         return self._generators
 
     def is_trivial(self) -> bool:
@@ -811,31 +821,25 @@ class PermGroup:
         return self._order
 
     def contains(self, p) -> bool:
-        """Membership of ``p``, a ``Perm`` or an image sequence."""
-        if not isinstance(p, Perm):
-            p = Perm(p)
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        if self.is_trivial():
-            return p.is_identity()
+        """Membership of ``p``, a ``Perm`` or an image sequence; the chain checks it."""
         chain, u, u_inv = self._get_view()
-        return chain.contains(p if u is None else u * p * u_inv)
+        if u is not None:  # the conjugation checks the degree
+            p = u * (p if isinstance(p, Perm) else Perm(p)) * u_inv
+        return chain.contains(p)
 
     def orbit_partition(self):
         """``(labels, sizes)``: x's orbit's smallest point and its int32 length.
 
         ``labels[x]`` is the smallest point of x's orbit and ``sizes[x]`` the
         orbit's length, so the group fixes exactly the points with
-        ``sizes == 1``.  Both arrays are read-only and cached.
+        ``sizes == 1``.  Both arrays are read-only and cached.  They are read
+        off the chain's level-0 labels (``_chain_labels``), relabelled
+        through the conjugator of a conjugated view, so the first read on a
+        group made from generators builds its chain.
         """
         if self._partition is None:
-            # the slot, not _get_view: a partition never builds a chain
-            view = self._view
-            if view is None or view[1] is None:
-                self._partition = _orbit_partition(self.degree, self.generators)
-            else:
-                chain, _, u_inv = view
-                self._partition = _relabelled_partition(_chain_labels(chain), u_inv)
+            chain, _, u_inv = self._get_view()
+            self._partition = _relabelled_partition(_chain_labels(chain), u_inv)
         return self._partition
 
     def orbit(self, point: int) -> set[int]:
@@ -867,21 +871,17 @@ class PermGroup:
         off the orbit partition of ``point_stabilizer(rep)``, and carried
         breadth-first by the generators, since ``g`` maps the class of ``x``
         onto that of ``x^g``.  Each class is labelled whole on first reach,
-        so every point is labelled once.  A conjugated view carries them by
-        its chain's level-0 generators ``s`` through its conjugator, ``x``
-        to ``x^(u_inv s u)`` in three gathers, so its generators stay unmade.
+        so every point is labelled once.  The generators are the chain's
+        level-0 generators ``s``; a conjugated view carries ``x`` to
+        ``x^(u_inv s u)`` in three gathers, so no group's generators are made.
         """
         if self._stab_classes is not None:
             return self._stab_classes
         degree = self.degree
         labels, sizes = self.orbit_partition()
         out = np.full(degree, -1, dtype=np.int64)
-        view = self._view
-        if view is None or view[1] is None:
-            images, u = [g.images for g in self.generators], None
-        else:
-            chain, u, u_inv = view
-            images = [s.images for s in chain.levels[0].gens]
+        chain, u, u_inv = self._get_view()
+        images = [s.images for s in chain.level_generators(0)]
         for rep in np.nonzero(labels == np.arange(degree))[0].tolist():
             if out[rep] >= 0:  # labelled with a class of an earlier orbit
                 continue
@@ -954,7 +954,7 @@ class PermGroup:
         return PermGroup._from_view(self.degree, chain.suffix(1), u, u_inv)
 
     def __repr__(self) -> str:
-        # a conjugated view counts its chain's level-0 generators, left unmade
+        # a view counts its chain's level-0 generators, left unmade
         gens = self._generators
-        count = len(self._view[0].levels[0].gens) if gens is None else len(gens)
+        count = len(self._view[0].level_generators(0)) if gens is None else len(gens)
         return f"PermGroup(degree={self.degree}, gens={count})"

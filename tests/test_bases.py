@@ -317,8 +317,8 @@ def test_searches_run_within_a_few_spare_frames():
 )
 def test_analyze_makes_no_views_generators(run, monkeypatch):
     # orbit lengths, fixed points, subgroup keys and stabilizer classes are
-    # all read off orbit partitions and chains, so no conjugated view's
-    # generators are made: only the public property makes them
+    # all read off orbit partitions and chains, so no view's generators
+    # are made: only the public property makes them
     made = []
     prop = PermGroup.generators
 
@@ -330,6 +330,25 @@ def test_analyze_makes_no_views_generators(run, monkeypatch):
     monkeypatch.setattr(PermGroup, "generators", property(generators))
     run()
     assert made == []
+
+
+@pytest.mark.parametrize("spec", [{"type": "sym", "n": 7}, {"type": "wreath_coset", "n": 4, "k": 3}],
+                         ids=["sym7", "wreath_coset(4,3)"])
+def test_analyze_stores_no_generators_on_any_view(spec, monkeypatch):
+    # a view with no conjugator reads its orbits and stabilizer classes
+    # off its chain as a conjugated one does, so no view holds a generator
+    # tuple until the public property is read
+    views = []
+    from_view = PermGroup._from_view.__func__
+
+    def recording(cls, *args):
+        views.append(from_view(cls, *args))
+        return views[-1]
+
+    monkeypatch.setattr(PermGroup, "_from_view", classmethod(recording))
+    cli.analyze_report(spec)
+    assert any(H._view[1] is None for H in views)
+    assert [H for H in views if H._generators is not None] == []
 
 
 def test_fixed_point_key_is_exact_on_pointwise_stabilizers():
@@ -976,6 +995,9 @@ def test_grid_recipe_range_errors():
         grid_minimal_base([0, 1], [0, 1], 3)
     with pytest.raises(ValueError):
         grid_minimal_base([0, 1], [0, 1, 2], 2)
+    # a float k in range used to raise TypeError from range()
+    with pytest.raises(ValueError, match="k 3.0 is not an integer"):
+        grid_minimal_base([0, 1, 2], [0, 1, 2], 3.0)
 
 
 def test_grid_recipe_yields_minimal_bases():

@@ -320,6 +320,23 @@ def test_generic_coset_action():
         coset_action(G, (3,), 3, max_index=3)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((4.5,), "expected_index 4.5 is not an integer"),
+    ((True,), "expected_index True is not an integer"),
+    ((0,), "expected_index 0 must be at least 1"),
+    ((-3,), "expected_index -3 must be at least 1"),
+    ((9, 10.0), "max_index 10.0 is not an integer"),
+    ((9, True), "max_index True is not an integer"),
+    ((9, 0), "max_index 0 must be at least 1"),
+], ids=["float-index", "bool-index", "zero-index", "negative-index",
+        "float-max", "bool-max", "zero-max"])
+def test_coset_action_rejects_bad_indices(args, message):
+    # a float index used to reach the enumeration and raise RuntimeError,
+    # the internal-error class, and True passed as 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        coset_action(wreath_imprimitive(3, 2), (0, 1), *args)
+
+
 def test_k_subset_action():
     G = k_subset_action(6, 2)
     assert G.degree == 15

@@ -97,9 +97,22 @@ def test_contains_takes_image_sequences():
     assert G.contains([1, 0, 2, 3]) and not alt.contains([1, 0, 2, 3])
     assert alt.contains((1, 2, 0, 3)) and alt.contains(np.array([0, 2, 3, 1]))
     assert PermGroup(3).contains([0, 1, 2])
+    # the chain takes them too; it used to raise AttributeError
+    chain, alt_chain = G.stabilizer_chain(), alt.stabilizer_chain()
+    assert chain.contains([1, 0, 2, 3]) and not alt_chain.contains([1, 0, 2, 3])
+    assert alt_chain.contains((1, 2, 0, 3)) and alt_chain.contains(np.array([0, 2, 3, 1]))
+    assert PermGroup(3).stabilizer_chain().contains([0, 1, 2])
+    assert not PermGroup(3).stabilizer_chain().contains([1, 0, 2])
+    # a conjugated view conjugates the sequence into its chain
+    H = sym(5).point_stabilizer(3)
+    assert H._view[1] is not None
+    assert H.contains([1, 0, 2, 3, 4]) and not H.contains([0, 1, 2, 4, 3])
+    with pytest.raises(ValueError):
+        H.contains([1, 0, 2, 3])
     for bad in ([0, 0, 1, 2], [0.0, 1.0, 2.0, 3.0], [], [0, 1, 2]):
-        with pytest.raises(ValueError):
-            G.contains(bad)
+        for contains in (G.contains, chain.contains):
+            with pytest.raises(ValueError):
+                contains(bad)
 
 
 def test_trivial_group_contains_only_identity():
@@ -675,11 +688,28 @@ def test_orbit_partitions_match_bruteforce_orbits(case):
     perms = [Perm(g) for g in gens]
     want = [bf.orbit_under(gens, x) for x in range(n)]
     for labels, sizes in (PermGroup(n, perms).orbit_partition(),
-                          group_module._orbit_partition(n, tuple(perms))):
+                          group_module._with_sizes(group_module._join(np.arange(n), perms))):
         assert labels.dtype == np.int64 and sizes.dtype == np.int32
         assert not labels.flags.writeable and not sizes.flags.writeable
         assert labels.tolist() == [min(orbit) for orbit in want]
         assert sizes.tolist() == [len(orbit) for orbit in want]
+
+
+def test_root_orbit_partition_is_read_off_its_chain():
+    # a group made from generators reads its orbits off its own chain: the
+    # first read builds the chain and leaves level 0's labels equal to the
+    # group's.  A chain with no levels labels the single points
+    groups = [sym(5), PermGroup(7, [Perm.from_cycles(7, (0, 3)), Perm.from_cycles(7, (4, 5, 6))]),
+              cyclic_regular(5)]
+    for G in groups:
+        labels, sizes = G.orbit_partition()
+        chain, u, _ = G._view
+        assert u is None and chain.levels[0]._labels.tolist() == labels.tolist()
+    for G in (PermGroup(1), PermGroup(4), sym(4).pointwise_stabilizer([0, 1, 2])):
+        labels, sizes = G.orbit_partition()
+        assert G._view[0].levels == []
+        assert labels.tolist() == list(range(G.degree)) and sizes.tolist() == [1] * G.degree
+        assert labels.dtype == np.int64 and sizes.dtype == np.int32
 
 
 def test_degree_2400_orbit_partitions_match_breadth_first_search():
