@@ -23,7 +23,7 @@ from .bases import (
     irredundant_base_sizes,
     minimal_base_sizes,
 )
-from .constructions import build_group
+from .constructions import MAX_SPEC_DEGREE, build_group, product_action
 from .errors import BudgetExceeded, SpecError
 from .formulas import measure_epsilon, predict_thm41
 from .suites import SUITE_NAMES, run_suite
@@ -197,10 +197,10 @@ def cmd_probe_epsilon(args) -> int:
     spec_a = _load_spec(args.spec_a)
     spec_b = _load_spec(args.spec_b)
     budget = SearchBudget(args.budget)
-    from .constructions import product_action
-
     A, _ = build_group(spec_a)
     B, _ = build_group(spec_b)
+    if A.degree * B.degree > MAX_SPEC_DEGREE:
+        raise SpecError(f"the product of the two factors acts on more than {MAX_SPEC_DEGREE} points")
     if A.is_trivial() or B.is_trivial():
         raise SpecError("both factors must be non-trivial")
     m_a = minimal_base_sizes(A, "pruned", budget)

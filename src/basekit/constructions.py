@@ -72,8 +72,8 @@ class LabeledDomain:
         raise KeyError(label)
 
 
-def _single_block(degree: int, label: str = "omega") -> LabeledDomain:
-    return LabeledDomain(degree, ((label, 0, degree),))
+def _one_block(G: PermGroup, label: str = "omega") -> tuple[PermGroup, LabeledDomain]:
+    return G, LabeledDomain(G.degree, ((label, 0, G.degree),))
 
 
 def symmetric(n: int) -> PermGroup:
@@ -171,6 +171,19 @@ def product_coords(point: int, h_degree: int) -> tuple[int, int]:
 # -- prescribed minimal-base spectra --------------------------------------
 
 
+def _theorem2_layout(xs: list[int]) -> tuple[int, list[int], int]:
+    """The blocks of ``theorem2_group`` for sorted distinct ``xs``, all >= 1.
+
+    Returns the degree of the symmetric factor (0 when x1 = 1), the
+    dimensions of the elementary abelian blocks D1, D2, ... and the number
+    of p-cycle blocks (0 when X has one entry).
+    """
+    shift = xs[0] - 1
+    top = xs[-1] - shift
+    dims = [top] + [top - x + shift + 1 for x in reversed(xs[1:-1])]
+    return (xs[0] if shift else 0), dims, (top if len(xs) > 1 else 0)
+
+
 def theorem2_group(X, p: int = 2) -> tuple[PermGroup, LabeledDomain]:
     """A group whose minimal-base cardinalities are exactly the set X.
 
@@ -191,50 +204,47 @@ def theorem2_group(X, p: int = 2) -> tuple[PermGroup, LabeledDomain]:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
 
-    if xs[0] > 1:
-        shift = xs[0] - 1
-        inner, inner_dom = theorem2_group([x - shift for x in xs], p)
-        sym = symmetric(xs[0])
-        G = disjoint_product(sym, inner)
-        blocks = (("Sym", 0, xs[0]),) + tuple(
-            (label, start + xs[0], size) for label, start, size in inner_dom.blocks
-        )
-        return G, LabeledDomain(G.degree, blocks)
-
-    n = len(xs)
-    xn = xs[-1]
-    if n == 1:
-        G = elem_abelian_regular(p, xn)
-        return G, _single_block(G.degree, "D1")
-
-    # per-block generator builders; block j=1 first, then middles, then cycles
-    block_dims = [xn] + [xn - xs[n - j] + 1 for j in range(2, n)]
-    block_groups = [elem_abelian_regular(p, dim) for dim in block_dims]
-    cycle = cyclic_regular(p).generators[0]
-
-    sizes = [g.degree for g in block_groups] + [p] * xn
-    labels = [f"D{j + 1}" for j in range(len(block_groups))] + [
-        f"D{n}_{i + 1}" for i in range(xn)
-    ]
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-    degree = sum(sizes)
-
-    gens = []
-    for i in range(xn):
-        images = np.arange(degree, dtype=np.int32)
-        for grp, dim, start in zip(block_groups, block_dims, starts):
-            if i < dim:
-                piece = grp.generators[i]
-                images[start : start + piece.degree] = piece.images + start
-        cyc_start = starts[len(block_groups) + i]
-        images[cyc_start : cyc_start + p] = cycle.images + cyc_start
-        gens.append(Perm._wrap(images))
-
-    G = PermGroup(degree, gens, order_hint=p**xn)
-    dom = LabeledDomain(
-        degree, tuple((lbl, st, sz) for lbl, st, sz in zip(labels, starts, sizes))
-    )
+    sym_degree, dims, cycles = _theorem2_layout(xs)
+    block_groups = [elem_abelian_regular(p, dim) for dim in dims]
+    if not cycles:
+        G, dom = _one_block(block_groups[0], "D1")
+    else:
+        cycle = cyclic_regular(p).generators[0]
+        sizes = [g.degree for g in block_groups] + [p] * cycles
+        labels = [f"D{j + 1}" for j in range(len(dims))] + [
+            f"D{len(xs)}_{i + 1}" for i in range(cycles)
+        ]
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
+        degree = sum(sizes)
+        gens = []
+        for i in range(cycles):
+            images = np.arange(degree, dtype=np.int32)
+            for grp, dim, start in zip(block_groups, dims, starts):
+                if i < dim:
+                    piece = grp.generators[i]
+                    images[start : start + piece.degree] = piece.images + start
+            cyc_start = starts[len(dims) + i]
+            images[cyc_start : cyc_start + p] = cycle.images + cyc_start
+            gens.append(Perm._wrap(images))
+        G = PermGroup(degree, gens, order_hint=p**cycles)
+        dom = LabeledDomain(degree, tuple(zip(labels, starts, sizes)))
+    if sym_degree:
+        G = disjoint_product(symmetric(sym_degree), G)
+        dom = LabeledDomain(G.degree, (("Sym", 0, sym_degree),) + tuple(
+            (label, start + sym_degree, size) for label, start, size in dom.blocks
+        ))
     return G, dom
+
+
+def _theorem3_factors(a: int, b: int, kind: str) -> list[tuple[int, int]]:
+    """The symmetric factors of ``theorem3_groups(a, b, kind)`` for
+    2 <= a <= b, as (degree, copies) pairs."""
+    if a == b:
+        return [(a + 1, 1)]
+    t, r = divmod(b, a - 1)
+    if kind == "M":
+        return [(a + 1, t)] + ([(r + 2, 1)] if r else [])
+    return [(a + 1, t), (r + 1, 1)] if r else [(a + 1, t - 1), (a, 1)]
 
 
 def theorem3_groups(a: int, b: int, kind: str = "M") -> PermGroup:
@@ -245,7 +255,8 @@ def theorem3_groups(a: int, b: int, kind: str = "M") -> PermGroup:
     b = t(a-1) + r with 0 <= r < a-1: for kind="M" take t copies of S_{a+1}
     (plus one S_{r+2} when r > 0); for kind="I" take t copies plus S_{r+1}
     when r > 0, and t-1 copies plus S_a when r = 0 (t copies alone would
-    overshoot the longest irredundant base by one).
+    overshoot the longest irredundant base by one).  For a = b it is
+    S_{a+1}.
     """
     if kind not in ("M", "I"):
         raise ValueError("kind must be 'M' or 'I'")
@@ -255,22 +266,11 @@ def theorem3_groups(a: int, b: int, kind: str = "M") -> PermGroup:
                          "minimal base of size 1 is regular and has spectrum {1}")
     if b < a:
         raise ValueError("need a <= b")
-    if a == b:
-        return symmetric(a + 1)
-    t, r = divmod(b, a - 1)
-    factors: list[PermGroup]
-    if kind == "M":
-        factors = [symmetric(a + 1)] * t
-        if r > 0:
-            factors.append(symmetric(r + 2))
-    else:
-        if r > 0:
-            factors = [symmetric(a + 1)] * t + [symmetric(r + 1)]
-        else:
-            factors = [symmetric(a + 1)] * (t - 1) + [symmetric(a)]
-    if len(factors) == 1:
-        return factors[0]
-    return product_action(*factors)
+    factors = [
+        G for degree, copies in _theorem3_factors(a, b, kind)
+        for G in [symmetric(degree)] * copies
+    ]
+    return factors[0] if len(factors) == 1 else product_action(*factors)
 
 
 # -- wreath products and coset actions ------------------------------------
@@ -445,40 +445,139 @@ def gl42_on_2subspaces() -> PermGroup:
 # -- spec documents --------------------------------------------------------
 
 
-def _need(spec: dict, key: str, kind=int):
-    if key not in spec:
-        raise SpecError(f"spec {spec.get('type')!r} is missing {key!r}")
-    return _checked(key, spec[key], kind)
+MAX_SPEC_DEPTH = 32
+# the most points a spec's group may act on; a larger one is refused before
+# anything is built (its arrays alone could exhaust memory)
+MAX_SPEC_DEGREE = 1 << 20
+_CAP = MAX_SPEC_DEGREE + 1
+
+# the kind of every field that is not an integer
+_KINDS = {"X": list[int], "factors": list, "generators": list}
 
 
 def _checked(key: str, value, kind=int):
     # exact values only: 4.7 or "4" is an error, never truncated or parsed
+    if kind == list[int]:
+        return [_checked(key, x) for x in _checked(key, value, list)]
     if not isinstance(value, kind) or isinstance(value, bool):
         raise SpecError(f"bad value for {key!r}: {value!r} (need {kind.__name__})")
     return value
 
 
-MAX_SPEC_DEPTH = 32
-# the most points a spec's group may act on; a larger one is refused before
-# anything is built (its arrays alone could exhaust memory)
-MAX_SPEC_DEGREE = 1 << 20
+def _field_values(spec: dict, fields: dict) -> list:
+    # the checked value of each field in table order; a missing field takes
+    # its default, and one whose default is None is an error
+    values = []
+    for key, default in fields.items():
+        if key not in spec and default is None:
+            raise SpecError(f"spec {spec.get('type')!r} is missing {key!r}")
+        values.append(_checked(key, spec.get(key, default), _KINDS.get(key, int)))
+    return values
 
-# the fields each spec type takes, as in the README's spec table; every spec
-# also takes "type" and the boolean tag "product_indecomposable"
-_SPEC_FIELDS = {
-    "sym": ("n",),
-    "cyclic_regular": ("p",),
-    "elem_abelian_regular": ("p", "d"),
-    "disjoint_product": ("factors",),
-    "product_action": ("factors",),
-    "theorem2": ("X", "p"),
-    "theorem3_m": ("a", "b"),
-    "theorem3_i": ("a", "b"),
-    "wreath_coset": ("n", "k", "max_index"),
-    "k_subsets": ("n", "k"),
-    "gl42_planes": (),
-    "explicit": ("degree", "generators"),
+
+def _power(base: int, exp: int) -> int:
+    # base**exp for base >= 2, and 1 otherwise; _CAP once past the ceiling
+    out = 1
+    for _ in range(exp if base > 1 else 0):
+        out *= base
+        if out >= _CAP:
+            return _CAP
+    return out
+
+
+def _product(degrees) -> int:
+    out = 1
+    for d in degrees:
+        out = min(out * d, _CAP)
+    return out
+
+
+def _theorem2_degree(X: list[int], p: int) -> int:
+    if not X or min(X) < 1 or p < 2:
+        return 1
+    sym_degree, dims, cycles = _theorem2_layout(sorted(set(X)))
+    return sym_degree + sum(_power(p, dim) for dim in dims) + p * cycles
+
+
+def _theorem3_spec(kind: str) -> tuple:
+    def degree(a: int, b: int) -> int:
+        if a < 2 or b < a:
+            return 1
+        return _product(_power(d, copies) for d, copies in _theorem3_factors(a, b, kind))
+
+    return {"a": None, "b": None}, degree, lambda a, b: _one_block(theorem3_groups(a, b, kind), "tuples")
+
+
+def _k_subsets_degree(n: int, k: int) -> int:
+    if not 1 <= k <= n // 2:
+        return 1
+    out = 1
+    for i in range(1, k + 1):  # C(n, i) grows with i up to n/2
+        out = out * (n - i + 1) // i
+        if out >= _CAP:
+            return _CAP
+    return out
+
+
+def _factor_groups(t: str, factors: list) -> list[tuple[PermGroup, LabeledDomain]]:
+    if len(factors) < 2:
+        raise SpecError(f"{t} needs at least two factors")
+    return [build_group(f) for f in factors]
+
+
+def _disjoint_group(factors: list) -> tuple[PermGroup, LabeledDomain]:
+    parts = _factor_groups("disjoint_product", factors)
+    G = parts[0][0]
+    blocks = [(f"F1:{lbl}", st, sz) for lbl, st, sz in parts[0][1].blocks]
+    for i, (H, dom) in enumerate(parts[1:], start=2):
+        off = G.degree
+        G = disjoint_product(G, H)
+        blocks += [(f"F{i}:{lbl}", st + off, sz) for lbl, st, sz in dom.blocks]
+    return G, LabeledDomain(G.degree, tuple(blocks))
+
+
+# Each spec type, as in the README's spec table: its fields (name -> default,
+# None for a required field), its degree from the checked field values alone
+# (arithmetic only, never a group or an array; a value the construction
+# rejects gives a lower bound), and its builder from the same values.  Every
+# spec also takes "type" and the boolean tag "product_indecomposable".
+_SPECS = {
+    "sym": ({"n": None}, lambda n: n, lambda n: _one_block(symmetric(n))),
+    "cyclic_regular": ({"p": None}, lambda p: p, lambda p: _one_block(cyclic_regular(p))),
+    "elem_abelian_regular": (
+        {"p": None, "d": None}, _power,
+        lambda p, d: _one_block(elem_abelian_regular(p, d), "vectors"),
+    ),
+    "disjoint_product": (
+        {"factors": None}, lambda factors: sum(map(_spec_degree, factors)), _disjoint_group,
+    ),
+    "product_action": (
+        {"factors": None}, lambda factors: _product(map(_spec_degree, factors)),
+        lambda factors: _one_block(
+            product_action(*(G for G, _ in _factor_groups("product_action", factors))), "pairs"
+        ),
+    ),
+    "theorem2": ({"X": None, "p": 2}, _theorem2_degree, theorem2_group),
+    "theorem3_m": _theorem3_spec("M"),
+    "theorem3_i": _theorem3_spec("I"),
+    "wreath_coset": (
+        # an index past max_index counts as 1: the construction refuses it
+        # before it builds anything
+        {"n": None, "k": None, "max_index": 5000},
+        lambda n, k, max_index: n >= 3 and k >= 2 and _coset_index(n, k, max_index) or 1,
+        lambda n, k, max_index: _one_block(wreath_coset_action(n, k, max_index), "cosets"),
+    ),
+    "k_subsets": (
+        {"n": None, "k": None}, _k_subsets_degree,
+        lambda n, k: _one_block(k_subset_action(n, k), "subsets"),
+    ),
+    "gl42_planes": ({}, lambda: 35, lambda: _one_block(gl42_on_2subspaces(), "planes")),
+    "explicit": (
+        {"degree": None, "generators": None}, lambda degree, generators: degree,
+        lambda degree, generators: _one_block(PermGroup(degree, [Perm(g) for g in generators])),
+    ),
 }
+_SPEC_FIELDS = {t: tuple(fields) for t, (fields, _, _) in _SPECS.items()}
 
 
 def _spec_depth(spec) -> int:
@@ -507,83 +606,15 @@ def _spec_degree(spec) -> int:
     before it builds anything.  Called on a spec no deeper than
     ``MAX_SPEC_DEPTH``.
     """
-    cap = MAX_SPEC_DEGREE + 1
-
-    def field(key, default=None):
-        value = spec.get(key, default)
-        return value if isinstance(value, int) and not isinstance(value, bool) else None
-
-    def power(base, exp):
-        out = 1
-        for _ in range(exp if base > 1 else 0):
-            out *= base
-            if out >= cap:
-                return cap
-        return out
-
-    if not isinstance(spec, dict):
+    t = spec.get("type") if isinstance(spec, dict) else None
+    if not isinstance(t, str) or t not in _SPECS:
         return 1
-    t = spec.get("type")
-    if t in ("disjoint_product", "product_action"):
-        factors = spec.get("factors")
-        degrees = [_spec_degree(f) for f in factors] if isinstance(factors, list) else []
-        if t == "disjoint_product":
-            return min(max(sum(degrees), 1), cap)
-        out = 1
-        for d in degrees:
-            out = min(out * d, cap)
-        return out
-    if t in ("sym", "cyclic_regular", "explicit"):
-        n = field({"sym": "n", "cyclic_regular": "p", "explicit": "degree"}[t])
-        return min(n, cap) if n is not None and n > 1 else 1
-    if t == "elem_abelian_regular":
-        p, d = field("p"), field("d")
-        return 1 if p is None or d is None else power(p, d)
-    if t == "theorem2":
-        xs, p = spec.get("X"), field("p", 2)
-        if not isinstance(xs, list) or not xs or p is None or p < 2 or any(
-                not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in xs):
-            return 1
-        xs = sorted(set(xs))
-        out = xs[0] if xs[0] > 1 else 0  # a symmetric factor shifts X to start at 1
-        xs = [x - xs[0] + 1 for x in xs]
-        dims = [xs[-1]] + [xs[-1] - x + 1 for x in xs[1:-1]]
-        for dim in dims:
-            out = min(out + power(p, dim), cap)
-        return min(out + (p * xs[-1] if len(xs) > 1 else 0), cap)
-    if t in ("theorem3_m", "theorem3_i"):
-        a, b = field("a"), field("b")
-        if a is None or b is None or a < 2 or b < a:
-            return 1
-        if a == b:
-            return min(a + 1, cap)
-        q, r = divmod(b, a - 1)
-        if t == "theorem3_m":
-            degree = power(a + 1, q) * (r + 2 if r else 1)
-        elif r:
-            degree = power(a + 1, q) * (r + 1)
-        else:
-            degree = power(a + 1, q - 1) * a
-        return min(degree, cap)
-    if t == "wreath_coset":
-        n, k, ceiling = field("n"), field("k"), field("max_index", 5000)
-        if n is None or k is None or ceiling is None or n < 3 or k < 2:
-            return 1
-        index = _coset_index(n, k, ceiling)
-        return 1 if index is None else min(index, cap)
-    if t == "k_subsets":
-        n, k = field("n"), field("k")
-        if n is None or k is None or not 1 <= k <= n // 2:
-            return 1
-        out = 1
-        for i in range(1, k + 1):  # C(n, i) grows with i up to n/2
-            out = out * (n - i + 1) // i
-            if out >= cap:
-                return cap
-        return out
-    if t == "gl42_planes":
-        return 35
-    return 1
+    fields, degree, _ = _SPECS[t]
+    try:
+        values = _field_values(spec, fields)
+    except SpecError:
+        return 1
+    return max(1, min(degree(*values), _CAP))
 
 
 def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
@@ -599,9 +630,9 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
     if _spec_depth(spec) > MAX_SPEC_DEPTH:
         raise SpecError(f"spec nests factors more than {MAX_SPEC_DEPTH} levels deep")
     t = spec["type"]
-    if not isinstance(t, str) or t not in _SPEC_FIELDS:
+    if not isinstance(t, str) or t not in _SPECS:
         raise SpecError(f"unknown construction type {t!r}")
-    fields = _SPEC_FIELDS[t]
+    fields, _, build = _SPECS[t]
     for key in spec:
         if key not in fields and key not in ("type", "product_indecomposable"):
             takes = ", ".join(map(repr, fields)) or "no other field"
@@ -611,62 +642,9 @@ def build_group(spec: dict) -> tuple[PermGroup, LabeledDomain]:
         raise SpecError(f"'product_indecomposable' is true or false, got {tag!r}")
     if _spec_degree(spec) > MAX_SPEC_DEGREE:
         raise SpecError(f"spec {t!r} acts on more than {MAX_SPEC_DEGREE} points")
+    values = _field_values(spec, fields)
     try:
-        if t == "sym":
-            G = symmetric(_need(spec, "n"))
-            return G, _single_block(G.degree)
-        if t == "cyclic_regular":
-            G = cyclic_regular(_need(spec, "p"))
-            return G, _single_block(G.degree)
-        if t == "elem_abelian_regular":
-            G = elem_abelian_regular(_need(spec, "p"), _need(spec, "d"))
-            return G, _single_block(G.degree, "vectors")
-        if t == "disjoint_product":
-            factors = _need(spec, "factors", list)
-            if len(factors) < 2:
-                raise SpecError("disjoint_product needs at least two factors")
-            parts = [build_group(f) for f in factors]
-            G = parts[0][0]
-            blocks = [
-                (f"F1:{lbl}", st, sz) for lbl, st, sz in parts[0][1].blocks
-            ]
-            for i, (Hi, dom) in enumerate(parts[1:], start=2):
-                off = G.degree
-                G = disjoint_product(G, Hi)
-                blocks += [(f"F{i}:{lbl}", st + off, sz) for lbl, st, sz in dom.blocks]
-            return G, LabeledDomain(G.degree, tuple(blocks))
-        if t == "product_action":
-            factors = _need(spec, "factors", list)
-            if len(factors) < 2:
-                raise SpecError("product_action needs at least two factors")
-            parts = [build_group(f)[0] for f in factors]
-            G = product_action(*parts)
-            return G, _single_block(G.degree, "pairs")
-        if t == "theorem2":
-            xs = [_checked("X", x) for x in _need(spec, "X", list)]
-            return theorem2_group(xs, _checked("p", spec.get("p", 2)))
-        if t == "theorem3_m":
-            G = theorem3_groups(_need(spec, "a"), _need(spec, "b"), "M")
-            return G, _single_block(G.degree, "tuples")
-        if t == "theorem3_i":
-            G = theorem3_groups(_need(spec, "a"), _need(spec, "b"), "I")
-            return G, _single_block(G.degree, "tuples")
-        if t == "wreath_coset":
-            G = wreath_coset_action(
-                _need(spec, "n"),
-                _need(spec, "k"),
-                max_index=_checked("max_index", spec.get("max_index", 5000)),
-            )
-            return G, _single_block(G.degree, "cosets")
-        if t == "k_subsets":
-            G = k_subset_action(_need(spec, "n"), _need(spec, "k"))
-            return G, _single_block(G.degree, "subsets")
-        if t == "gl42_planes":
-            return gl42_on_2subspaces(), _single_block(35, "planes")
-        # t == "explicit"
-        degree = _need(spec, "degree")
-        gens = [Perm(img) for img in _need(spec, "generators", list)]
-        return PermGroup(degree, gens), _single_block(degree)
+        return build(*values)
     except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, SpecError):
             raise

@@ -76,14 +76,19 @@ def measure_epsilon(
 def predict_prodsym_M(n_list) -> SizeSet:
     """Minimal-base spectrum of a product of symmetric groups S_{n_1} x ... x S_{n_t}.
 
-    {max_i (n_i - 1), ..., sum_i (n_i - 1) - t}; a single factor degenerates
-    to the singleton {n - 1}.
+    {max_i (n_i - 1), ..., sum_i (n_i - 1) - t}; a single factor, of any
+    degree n >= 2, degenerates to the singleton {n - 1}.  With several
+    factors every degree must be at least 3: a factor S_2 takes the formula
+    outside its range (for S_2 x S_3 it gives the empty set, where the
+    spectrum is {2}).
     """
     ns = [_as_int(n, "degree") for n in n_list]
     if not ns or any(n < 2 for n in ns):
         raise ValueError("need at least one factor, all of degree >= 2")
     if len(ns) == 1:
         return SizeSet([ns[0] - 1])
+    if min(ns) < 3:
+        raise ValueError(f"with several factors every degree must be at least 3, got {ns}")
     lo = max(n - 1 for n in ns)
     hi = sum(n - 1 for n in ns) - len(ns)
     return SizeSet(range(lo, hi + 1))

@@ -323,6 +323,17 @@ def test_analyze_table_renders_witnesses():
     assert " witness " not in out
 
 
+@pytest.mark.parametrize("p", [1100, MAX_SPEC_DEGREE])
+def test_probe_epsilon_refuses_an_oversized_product(p):
+    # each factor is within the ceiling, their product action is not: p = 1100
+    # used to search 1,210,000 points, p = 2^20 to fail allocating 4 TiB
+    factor = json.dumps({"type": "cyclic_regular", "p": p})
+    code, out, err = run_cli(["probe-epsilon", factor, factor])
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err, err
+    assert f"more than {MAX_SPEC_DEGREE} points" in err
+
+
 def test_probe_epsilon_product_factors():
     a = '{"type":"product_action","factors":[{"type":"sym","n":3},{"type":"sym","n":3}]}'
     code, out, _ = run_cli(["probe-epsilon", a, a])

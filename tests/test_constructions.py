@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,14 @@ from basekit import (
     wreath_coset_action,
     wreath_imprimitive,
 )
-from basekit.constructions import _spec_degree, coset_action
+from basekit.constructions import (
+    _SPEC_FIELDS,
+    _SPECS,
+    MAX_SPEC_DEGREE,
+    MAX_SPEC_DEPTH,
+    _spec_degree,
+    coset_action,
+)
 
 import bruteforce as bf
 
@@ -404,6 +412,201 @@ def test_build_group_errors():
     ):
         with pytest.raises(SpecError):
             build_group(bad)
+
+
+_S3 = {"type": "sym", "n": 3}
+_C2 = {"type": "cyclic_regular", "p": 2}
+
+
+def _nested_disjoint(levels):
+    spec = _C2
+    for _ in range(levels):
+        spec = {"type": "disjoint_product", "factors": [spec, _C2]}
+    return spec
+
+
+# For every spec type: a missing, a non-integer and an unknown field, a value
+# the construction rejects, too few factors, too many points and too deep a
+# nesting.  Each message is pinned exactly.
+SPEC_ERRORS = {
+    "not-an-object": ([1, 2, 3],
+        "a group spec is an object with a 'type' field"),
+    "no-type": ({"no_type": 1},
+        "a group spec is an object with a 'type' field"),
+    "unknown-type": ({"type": "nope"},
+        "unknown construction type 'nope'"),
+    "list-type": ({"type": ["sym"], "n": 3},
+        "unknown construction type ['sym']"),
+    "string-tag": ({"type": "sym", "n": 3, "product_indecomposable": "false"},
+        "'product_indecomposable' is true or false, got 'false'"),
+    "sym-missing": ({"type": "sym"},
+        "spec 'sym' is missing 'n'"),
+    "sym-non-integer": ({"type": "sym", "n": 4.5},
+        "bad value for 'n': 4.5 (need int)"),
+    "sym-unknown": ({"type": "sym", "n": 3, "k": 2},
+        "spec 'sym' has no field 'k'; it takes 'n'"),
+    "sym-rejected": ({"type": "sym", "n": 0},
+        "invalid spec {'type': 'sym', 'n': 0}: n must be positive"),
+    "sym-oversized": ({"type": "sym", "n": MAX_SPEC_DEGREE + 1},
+        "spec 'sym' acts on more than 1048576 points"),
+    "cyclic-missing": ({"type": "cyclic_regular"},
+        "spec 'cyclic_regular' is missing 'p'"),
+    "cyclic-non-integer": ({"type": "cyclic_regular", "p": "5"},
+        "bad value for 'p': '5' (need int)"),
+    "cyclic-unknown": ({"type": "cyclic_regular", "p": 3, "d": 1},
+        "spec 'cyclic_regular' has no field 'd'; it takes 'p'"),
+    "cyclic-rejected": ({"type": "cyclic_regular", "p": 1},
+        "invalid spec {'type': 'cyclic_regular', 'p': 1}: p must be at least 2"),
+    "cyclic-oversized": ({"type": "cyclic_regular", "p": MAX_SPEC_DEGREE + 1},
+        "spec 'cyclic_regular' acts on more than 1048576 points"),
+    "elemab-missing": ({"type": "elem_abelian_regular", "p": 2},
+        "spec 'elem_abelian_regular' is missing 'd'"),
+    "elemab-non-integer": ({"type": "elem_abelian_regular", "p": 2, "d": 1.0},
+        "bad value for 'd': 1.0 (need int)"),
+    "elemab-unknown": ({"type": "elem_abelian_regular", "p": 2, "d": 1, "n": 2},
+        "spec 'elem_abelian_regular' has no field 'n'; it takes 'p', 'd'"),
+    "elemab-rejected-p": ({"type": "elem_abelian_regular", "p": 4, "d": 2},
+        "invalid spec {'type': 'elem_abelian_regular', 'p': 4, 'd': 2}: 4 is not prime"),
+    "elemab-rejected-d": ({"type": "elem_abelian_regular", "p": 2, "d": 0},
+        "invalid spec {'type': 'elem_abelian_regular', 'p': 2, 'd': 0}: d must be positive"),
+    "elemab-oversized": ({"type": "elem_abelian_regular", "p": 2, "d": 21},
+        "spec 'elem_abelian_regular' acts on more than 1048576 points"),
+    "disjoint-missing": ({"type": "disjoint_product"},
+        "spec 'disjoint_product' is missing 'factors'"),
+    "disjoint-non-list": ({"type": "disjoint_product", "factors": "ab"},
+        "bad value for 'factors': 'ab' (need list)"),
+    "disjoint-unknown": ({"type": "disjoint_product", "factors": [_S3, _S3], "n": 2},
+        "spec 'disjoint_product' has no field 'n'; it takes 'factors'"),
+    "disjoint-one-factor": ({"type": "disjoint_product", "factors": [_S3]},
+        "disjoint_product needs at least two factors"),
+    "disjoint-bad-factor": ({"type": "disjoint_product", "factors": [_S3, {"type": "sym", "n": 0}]},
+        "invalid spec {'type': 'sym', 'n': 0}: n must be positive"),
+    "disjoint-oversized": ({"type": "disjoint_product",
+                            "factors": [{"type": "cyclic_regular", "p": MAX_SPEC_DEGREE}, _C2]},
+        "spec 'disjoint_product' acts on more than 1048576 points"),
+    "disjoint-too-deep": (_nested_disjoint(MAX_SPEC_DEPTH),
+        "spec nests factors more than 32 levels deep"),
+    "product-missing": ({"type": "product_action"},
+        "spec 'product_action' is missing 'factors'"),
+    "product-non-list": ({"type": "product_action", "factors": {"a": 1}},
+        "bad value for 'factors': {'a': 1} (need list)"),
+    "product-unknown": ({"type": "product_action", "factors": [_S3, _S3], "p": 2},
+        "spec 'product_action' has no field 'p'; it takes 'factors'"),
+    "product-one-factor": ({"type": "product_action", "factors": [_S3]},
+        "product_action needs at least two factors"),
+    "product-bad-factor": ({"type": "product_action", "factors": [_S3, {"type": "gl42_planes", "n": 1}]},
+        "spec 'gl42_planes' has no field 'n'; it takes no other field"),
+    "product-oversized": ({"type": "product_action", "factors": [{"type": "sym", "n": 1025}] * 2},
+        "spec 'product_action' acts on more than 1048576 points"),
+    "product-too-deep": ({"type": "product_action", "factors": [_nested_disjoint(MAX_SPEC_DEPTH - 1), _C2]},
+        "spec nests factors more than 32 levels deep"),
+    "theorem2-missing": ({"type": "theorem2", "p": 2},
+        "spec 'theorem2' is missing 'X'"),
+    "theorem2-non-integer-entry": ({"type": "theorem2", "X": [1.5, 3]},
+        "bad value for 'X': 1.5 (need int)"),
+    "theorem2-non-integer-p": ({"type": "theorem2", "X": [1, 3], "p": 2.5},
+        "bad value for 'p': 2.5 (need int)"),
+    "theorem2-non-list": ({"type": "theorem2", "X": "13"},
+        "bad value for 'X': '13' (need list)"),
+    "theorem2-unknown": ({"type": "theorem2", "X": [1, 3], "n": 2},
+        "spec 'theorem2' has no field 'n'; it takes 'X', 'p'"),
+    "theorem2-rejected-p": ({"type": "theorem2", "X": [1, 3], "p": 4},
+        "invalid spec {'type': 'theorem2', 'X': [1, 3], 'p': 4}: 4 is not prime"),
+    "theorem2-rejected-empty": ({"type": "theorem2", "X": []},
+        "invalid spec {'type': 'theorem2', 'X': []}: X must be non-empty"),
+    "theorem2-rejected-zero": ({"type": "theorem2", "X": [0, 2]},
+        "invalid spec {'type': 'theorem2', 'X': [0, 2]}: X must contain positive integers"),
+    "theorem2-oversized": ({"type": "theorem2", "X": [1, 40]},
+        "spec 'theorem2' acts on more than 1048576 points"),
+    "theorem3m-missing": ({"type": "theorem3_m", "a": 2},
+        "spec 'theorem3_m' is missing 'b'"),
+    "theorem3m-non-integer": ({"type": "theorem3_m", "a": "2", "b": 3},
+        "bad value for 'a': '2' (need int)"),
+    "theorem3m-unknown": ({"type": "theorem3_m", "a": 2, "b": 3, "kind": "M"},
+        "spec 'theorem3_m' has no field 'kind'; it takes 'a', 'b'"),
+    "theorem3m-rejected-a": ({"type": "theorem3_m", "a": 1, "b": 3},
+        "invalid spec {'type': 'theorem3_m', 'a': 1, 'b': 3}: a must be at least 2: a transitive "
+        "group with a minimal base of size 1 is regular and has spectrum {1}"),
+    "theorem3m-rejected-b": ({"type": "theorem3_m", "a": 3, "b": 2},
+        "invalid spec {'type': 'theorem3_m', 'a': 3, 'b': 2}: need a <= b"),
+    "theorem3m-oversized": ({"type": "theorem3_m", "a": 2, "b": 30},
+        "spec 'theorem3_m' acts on more than 1048576 points"),
+    "theorem3i-missing": ({"type": "theorem3_i", "b": 3},
+        "spec 'theorem3_i' is missing 'a'"),
+    "theorem3i-non-integer": ({"type": "theorem3_i", "a": 2, "b": 3.0},
+        "bad value for 'b': 3.0 (need int)"),
+    "theorem3i-unknown": ({"type": "theorem3_i", "a": 2, "b": 3, "n": 1},
+        "spec 'theorem3_i' has no field 'n'; it takes 'a', 'b'"),
+    "theorem3i-rejected-a": ({"type": "theorem3_i", "a": 0, "b": 3},
+        "invalid spec {'type': 'theorem3_i', 'a': 0, 'b': 3}: a must be at least 2: a transitive "
+        "group with a minimal base of size 1 is regular and has spectrum {1}"),
+    "theorem3i-rejected-b": ({"type": "theorem3_i", "a": 4, "b": 3},
+        "invalid spec {'type': 'theorem3_i', 'a': 4, 'b': 3}: need a <= b"),
+    "theorem3i-oversized": ({"type": "theorem3_i", "a": 3, "b": 40},
+        "spec 'theorem3_i' acts on more than 1048576 points"),
+    "wreath-missing": ({"type": "wreath_coset", "n": 4},
+        "spec 'wreath_coset' is missing 'k'"),
+    "wreath-non-integer": ({"type": "wreath_coset", "n": 4, "k": 2, "max_index": 5000.9},
+        "bad value for 'max_index': 5000.9 (need int)"),
+    "wreath-unknown": ({"type": "wreath_coset", "n": 4, "k": 2, "max_idx": 10},
+        "spec 'wreath_coset' has no field 'max_idx'; it takes 'n', 'k', 'max_index'"),
+    "wreath-rejected-n": ({"type": "wreath_coset", "n": 2, "k": 2},
+        "invalid spec {'type': 'wreath_coset', 'n': 2, 'k': 2}: need n >= 3 and k >= 2"),
+    "wreath-rejected-max-index": ({"type": "wreath_coset", "n": 3, "k": 2, "max_index": 0},
+        "invalid spec {'type': 'wreath_coset', 'n': 3, 'k': 2, 'max_index': 0}: "
+        "max_index 0 must be at least 1"),
+    "wreath-oversized": ({"type": "wreath_coset", "n": 9, "k": 2, "max_index": 10**7},
+        "spec 'wreath_coset' acts on more than 1048576 points"),
+    "ksubsets-missing": ({"type": "k_subsets", "n": 6},
+        "spec 'k_subsets' is missing 'k'"),
+    "ksubsets-non-integer": ({"type": "k_subsets", "n": 6, "k": None},
+        "bad value for 'k': None (need int)"),
+    "ksubsets-unknown": ({"type": "k_subsets", "n": 6, "k": 2, "p": 2},
+        "spec 'k_subsets' has no field 'p'; it takes 'n', 'k'"),
+    "ksubsets-rejected": ({"type": "k_subsets", "n": 6, "k": 0},
+        "invalid spec {'type': 'k_subsets', 'n': 6, 'k': 0}: need 1 <= k <= n/2"),
+    "ksubsets-oversized": ({"type": "k_subsets", "n": 2000, "k": 3},
+        "spec 'k_subsets' acts on more than 1048576 points"),
+    "gl42-unknown": ({"type": "gl42_planes", "n": 4},
+        "spec 'gl42_planes' has no field 'n'; it takes no other field"),
+    "gl42-non-boolean-tag": ({"type": "gl42_planes", "product_indecomposable": 1},
+        "'product_indecomposable' is true or false, got 1"),
+    "explicit-missing": ({"type": "explicit", "degree": 3},
+        "spec 'explicit' is missing 'generators'"),
+    "explicit-non-integer": ({"type": "explicit", "degree": 3.0, "generators": [[1, 0, 2]]},
+        "bad value for 'degree': 3.0 (need int)"),
+    "explicit-non-list": ({"type": "explicit", "degree": 3, "generators": 5},
+        "bad value for 'generators': 5 (need list)"),
+    "explicit-unknown": ({"type": "explicit", "degree": 3, "generators": [], "n": 3},
+        "spec 'explicit' has no field 'n'; it takes 'degree', 'generators'"),
+    "explicit-rejected-images": ({"type": "explicit", "degree": 3, "generators": [[0, 0, 1]]},
+        "invalid spec {'type': 'explicit', 'degree': 3, 'generators': [[0, 0, 1]]}: "
+        "images do not form a permutation of 0..2: [0, 0, 1]"),
+    "explicit-rejected-degree": ({"type": "explicit", "degree": 4, "generators": [[1, 0, 2]]},
+        "invalid spec {'type': 'explicit', 'degree': 4, 'generators': [[1, 0, 2]]}: "
+        "generator degree 3 != group degree 4"),
+    "explicit-oversized": ({"type": "explicit", "degree": MAX_SPEC_DEGREE + 1, "generators": []},
+        "spec 'explicit' acts on more than 1048576 points"),
+}
+
+
+@pytest.mark.parametrize("spec,message", SPEC_ERRORS.values(), ids=SPEC_ERRORS.keys())
+def test_spec_error_messages_are_pinned(spec, message):
+    with pytest.raises(SpecError) as info:
+        build_group(spec)
+    assert str(info.value) == message
+
+
+def test_readme_spec_table_lists_every_spec_type_and_its_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Group spec JSON", 1)[1].split("\n\n")[2]
+    documented = {}
+    for row in section.splitlines()[2:]:
+        types, fields = row.split("|")[1:3]
+        for t in re.findall(r"`(\w+)`", types):
+            documented[t] = tuple(re.findall(r"`(\w+)`", fields))
+    assert list(documented) == list(_SPECS)
+    assert documented == _SPEC_FIELDS
 
 
 # -- order hints and degrees against independent counts ----------------------

@@ -58,6 +58,12 @@ def test_predict_prodsym():
     assert predict_prodsym_M([3, 3, 3, 3]).to_list() == [2, 3, 4]
     assert predict_prodsym_M([4, 4, 4]).to_list() == [3, 4, 5, 6]
     assert predict_prodsym_M([5]).to_list() == [4]
+    assert predict_prodsym_M([2]).to_list() == [1]
+    # S2 x S3, S2 x S2 and S2 x S5 have the searched spectra {2}, {1} and
+    # {4}; the formula gave no size and raised "a size set cannot be empty"
+    for degrees in ([2, 3], [2, 2], [2, 5], [4, 3, 2]):
+        with pytest.raises(ValueError, match="with several factors every degree must be at least 3"):
+            predict_prodsym_M(degrees)
     with pytest.raises(ValueError):
         predict_prodsym_M([])
     with pytest.raises(ValueError):
