@@ -45,18 +45,23 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   computed, and it is stored once, under ``Fix(K_x)``.  So each subgroup is
   computed once per group and mode, whichever search or key asks for it:
   pruned height after pruned M on the same group computes none.  The walks
-  carry each group with its key, so a key is read off an orbit partition
-  only for the root and for each subgroup the table stores.
+  carry each group with its key, so a key is read off a group's orbit
+  sizes only for the root and for each subgroup the table stores.
 * The table also keeps, per key a search has entered (the root's
   included), that subgroup's candidate points as an ascending list, made
-  from its orbit partition the first time the key is entered: the minima
-  of its moved orbits in pruned mode, its moved points in exhaustive
-  mode.  A node reads the candidates above its last point by bisection,
-  and the order arithmetic of its independence test uses Python ints:
-  orbit sizes read one at a time from the int32 arrays, and each deletion
-  stabilizer's order read once per node.  So a walk makes no array
-  operation at a node, and the orders, which exceed 2^63 from S21 on,
-  never meet a fixed-width integer.
+  the first time the key is entered: the minima of its moved orbits in
+  pruned mode, read off its orbit labels, and its moved points in
+  exhaustive mode, read off its orbit sizes.  A node reads the candidates
+  above its last point by bisection, and the order arithmetic of its
+  independence test uses Python ints: orbit sizes read one at a time from
+  each group's int32 ``orbit_sizes`` array, and each deletion stabilizer's
+  order read once per node.  So a walk makes no array operation at a
+  node, and the orders, which exceed 2^63 from S21 on, never meet a
+  fixed-width integer.  Most stored groups are deletion stabilizers that
+  no walk enters, and the walks read only their sizes: a stored group
+  holds its sizes and makes its labels and its inverse conjugator on
+  first read (``basekit.group``'s module notes), so only the groups a
+  pruned walk enters ever hold labels.
 * Each mode has its own table, never the other's.  The exhaustive searches
   are the cross-check of the pruned ones, so no subgroup a pruned search
   computed may answer an exhaustive request: a wrong stored group would
@@ -289,7 +294,7 @@ def _fixed_key(H: PermGroup) -> int:
     """``Fix(H)`` as an int, bit ``x`` set iff ``H`` fixes ``x``.  For
     pointwise stabilizers of one group it names ``H``: equal iff the
     subgroups are equal (module notes)."""
-    fixed = H.orbit_partition()[1] == 1
+    fixed = H.orbit_sizes() == 1
     return int.from_bytes(np.packbits(fixed, bitorder="little").tobytes(), "little")
 
 
@@ -317,9 +322,9 @@ class _SubgroupTable:
         """The search candidates of ``H``, ``k = Fix(H)``, made the first time ``k`` is entered."""
         cands = self.cands.get(k)
         if cands is None:
-            labels, sizes = H.orbit_partition()
-            moved = sizes > 1
+            moved = H.orbit_sizes() > 1
             if self.pruned:
+                labels = H.orbit_partition()[0]
                 moved &= labels == np.arange(labels.size)
             cands = self.cands[k] = np.nonzero(moved)[0].tolist()
         return cands
@@ -334,7 +339,7 @@ class _SubgroupTable:
         request = k | 1 << x
         key = self.requests.get(request)
         if key is None:
-            stored = self.by_order.setdefault(K.order() // K.orbit_partition()[1].item(x), [])
+            stored = self.by_order.setdefault(K.order() // K.orbit_sizes().item(x), [])
             key = next((f for f in stored if f & request == request), None)
             if key is None:
                 Kx = K.point_stabilizer(x)
@@ -388,11 +393,11 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, mode: str, largest_fi
             cands = cands[bisect_right(cands, points[-1]):]
         if not cands:
             return
-        sizes = H.orbit_partition()[1]
+        sizes = H.orbit_sizes()
         size = sizes.item
         if largest_first:
             cands = sorted(cands, key=lambda x: -size(x))  # stable: ties stay ascending
-        parts = [(K.order(), K.orbit_partition()[1].item) for _, K in dels]
+        parts = [(K.order(), K.orbit_sizes().item) for _, K in dels]
         stack.append((points, k, H, H.order(), sizes, size, dels, parts,
                       _one_per_class(cands, classes)))
 
@@ -540,7 +545,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
         counter.tick()
         if key in memo:
             return x, key
-        stack.append((x, key, H, H.order(), H.orbit_partition()[1].item,
+        stack.append((x, key, H, H.order(), H.orbit_sizes().item,
                       _one_per_class(table.candidates(key, H), classes), {}))
         return None
 
@@ -622,7 +627,7 @@ def indicator_vectors(G: PermGroup, H: PermGroup, base) -> IndicatorVectors:
         out = []
         for i in range(len(coords)):
             others = {coords[j] for j in range(len(coords)) if j != i}
-            sizes = group.pointwise_stabilizer(others).orbit_partition()[1]
+            sizes = group.pointwise_stabilizer(others).orbit_sizes()
             out.append(1 if sizes[coords[i]] > 1 else 0)
         return tuple(out)
 

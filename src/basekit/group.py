@@ -53,12 +53,16 @@ point's identity; the derived stabilizers read from it form the few they
 need again.  The level it rebased keeps it, one per orbit, as long as
 that level lives.  Uniform draws read the parent's transversal elements
 without caching them, so a stored parent does not grow with every rebase
-below it.  And orbit partitions keep their ``sizes`` as int32.  A group's
-``labels`` stay int64, because they index arrays on every search node,
-and int32 indices cost more time there than their memory saves.  A level
-of a finished chain caches the ``labels`` of its generators' partition
-as int32, and nothing else of it; ``_relabelled_partition`` widens them
-as it reads them for a view, relabelling them for a conjugated one.
+below it.  And a stored group makes only what is read of it.  The
+searches read most stored groups only for their orbit sizes, so a
+group holds its int32 sizes (``orbit_sizes``) and makes its labels and
+its inverse conjugator on first read.  A level of a finished chain
+caches its generators' orbit ``labels`` and ``sizes``, both int32;
+a root group's sizes are the level's array, and a conjugated view's are
+one scatter of it through ``u``.  ``orbit_partition`` makes a group's
+``labels`` on its first call, widened to int64 because they index
+arrays (``_conjugated_labels``), and a view's ``u_inv`` waits for its
+first membership test, generator read or stabilizer (``_get_view``).
 
 Every orbit label of a group comes from its chain (``_chain_labels``),
 through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
@@ -142,18 +146,19 @@ class _Level:
     completed rebase drops its levels' entries, and random draws
     (``element(..., cache=False)``) add none (module notes).
 
-    Three values of the group of this level's generators are kept once the
+    Four values of the group of this level's generators are kept once the
     chain is finished: ``suffix_order``, the product of the orbit sizes
     from this level to the bottom, set by ``_finish``; ``_labels``, the
     int32 orbit labels that ``_chain_labels`` fills for every view;
-    and ``_rebases``, the group's rebases on single points, at most one
-    per orbit, keyed by the orbit's label (``_orbit_rebase``).  None is
-    reset by a later ``add_gen``, so a chain still being completed keeps
-    all three ``None``.
+    ``_sizes``, the int32 orbit sizes that ``_chain_sizes`` counts from
+    them once; and ``_rebases``, the group's rebases on single points, at
+    most one per orbit, keyed by the orbit's label (``_orbit_rebase``).
+    None is reset by a later ``add_gen``, so a chain still being completed
+    keeps all four ``None``.
     """
 
     __slots__ = ("point", "gens", "transversal", "suffix_order", "_elements", "_inverses",
-                 "_labels", "_rebases")
+                 "_labels", "_sizes", "_rebases")
 
     def __init__(self, point: int, degree: int):
         self.point = point
@@ -164,6 +169,7 @@ class _Level:
         self._inverses: dict[int, Perm] = {point: ident}
         self.suffix_order: int | None = None
         self._labels = None
+        self._sizes = None
         self._rebases: dict[int, StabilizerChain] | None = None
 
     def add_gen(self, g: Perm) -> None:
@@ -693,20 +699,41 @@ def _chain_labels(chain: StabilizerChain) -> np.ndarray:
     return labels
 
 
-def _relabelled_partition(labels: np.ndarray, u_inv: Perm | None):
-    """The orbit partition of ``u_inv <G> u`` from the int32 labels of ``G``.
+def _chain_sizes(chain: StabilizerChain) -> np.ndarray:
+    """The int32 orbit sizes of the group of ``chain``'s level 0, cached on that level.
 
-    ``x`` and ``y`` share an orbit iff ``x^u_inv`` and ``y^u_inv`` share a
-    ``G``-orbit; each orbit is then labelled by its smallest point again.
-    With no ``u_inv`` it is the partition of ``G``, its labels widened.
+    Counted once from the level's labels (``_chain_labels``), so every
+    view of the level reads the same array.  A chain with no levels, of
+    the trivial group, has all sizes 1.  Only for a finished chain.
     """
-    if u_inv is None:
-        return _with_sizes(labels.astype(np.int64))
-    degree = labels.size
-    ids = labels[u_inv.images].astype(np.int64)  # np.minimum.at is slower on int32 ids
-    smallest = np.full(degree, degree, dtype=np.int64)
-    np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
-    return _with_sizes(smallest[ids])
+    levels = chain.levels
+    if not levels:
+        return _with_sizes(np.arange(chain.degree, dtype=np.int32))[1]
+    level = levels[0]
+    if level._sizes is None:
+        level._sizes = _with_sizes(_chain_labels(chain))[1]
+    return level._sizes
+
+
+def _conjugated_labels(labels: np.ndarray, u: Perm | None) -> np.ndarray:
+    """The int64 orbit labels of ``u^-1 <G> u`` from the int32 labels of ``G``, read-only.
+
+    ``x^u`` and ``y^u`` share an orbit iff ``x`` and ``y`` share a
+    ``G``-orbit, so one scatter through ``u`` gives each point a label
+    of its orbit; each orbit is then labelled by its smallest point again.
+    With no ``u`` it is the labels of ``G``, widened.
+    """
+    if u is None:
+        out = labels.astype(np.int64)
+    else:
+        degree = labels.size
+        ids = np.empty(degree, dtype=np.int64)  # np.minimum.at is slower on int32 ids
+        ids[u.images] = labels
+        smallest = np.full(degree, degree, dtype=np.int64)
+        np.minimum.at(smallest, ids, np.arange(degree, dtype=np.int64))
+        out = smallest[ids]
+    out.setflags(write=False)
+    return out
 
 
 class PermGroup:
@@ -721,7 +748,8 @@ class PermGroup:
     ``build_chain`` on first use, and its first order, membership, orbit
     or stabilizer read is such a use; a stabilizer is born a view of a
     suffix of its parent's chain or of its rebase (see the module notes),
-    whose generators are made only when ``generators`` is first read.
+    whose generators are made only when ``generators`` is first read, and
+    whose ``u_inv`` stays ``None`` until ``_get_view`` first makes it.
     ``_subgroups`` maps a search mode of ``basekit.bases``, ``"pruned"`` or
     ``"exhaustive"``, to the table of pointwise stabilizers that the
     searches in that mode fill and share; the two are kept apart so that
@@ -736,6 +764,7 @@ class PermGroup:
         "_view",
         "_order",
         "_hint",
+        "_sizes",
         "_partition",
         "_stab_classes",
         "_subgroups",
@@ -763,6 +792,7 @@ class PermGroup:
         self.degree = degree
         self._generators = tuple(gens)
         self._view = None
+        self._sizes = None
         self._partition = None
         self._stab_classes = None
         self._subgroups = None
@@ -778,8 +808,9 @@ class PermGroup:
 
     @classmethod
     def _from_view(cls, degree: int, chain: StabilizerChain, u=None, u_inv=None) -> "PermGroup":
-        # the group u_inv <chain> u, sharing the chain's levels; the trivial
-        # group is its own conjugate, so it keeps no conjugator
+        # the group u^-1 <chain> u, sharing the chain's levels; u_inv is
+        # u's inverse if already made, else None; the trivial group is its
+        # own conjugate, so it keeps no conjugator
         g = object.__new__(cls)
         levels = chain.levels
         if not levels or not levels[0].gens:
@@ -787,25 +818,32 @@ class PermGroup:
         g.degree = degree
         g._view = (chain, u, u_inv)
         g._order = chain.order()
-        g._generators = g._hint = g._partition = g._stab_classes = g._subgroups = None
+        g._generators = g._hint = g._sizes = g._partition = g._stab_classes = None
+        g._subgroups = None
         return g
 
-    def _get_view(self) -> tuple:
-        # the view, after building the chain of a group made from generators
-        if self._view is None:
+    def _get_view(self, inverse: bool = True) -> tuple:
+        # the view, after building the chain of a group made from generators,
+        # and after making a conjugated view's u_inv unless the caller reads
+        # only chain and u
+        view = self._view
+        if view is None:
             chain = build_chain(
                 self.degree,
                 self.generators,
                 known_order=self._order if self._order is not None else self._hint,
             )
             self._order = chain.order()
-            self._view = (chain, None, None)
-        return self._view
+            view = self._view = (chain, None, None)
+        elif inverse and view[2] is None and view[1] is not None:
+            chain, u, _ = view
+            view = self._view = (chain, u, u.inverse())
+        return view
 
     @property
     def generators(self) -> tuple[Perm, ...]:
         if self._generators is None:  # a view's, made on first read
-            chain, u, u_inv = self._view
+            chain, u, u_inv = self._get_view()
             gens = chain.level_generators(0)
             self._generators = gens if u is None else tuple(u_inv * s * u for s in gens)
         return self._generators
@@ -827,19 +865,41 @@ class PermGroup:
             p = u * (p if isinstance(p, Perm) else Perm(p)) * u_inv
         return chain.contains(p)
 
+    def orbit_sizes(self) -> np.ndarray:
+        """``sizes[x]``: the int32 length of x's orbit, read-only and cached.
+
+        The group fixes exactly the points with ``sizes == 1``.  A root
+        group reads the array its chain's level 0 keeps (``_chain_sizes``);
+        a conjugated view ``u^-1 <chain> u`` scatters that array through
+        ``u`` once, since the orbit of ``y^u`` is as long as that of ``y``.
+        No labels and no inverse conjugator are made, and the first read on
+        a group made from generators builds its chain.
+        """
+        if self._sizes is None:
+            chain, u, _ = self._get_view(inverse=False)
+            sizes = _chain_sizes(chain)
+            if u is not None:
+                out = np.empty_like(sizes)
+                out[u.images] = sizes
+                out.setflags(write=False)
+                sizes = out
+            self._sizes = sizes
+        return self._sizes
+
     def orbit_partition(self):
         """``(labels, sizes)``: x's orbit's smallest point and its int32 length.
 
-        ``labels[x]`` is the smallest point of x's orbit and ``sizes[x]`` the
-        orbit's length, so the group fixes exactly the points with
-        ``sizes == 1``.  Both arrays are read-only and cached.  They are read
-        off the chain's level-0 labels (``_chain_labels``), relabelled
-        through the conjugator of a conjugated view, so the first read on a
-        group made from generators builds its chain.
+        ``labels[x]`` is the smallest point of x's orbit, int64, and
+        ``sizes`` is the very array ``orbit_sizes`` returns.  Both are
+        read-only and cached.  The labels are made on the first call, off
+        the chain's level-0 labels (``_chain_labels``), relabelled through
+        the conjugator of a conjugated view (``_conjugated_labels``); a
+        caller that reads only sizes should call ``orbit_sizes``, which
+        makes no labels.
         """
         if self._partition is None:
-            chain, _, u_inv = self._get_view()
-            self._partition = _relabelled_partition(_chain_labels(chain), u_inv)
+            chain, u, _ = self._get_view(inverse=False)
+            self._partition = (_conjugated_labels(_chain_labels(chain), u), self.orbit_sizes())
         return self._partition
 
     def orbit(self, point: int) -> set[int]:
@@ -857,7 +917,7 @@ class PermGroup:
         return [buckets[rep] for rep in sorted(buckets)]
 
     def is_transitive(self) -> bool:
-        return int(self.orbit_partition()[1][0]) == self.degree
+        return int(self.orbit_sizes()[0]) == self.degree
 
     def stabilizer_class_labels(self) -> np.ndarray:
         """``label[x] = min{y : the stabilizers of x and y are equal}``.
@@ -885,7 +945,7 @@ class PermGroup:
         for rep in np.nonzero(labels == np.arange(degree))[0].tolist():
             if out[rep] >= 0:  # labelled with a class of an earlier orbit
                 continue
-            fixed = self.point_stabilizer(rep).orbit_partition()[1] == 1
+            fixed = self.point_stabilizer(rep).orbit_sizes() == 1
             row = np.nonzero(fixed & (sizes == sizes[rep]))[0]
             out[row] = row[0]
             queue = [row]
@@ -924,14 +984,14 @@ class PermGroup:
         """The subgroup fixing every point of ``points``.
 
         Folded point by point in ascending order.  A point fixed by the whole
-        group, of orbit size 1 in its orbit partition, is skipped; otherwise
+        group, of orbit size 1 (``orbit_sizes``), is skipped; otherwise
         its stabilizer is derived from the chain (see the module notes),
         after reading or making the rebase of its orbit when it lies outside
         the chain's level-0 basic orbit.
         """
         H = self
         for x in sorted({_as_point(x, self.degree) for x in points}):
-            if H.orbit_partition()[1][x] > 1:
+            if H.orbit_sizes()[x] > 1:
                 H = H._derived_point_stabilizer(x)
         return H
 
@@ -941,7 +1001,8 @@ class PermGroup:
     def _derived_point_stabilizer(self, x: int) -> "PermGroup":
         # H_x, for a point x that H moves, by the module notes' suffix and
         # conjugator route, from the rebase of y's orbit when y lies outside
-        # the basic orbit of level 0
+        # the basic orbit of level 0; a new conjugator's inverse is left
+        # for the stabilizer's own first read
         chain, u, u_inv = self._get_view()
         y = x if u_inv is None else int(u_inv.images[x])
         if y not in chain.levels[0].transversal:
@@ -950,11 +1011,14 @@ class PermGroup:
         if y != level.point:
             t = level.element(y)
             u = t if u is None else t * u
-            u_inv = u.inverse()
+            u_inv = None
         return PermGroup._from_view(self.degree, chain.suffix(1), u, u_inv)
 
     def __repr__(self) -> str:
         # a view counts its chain's level-0 generators, left unmade
         gens = self._generators
-        count = len(self._view[0].level_generators(0)) if gens is None else len(gens)
+        if gens is None:
+            count = len(self._get_view(inverse=False)[0].level_generators(0))
+        else:
+            count = len(gens)
         return f"PermGroup(degree={self.degree}, gens={count})"

@@ -846,6 +846,36 @@ def test_each_orbit_of_a_chain_level_is_rebased_once(monkeypatch):
     assert rebases() == 10
 
 
+def test_stored_groups_make_labels_and_inverse_conjugators_on_first_read(monkeypatch):
+    # the walks read a stored group's orbit sizes; its labels are made only
+    # for a pruned walk's candidates, and its inverse conjugator only when
+    # a stabilizer is derived from it.  Made for every stored group, the
+    # inverses were 23 and 56, and every stored group held labels
+    W, K = wreath_coset_action(4, 3), k_subset_action(6, 2)
+    W.order(), K.order()
+    original = Perm.inverse
+    calls = [0]
+
+    def counting(p):
+        calls[0] += 1
+        return original(p)
+
+    monkeypatch.setattr(Perm, "inverse", counting)
+    assert minimal_base_sizes(W) == SizeSet({3, 4})
+    assert irredundant_base_sizes(W) == SizeSet(range(3, 7))
+    assert height(W) == 4
+    pruned = W._subgroups["pruned"]
+    labelled = {k for k, H in pruned.groups.items() if H._partition is not None}
+    assert labelled == set(pruned.cands) & set(pruned.groups) != set(pruned.groups)
+    assert calls[0] == 16
+    calls[0] = 0
+    assert minimal_base_sizes(K, "exhaustive") == SizeSet({4})
+    groups = K._subgroups["exhaustive"].groups.values()
+    assert all(H._partition is None for H in groups)
+    assert any(H._view[1] is not None and H._view[2] is None for H in groups)
+    assert calls[0] == 22
+
+
 def test_witnesses_are_real_bases():
     for (name, G), mode in product(ORACLE_GROUPS[:8], ["pruned", "exhaustive"]):
         sizes, wits = minimal_base_sizes(G, mode, witnesses=True)

@@ -728,6 +728,59 @@ def test_degree_2400_orbit_partitions_match_breadth_first_search():
     assert len(set(H.orbit_partition()[0].tolist())) > 2
 
 
+def _s4_x_s3(*stabilized):
+    # S4 x S3 on {0..3} and {4,5,6}; 4, 5 and 6 lie off its first basic
+    # orbit, so the first stabilizer of one of them rebases the chain
+    G = PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
+                      Perm.from_cycles(7, (4, 5, 6)), Perm.from_cycles(7, (4, 5))])
+    for x in stabilized:
+        G.point_stabilizer(x)
+    return G
+
+
+@pytest.mark.parametrize(
+    "make,points,kind",
+    [
+        (lambda: sym(5), (), "root"),
+        (lambda: random_two_gen(7, 3), (), "root"),
+        (_s4_x_s3, (), "root"),
+        (lambda: PermGroup(1), (), "root"),
+        (lambda: sym(6), (3,), "conjugated"),
+        (lambda: sym(6), (3, 4), "conjugated"),
+        (_s4_x_s3, (5,), "rebased"),
+        (_s4_x_s3, (2, 5), "rebased"),
+        (lambda: _s4_x_s3(5), (6,), "conjugated"),
+        (lambda: sym(4), (0, 1, 2), "trivial"),
+    ],
+    ids=["sym5", "rand7", "s4xs3", "degree1", "sym6-3", "sym6-34", "s4xs3-5", "s4xs3-25",
+         "s4xs3-6-off-orbit", "sym4-trivial"],
+)
+def test_orbit_sizes_match_bruteforce_orbit_lengths(make, points, kind, monkeypatch):
+    # a root reads its chain's level sizes, a derived view scatters them
+    # through its conjugator; either way sizes are read without making
+    # labels or a conjugated view's inverse conjugator, and the
+    # partition's sizes are the very same array
+    G = make()
+    G.order()
+    calls = count_chain_builds(monkeypatch)
+    H = G.pointwise_stabilizer(points)
+    sizes = H.orbit_sizes()
+    assert sizes.dtype == np.int32 and not sizes.flags.writeable
+    assert H._partition is None
+    if kind == "root":
+        assert H is G and H._view[1] is None
+    elif kind == "conjugated":
+        assert H._view[1] is not None and H._view[2] is None
+    elif kind == "rebased":
+        assert any(calls)
+    else:
+        assert H.is_trivial() and H._view[0].levels == []
+    elements = bf.stabilizer(bf.closure([g.to_list() for g in G.generators])
+                             or {tuple(range(G.degree))}, points)
+    assert sizes.tolist() == [len(bf.orbit(elements, x)) for x in range(G.degree)]
+    assert H.orbit_partition()[1] is sizes and H.orbit_sizes() is sizes
+
+
 def test_repr_leaves_a_views_generators_unmade():
     H = sym(6).point_stabilizer(3)
     assert H._generators is None
