@@ -18,6 +18,9 @@ Point encodings are fixed so witness bases are reproducible:
   where it sends S; further cosets are numbered in breadth-first discovery
   order under right multiplication by the three wreath generators (block-0
   transposition, block-0 n-cycle, block rotation), in that order.
+  ``coset_action`` finds them one breadth-first level at a time,
+  parent-major and generator-minor, which gives the numbering of a
+  one-coset-at-a-time queue.
 """
 
 from __future__ import annotations
@@ -300,9 +303,11 @@ def coset_action(
 
     ``Hg = Hg'`` for ``H = W_(points)`` exactly when g and g' send the tuple
     ``points`` to the same image tuple, so each coset is named by that
-    tuple and the enumeration is a breadth-first walk over image tuples.
-    Point 0 is the coset H; further cosets are numbered in discovery order
-    over representatives times generators (generator list order).
+    tuple, and the enumeration is a breadth-first walk over image tuples,
+    one level at a time.  Point 0 is the coset H; further cosets are
+    numbered in discovery order, parent-major and generator-minor: a
+    level's cosets in their own order, each times the generators in list
+    order.  That is the order of a one-coset-at-a-time FIFO queue.
     """
     expected_index = _as_int(expected_index, "expected_index")
     max_index = _as_int(max_index, "max_index")
@@ -313,30 +318,43 @@ def coset_action(
         raise BudgetExceeded(
             f"coset index {expected_index} exceeds the configured ceiling {max_index}"
         )
-    seed = tuple(_as_point(p, W.degree) for p in points)
-    gens = [g.to_list() for g in W.generators]
-    number = {seed: 0}
-    queue = [seed]
-    images: list[list[int]] = [[] for _ in gens]
-    for tup in queue:
-        for col, img in zip(images, gens):
-            moved = tuple(img[p] for p in tup)
-            target = number.get(moved)
-            if target is None:
-                target = len(queue)
-                if target >= max_index:
+    seed = np.array([_as_point(p, W.degree) for p in points], dtype=np.int32)
+    gens = W.generators
+    if gens and seed.size:
+        table = _coset_table(gens, seed, max_index)
+    else:  # every generator fixes the seed tuple, so H = W
+        table = np.zeros((1, len(gens)), dtype=np.int32)
+    if len(table) != expected_index:
+        raise RuntimeError(
+            f"coset enumeration found {len(table)} cosets, expected {expected_index}"
+        )
+    return PermGroup(expected_index, [Perm(col) for col in table.T])
+
+
+def _coset_table(gens, seed: np.ndarray, max_index: int) -> np.ndarray:
+    # row i: the numbers of coset i times each generator.  A coset's name is
+    # the raw bytes of its image tuple, which fit every degree and length
+    row = np.dtype((np.void, seed.nbytes))
+    number = {seed.tobytes(): 0}
+    targets: list[int] = []
+    frontier = seed[None, :]
+    while len(frontier):
+        # (F, G, L): the frontier's rows in order, each times every generator
+        moved = np.stack([g.images[frontier] for g in gens], axis=1)
+        new = []
+        for key in moved.reshape(-1, len(seed)).view(row).ravel().tolist():
+            t = number.get(key)
+            if t is None:
+                t = len(number)
+                if t >= max_index:
                     raise BudgetExceeded(
                         f"coset enumeration exceeded the ceiling {max_index}"
                     )
-                number[moved] = target
-                queue.append(moved)
-            col.append(target)
-
-    if len(queue) != expected_index:
-        raise RuntimeError(
-            f"coset enumeration found {len(queue)} cosets, expected {expected_index}"
-        )
-    return PermGroup(expected_index, [Perm(col) for col in images])
+                number[key] = t
+                new.append(key)
+            targets.append(t)
+        frontier = np.frombuffer(b"".join(new), dtype=np.int32).reshape(-1, len(seed))
+    return np.array(targets, dtype=np.int32).reshape(len(number), len(gens))
 
 
 def _coset_index(n: int, k: int, ceiling: int) -> int | None:

@@ -62,7 +62,9 @@ a root group's sizes are the level's array, and a conjugated view's are
 one scatter of it through ``u``.  ``orbit_partition`` makes a group's
 ``labels`` on its first call, widened to int64 because they index
 arrays (``_conjugated_labels``), and a view's ``u_inv`` waits for its
-first membership test, generator read or stabilizer (``_get_view``).
+first membership test, generator read or class labels (``_get_view``).
+Deriving a stabilizer makes no ``u_inv``: it needs only ``x^(u^-1)``, the
+point that ``u`` sends to ``x``, found by one comparison over ``u``.
 
 Every orbit label of a group comes from its chain (``_chain_labels``),
 through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
@@ -1001,10 +1003,12 @@ class PermGroup:
     def _derived_point_stabilizer(self, x: int) -> "PermGroup":
         # H_x, for a point x that H moves, by the module notes' suffix and
         # conjugator route, from the rebase of y's orbit when y lies outside
-        # the basic orbit of level 0; a new conjugator's inverse is left
-        # for the stabilizer's own first read
-        chain, u, u_inv = self._get_view()
-        y = x if u_inv is None else int(u_inv.images[x])
+        # the basic orbit of level 0.  y = x^(u^-1) is the point u sends to
+        # x, found by one comparison, so a derived view makes no inverse
+        # conjugator: the parent's is passed on if made, and a new
+        # conjugator's is left for the stabilizer's own first read
+        chain, u, u_inv = self._get_view(inverse=False)
+        y = x if u is None else int((u.images == x).argmax())
         if y not in chain.levels[0].transversal:
             chain = _orbit_rebase(chain, y)
         level = chain.levels[0]

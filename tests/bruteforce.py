@@ -262,3 +262,32 @@ def wreath_coset_images(n, k, gens):
             col.append(number[t])
         qi += 1
     return images
+
+
+def coset_action_images(gens, points):
+    """The group of ``gens`` (at least one) on the right cosets of its
+    pointwise stabilizer H of the tuple ``points``, by element arithmetic.
+
+    H is filtered from the closure, and a candidate ``c`` lies in the coset
+    ``Hr`` of a representative ``r`` exactly when ``c r^-1`` is in H; no
+    image tuple is formed.  Cosets are numbered breadth-first from H over
+    representatives times generators, in list order.  Returns one image
+    list per generator.
+    """
+    gens = [tuple(g) for g in gens]
+    H = stabilizer(closure(gens), points)
+    reps = [tuple(range(len(gens[0])))]
+    rep_inverses = list(reps)
+    images = [[] for _ in gens]
+    for r in reps:  # grows while walked
+        for col, g in zip(images, gens):
+            cand = compose(r, g)
+            for target, r_inv in enumerate(rep_inverses):
+                if compose(cand, r_inv) in H:
+                    break
+            else:
+                target = len(reps)
+                reps.append(cand)
+                rep_inverses.append(inverse(cand))
+            col.append(target)
+    return images

@@ -328,6 +328,42 @@ def test_generic_coset_action():
         coset_action(G, (3,), 3, max_index=3)
 
 
+def test_coset_action_edge_cases():
+    # an empty tuple, or a W with no generators, leaves H = W: one coset
+    assert coset_action(symmetric(4), (), 1).degree == 1
+    assert coset_action(PermGroup(4), (1, 2), 1).degree == 1
+    with pytest.raises(RuntimeError, match="found 1 cosets, expected 2"):
+        coset_action(symmetric(4), (), 2)
+    # S4 on ordered pairs: 12 cosets, which may sit exactly on the ceiling
+    assert coset_action(symmetric(4), (2, 3), 12, max_index=12).degree == 12
+    # the enumeration itself stops at the ceiling, whatever index it was told
+    with pytest.raises(BudgetExceeded, match="enumeration exceeded the ceiling 5"):
+        coset_action(symmetric(4), (2, 3), 4, max_index=5)
+    with pytest.raises(RuntimeError, match="found 12 cosets, expected 11"):
+        coset_action(symmetric(4), (2, 3), 11)
+
+
+def test_coset_action_matches_element_oracle():
+    # the numbering against cosets told apart by element arithmetic, on
+    # small random groups and tuples (repeated points included), and on a
+    # dihedral group of degree 100 with a 10-point tuple: 100**10 tuples
+    # are past the int64 range, so no fixed-width tuple code can name them
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(30):
+        degree = int(rng.integers(2, 7))
+        gens = [rng.permutation(degree).tolist() for _ in range(int(rng.integers(1, 4)))]
+        points = rng.integers(0, degree, size=int(rng.integers(0, 4))).tolist()
+        cases.append((degree, gens, tuple(points)))
+    dihedral = [list(range(1, 100)) + [0], [(-x) % 100 for x in range(100)]]
+    cases.append((100, dihedral, tuple(range(3, 100, 10))))
+    for degree, gens, points in cases:
+        want = bf.coset_action_images(gens, points)
+        act = coset_action(PermGroup(degree, gens), points, len(want[0]))
+        assert act.generators == PermGroup(len(want[0]), want).generators, (degree, gens, points)
+    assert act.degree == 200
+
+
 @pytest.mark.parametrize("args,message", [
     ((4.5,), "expected_index 4.5 is not an integer"),
     ((True,), "expected_index True is not an integer"),
