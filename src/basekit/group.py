@@ -32,7 +32,12 @@ so a chain is the same in every process:
   generators.  Its order is the caller's hint or, for a transitive group
   of degree at least 8 with no hint, the giant certificate
   (``_giant_order``): a drawn element with a cycle of prime length ``p``,
-  ``n/2 < p < n - 2``, proves the group contains ``A_n``;
+  ``n/2 < p < n - 2``, proves the group contains ``A_n``.  A hint of
+  ``n!`` or ``n!/2`` runs the certificate too.  A proven giant is
+  completed from its standard strong generators (``_standard_generators``)
+  in place of its own, so it reaches its order in the generator phase and
+  draws nothing; its level-0 generators are those, while the group's
+  ``PermGroup.generators`` stay the ones it was given;
 - a rebase (``_rebase``) of a chain on a base prefix draws uniform
   elements off that chain.
 
@@ -348,7 +353,14 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     elements drawn by product replacement, seeded from the generators.  The
     order it stops at is ``known_order`` or, with none, the order proven by
     the giant certificate (``_giant_order``); a group with neither is
-    completed by the deterministic verification.
+    completed by the deterministic verification.  With no hint, or a hint
+    of ``n!`` or ``n!/2`` (``_giant_sized``), the certificate runs first; a
+    proven order that is the hint's, or that stands for a missing hint, is
+    completed from the giant's standard strong generators
+    (``_standard_generators``), so the chain's level-0 generators are
+    those and its base is ``0, 1, ...``.  The proof is the certificate's,
+    never the hint's: a hint the certificate does not prove takes its own
+    route, with the draws it would take had the certificate not run.
 
     ``known_order`` is trusted as the exact order: construction stops as
     soon as the orbit sizes multiply up to it (exact when it is the order,
@@ -365,10 +377,16 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
     draws = _product_replacement(degree, generators)
-    if known_order is None:
-        known_order = _giant_order(degree, generators, draws)
+    order = known_order
+    if known_order is None or _giant_sized(degree, known_order):
+        proven = _giant_order(degree, generators, draws)
+        if proven is not None and known_order in (None, proven):
+            generators, order = _standard_generators(degree, proven), proven
+        elif known_order is not None:
+            # the hint's own route, with the draws it takes without a certificate
+            draws = _product_replacement(degree, generators)
     chain = StabilizerChain(degree)
-    _complete(chain, generators, known_order, draws)
+    _complete(chain, generators, order, draws)
     _finish(chain)
     return chain
 
@@ -494,6 +512,8 @@ def _giant_order(degree: int, generators, draws) -> int | None:
     ``sympy.combinatorics`` estimates), so for uniform draws a giant
     escapes the fixed number tried with probability at most
     ``_GIANT_MISS``.  A group no draw certifies is left to the exact path.
+    A proven order names the giant, so ``build_chain`` completes it from
+    the giant's standard strong generators, not from ``generators``.
     """
     primes = _jordan_primes(degree)
     if not primes:
@@ -507,6 +527,37 @@ def _giant_order(degree: int, generators, draws) -> int | None:
             odd = any(sum(len(c) - 1 for c in s.cycles()) % 2 for s in generators)
             return math.factorial(degree) // (1 if odd else 2)
     return None
+
+
+def _giant_sized(degree: int, order: int) -> bool:
+    """Whether ``order`` is ``n!`` or ``n!/2`` for ``n = degree >= 8``.
+
+    The bit length of ``order`` is compared with ``log2(n!)`` first, so an
+    order that is neither computes no ``n!``: at the degrees a spec may
+    have, ``n!`` alone can take seconds.  ``n!`` has between ``log2(n!)``
+    and one more bits, and ``n!/2`` one fewer.
+    """
+    if degree < 8:  # no certificate below degree 8 (``_jordan_primes``)
+        return False
+    bits = math.lgamma(degree + 1) / math.log(2)
+    if abs(order.bit_length() - bits) > 2:
+        return False
+    full = math.factorial(degree)
+    return order in (full, full // 2)
+
+
+def _standard_generators(degree: int, order: int) -> list[Perm]:
+    """The standard strong generators of the giant of ``order`` on ``degree`` points.
+
+    The transpositions ``(i, i+1)`` for ``S_n`` and the 3-cycles
+    ``(i, i+1, i+2)`` for ``A_n``.  Sifted in this order, each opens the
+    level at its smallest point, so the base is ``0, 1, ...`` and the chain
+    reaches ``order`` with its last generator: level ``i``'s generators
+    are those moving no point below ``i``, whose group is the giant on
+    ``i, ..., n-1``.
+    """
+    k = 2 if order == math.factorial(degree) else 3
+    return [Perm.from_cycles(degree, tuple(range(i, i + k))) for i in range(degree - k + 1)]
 
 
 def _verify(chain: StabilizerChain, order: int | None) -> None:

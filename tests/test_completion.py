@@ -238,7 +238,8 @@ def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
     # a residue stopping at level j joins the levels up to j and is level j's
     # tree edge from its base point, so every level's generators are tree
     # edges or the next level's; checked on every route a chain is made by,
-    # each of which must have added residues in its random or verify phase
+    # each of which must have added residues in the phase it completes in:
+    # a proven giant in the generator phase, from its standard generators
     phases = []
     add, verify = group_module._add_strong_gen, group_module._verify
     in_verify = []
@@ -271,7 +272,8 @@ def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
     def giant():
         for n in (16, 20):
             for seed in range(4):
-                yield build_chain(n, [Perm(g) for g in relabelled(n, symmetric_gens(n), seed)])
+                for gens in (symmetric_gens(n), alternating_gens(n)):
+                    yield build_chain(n, [Perm(g) for g in relabelled(n, gens, seed)])
 
     def verified():
         for seed in range(40):
@@ -293,7 +295,7 @@ def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
             for prefix in ((n - 1, 0), (1, n - 2, 0), (n // 2, 2, n - 1, 1)):
                 yield G.stabilizer_chain(prefix)
 
-    for route, want in ((hinted, "draw"), (giant, "draw"), (verified, "verify"),
+    for route, want in ((hinted, "draw"), (giant, "generator"), (verified, "verify"),
                         (orbit_rebases, "draw"), (prefix_rebases, "draw")):
         phases.clear()
         chains = 0
@@ -301,6 +303,103 @@ def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
             assert_nothing_to_prune(chain)
             chains += 1
         assert chains >= 8 and phases.count(want) >= 10, (route.__name__, chains, phases.count(want))
+        if route is giant:
+            assert set(phases) == {"generator"}
+
+
+# -- proven giants: the standard strong generators ----------------------------
+
+
+@pytest.mark.parametrize("n", range(8, 41))
+def test_proven_giants_complete_from_their_standard_generators(n):
+    # hinted and hintless, S_n and A_n: the certificate proves the order, and
+    # the chain is that of the transpositions (i, i+1) or the 3-cycles
+    # (i, i+1, i+2), with base 0, 1, ...; the group keeps its own generators
+    full, half = math.factorial(n), math.factorial(n) // 2
+    plain = [Perm(g) for g in symmetric_gens(n)]  # those of constructions.symmetric
+    sym_gens = [Perm(g) for g in relabelled(n, symmetric_gens(n), n)]
+    alt_gens = [Perm(g) for g in relabelled(n, alternating_gens(n), n)]
+    cases = [(constructions.symmetric(n), plain, full),
+             (PermGroup(n, sym_gens), sym_gens, full),
+             (PermGroup(n, alt_gens, order_hint=half), alt_gens, half),
+             (PermGroup(n, alt_gens), alt_gens, half)]
+    rng = random.Random(n)
+    probes = [rng.sample(range(n), n) for _ in range(40)]
+    for G, gens, order in cases:
+        k = 2 if order == full else 3
+        chain = G.stabilizer_chain()
+        assert chain.order() == G.order() == order
+        assert chain.base == tuple(range(n - k + 1))
+        assert chain.level_generators(0) == tuple(
+            Perm.from_cycles(n, tuple(range(i, i + k))) for i in range(n - k + 1))
+        assert G.generators == tuple(gens)
+        for images in probes:
+            assert G.contains(images) == (order == full or Permutation(images).is_even)
+
+
+def test_a_full_hint_on_alternating_generators_raises_promptly():
+    # the certificate proves n!/2, not the hint, so the hint's own route
+    # runs: its draws fall idle and the verification finds n!/2
+    for n in (8, 12, 20):
+        gens = [Perm(g) for g in relabelled(n, alternating_gens(n), n)]
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError):
+            build_chain(n, gens, known_order=math.factorial(n))
+        assert time.perf_counter() - start < 2, n
+
+
+# the base build_chain returns for the hint n!/2 on generators of S_n (plain
+# or relabelled by the seed), or None for RuntimeError, as recorded before
+# giant hints ran the certificate: a partial chain that reaches the hint is
+# returned unchecked (build_chain), else the verification raises
+HALF_HINT_ON_SYMMETRIC_GENERATORS = {
+    (8, None): (0, 1, 2, 3, 5, 4),
+    (8, 8): (0, 1, 3, 4, 2, 5),
+    (9, None): (0, 1, 2, 3, 4, 5, 6),
+    (9, 9): (3, 0, 1, 2, 4, 5, 6),
+    (10, None): (0, 1, 3, 2, 4, 5, 7, 6),
+    (10, 10): (2, 0, 1, 3, 4, 5, 6, 7),
+    (12, None): (0, 1, 2, 10, 4, 3, 5, 6, 7, 8),
+    (12, 12): (9, 0, 1, 3, 2, 4, 6, 5, 7, 8),
+    (16, None): (0, 1, 2, 6, 3, 4, 5, 8, 9, 7, 10, 11, 12, 13),
+    (16, 16): (8, 0, 1, 2, 3, 5, 7, 9, 10, 4, 11, 6, 12, 13),
+    (20, None): (0, 1, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
+    (20, 20): None,
+}
+
+
+@pytest.mark.parametrize("n,seed", list(HALF_HINT_ON_SYMMETRIC_GENERATORS))
+def test_a_half_hint_on_symmetric_generators_keeps_the_hints_route(n, seed):
+    gens = symmetric_gens(n) if seed is None else relabelled(n, symmetric_gens(n), seed)
+    gens = [Perm(g) for g in gens]
+    want = HALF_HINT_ON_SYMMETRIC_GENERATORS[n, seed]
+    if want is None:
+        with pytest.raises(RuntimeError):
+            build_chain(n, gens, known_order=math.factorial(n) // 2)
+        return
+    chain = build_chain(n, gens, known_order=math.factorial(n) // 2)
+    assert chain.base == want
+    assert chain.orbit_sizes() == tuple(range(n, 2, -1))
+
+
+def test_a_hint_of_no_giant_order_computes_no_factorial_of_the_degree(monkeypatch):
+    # n! of a spec's degree can take seconds, so a hint is first told apart
+    # from n! and n!/2 by its bit length; S30 is the control that counts
+    W = constructions.wreath_coset_action(5, 4)
+    S = constructions.symmetric(30)
+    calls = []
+    factorial = math.factorial
+
+    def counting(x):
+        calls.append(x)
+        return factorial(x)
+
+    monkeypatch.setattr(math, "factorial", counting)
+    assert W.degree == 2400
+    assert W.order() == factorial(5) ** 4 * 4
+    assert W.degree not in calls
+    assert S.order() == factorial(30)
+    assert 30 in calls
 
 
 # -- the order hint on both routes --------------------------------------------
@@ -349,6 +448,17 @@ def test_root_chains_meet_their_time_targets():
     assert height(G) == 29
     assert irredundant_base_sizes(G).to_list() == [29]
     assert min_base_size(G) == 29
+
+
+@pytest.mark.slow
+def test_symmetric_root_chain_meets_its_time_target_at_degree_200():
+    # the certificate, then the chain of the 199 transpositions (i, i+1):
+    # 0.5 to 1.0 s on a shared 2-core VM, where completing it from random
+    # draws took 1.1 to 1.9 s
+    G = constructions.symmetric(200)
+    start = time.perf_counter()
+    assert G.stabilizer_chain().order() == math.factorial(200)
+    assert time.perf_counter() - start < 1.5
 
 
 @pytest.mark.slow
