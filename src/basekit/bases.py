@@ -44,9 +44,16 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   ``|G_(R)| = |K_x| = t``.  Only when no stored ``L`` qualifies is ``K_x``
   computed, and it is stored once, under ``Fix(K_x)``.  So each subgroup is
   computed once per group and mode, whichever search or key asks for it:
-  pruned height after pruned M on the same group computes none.  The walks
-  carry each group with its key, so a key is read off a group's orbit
-  sizes only for the root and for each subgroup the table stores.
+  pruned height after pruned M on the same group computes none.  The table
+  stores each subgroup as one immutable record ``(key, group, order,
+  size)``, with ``size`` its sizes array's ``item``, made once when the
+  group is stored, and a request takes and returns records.  The walks
+  keep records in their frames and deletion lists, so a key, an order and
+  a sizes array are read off a group only for the root, once per walk, and
+  for each subgroup the table stores.  The root's record is never stored:
+  the root holds the table, and a stored record of it would be a
+  reference cycle that keeps the root alive until the cyclic collector
+  runs.
 * The table also keeps, per key a search has entered (the root's
   included), that subgroup's candidate points as an ascending list, made
   the first time the key is entered: the minima of its moved orbits in
@@ -54,14 +61,15 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   exhaustive mode, read off its orbit sizes.  A node reads the candidates
   above its last point by bisection, and the order arithmetic of its
   independence test uses Python ints: orbit sizes read one at a time from
-  each group's int32 ``orbit_sizes`` array, and each deletion stabilizer's
-  order read once per node.  So a walk makes no array operation at a
-  node, and the orders, which exceed 2^63 from S21 on, never meet a
-  fixed-width integer.  Most stored groups are deletion stabilizers that
-  no walk enters, and the walks read only their sizes: a stored group
-  holds its sizes and makes its labels and its inverse conjugator on
-  first read (``basekit.group``'s module notes), so only the groups a
-  pruned walk enters ever hold labels.
+  each group's int32 ``orbit_sizes`` array, through the record's ``size``,
+  and orders read off the records.  So a walk makes no array operation at
+  a node, and the orders, which exceed 2^63 from S21 on, never meet a
+  fixed-width integer.  A node with no stabilizer classes, as in
+  exhaustive mode, iterates its slice of the candidate list directly.
+  Most stored groups are deletion stabilizers that no walk enters, and the
+  walks read only their sizes: a stored group holds its sizes and makes
+  its labels and its inverse conjugator on first read (``basekit.group``'s
+  module notes), so only the groups a pruned walk enters ever hold labels.
 * Each mode has its own table, never the other's.  The exhaustive searches
   are the cross-check of the pruned ones, so no subgroup a pruned search
   computed may answer an exhaustive request: a wrong stored group would
@@ -231,15 +239,18 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'pruned' or 'exhaustive', got {mode!r}")
 
 
-def _one_per_class(cands, classes):
-    """``cands`` in order, but only the first of each stabilizer class if ``classes`` is given.
+def _candidates(cands, classes):
+    """An iterator over ``cands`` in order, but over only the first of each
+    stabilizer class if ``classes`` is given.
 
     Points of one class have equal point stabilizers, so a later one is
-    interchangeable with the first.
+    interchangeable with the first.  With no classes it is the list's own
+    iterator.
     """
-    if classes is None:
-        yield from cands
-        return
+    return iter(cands) if classes is None else _one_per_class(cands, classes)
+
+
+def _one_per_class(cands, classes):
     seen = set()
     for x in cands:
         c = classes[x]
@@ -298,23 +309,34 @@ def _fixed_key(H: PermGroup) -> int:
     return int.from_bytes(np.packbits(fixed, bitorder="little").tobytes(), "little")
 
 
+def _record(H: PermGroup) -> tuple:
+    """``(key, H, order, size)``: what the walks read of a pointwise
+    stabilizer ``H``, with ``key = Fix(H)``, ``order = |H|`` and
+    ``size(x)`` the length of ``x``'s orbit, a Python int."""
+    return _fixed_key(H), H, H.order(), H.orbit_sizes().item
+
+
 class _SubgroupTable:
     """The pointwise stabilizers of one group that its searches in one mode computed.
 
-    ``requests`` maps a request key ``Fix(K) | 1 << x`` to the subgroup key
-    ``Fix(K_x)``, ``groups`` a subgroup key to its group, and ``by_order``
-    an order to the keys of the stored groups of that order.  Each subgroup
-    is stored once (module notes).  ``cands`` maps the key of each group a
-    search entered, the root's included, to its ascending candidate points:
-    the minima of its moved orbits when ``pruned``, else its moved points.
+    Each stored subgroup is one record ``(key, group, order, size)``
+    (``_record``), made when the group is stored.  ``requests`` maps a
+    request key ``Fix(K) | 1 << x`` to the record of ``K_x``, ``groups`` a
+    subgroup key to its record, and ``by_order`` an order to the keys of
+    the stored groups of that order.  Each subgroup is stored once (module
+    notes).  ``cands`` maps the key of each group a search entered, the
+    root's included, to its ascending candidate points: the minima of its
+    moved orbits when ``pruned``, else its moved points.  The root's own
+    record is never stored: the root holds its tables, so a stored record
+    of it would be a reference cycle.
     """
 
     __slots__ = ("pruned", "requests", "groups", "by_order", "cands")
 
     def __init__(self, pruned: bool):
         self.pruned = pruned
-        self.requests: dict[int, int] = {}
-        self.groups: dict[int, PermGroup] = {}
+        self.requests: dict[int, tuple] = {}
+        self.groups: dict[int, tuple] = {}
         self.by_order: dict[int, list[int]] = {}
         self.cands: dict[int, list[int]] = {}
 
@@ -329,25 +351,27 @@ class _SubgroupTable:
             cands = self.cands[k] = np.nonzero(moved)[0].tolist()
         return cands
 
-    def point_stabilizer(self, k: int, K: PermGroup, x: int) -> tuple[int, PermGroup]:
-        """``(Fix(K_x), K_x)`` for a pointwise stabilizer ``K`` of the table's group, ``k = Fix(K)``.
+    def point_stabilizer(self, rec: tuple, x: int) -> tuple:
+        """The record of ``K_x``, for ``rec`` the record of a pointwise stabilizer ``K``.
 
         A repeated request is one lookup.  Otherwise a stored ``L`` of order
         ``|K| / |x^K|`` fixing every point of the request is ``K_x``; only
         when there is none is ``K_x`` computed, and then stored.
         """
-        request = k | 1 << x
-        key = self.requests.get(request)
-        if key is None:
-            stored = self.by_order.setdefault(K.order() // K.orbit_sizes().item(x), [])
+        request = rec[0] | 1 << x
+        child = self.requests.get(request)
+        if child is None:
+            _, K, order, size = rec
+            stored = self.by_order.setdefault(order // size(x), [])
             key = next((f for f in stored if f & request == request), None)
             if key is None:
-                Kx = K.point_stabilizer(x)
-                key = _fixed_key(Kx)
-                self.groups[key] = Kx
-                stored.append(key)
-            self.requests[request] = key
-        return key, self.groups[key]
+                child = _record(K.point_stabilizer(x))
+                self.groups[child[0]] = child
+                stored.append(child[0])
+            else:
+                child = self.groups[key]
+            self.requests[request] = child
+        return child
 
 
 def _subgroup_table(G: PermGroup, mode: str) -> _SubgroupTable:
@@ -373,46 +397,47 @@ def _walk_independent(G: PermGroup, counter: SearchBudget, mode: str, largest_fi
     earlier result.  Candidates are per-level orbit minima, one per
     stabilizer class (pruned), or every larger moved point (exhaustive);
     ascending, or largest orbit first; each node slices its group's list
-    in the table above its last point.  ``visit(points, x, hx_order, sizes)``
-    sees each independent candidate ``x`` and returns whether to descend
-    into it; a candidate completing a base (``hx_order == 1``) is never
-    entered.  The node and every deletion stabilizer are ``(key, group)``
-    pairs, and each comes from ``G``'s subgroup table for the walk's mode,
-    so the walk computes each subgroup once per group, and none that an
-    earlier search on ``G`` in the same mode computed (module notes).
+    in the table above its last point.  ``visit(points, x, hx_order, H)``
+    sees each independent candidate ``x`` of the node's group ``H`` and
+    returns whether to descend into it; a candidate completing a base
+    (``hx_order == 1``) is never entered.  The node and every deletion stabilizer are records
+    ``(key, group, order, size)`` (``_record``): the root's is made once
+    per walk, and every other comes from ``G``'s subgroup table for the
+    walk's mode, so the walk computes each subgroup once per group, and
+    none that an earlier search on ``G`` in the same mode computed (module
+    notes).  A frame keeps its deletion stabilizers' records as they are,
+    and the independence test reads each one's order and sizes off it.
     """
     table = _subgroup_table(G, mode)
     stabilizer = table.point_stabilizer
     classes = G.stabilizer_class_labels().tolist() if table.pruned else None
     stack = []
 
-    def enter(points, k, H, dels):
+    def enter(points, rec, dels):
         counter.tick()
+        k, H, _, size = rec
         cands = table.candidates(k, H)
         if points:
             cands = cands[bisect_right(cands, points[-1]):]
         if not cands:
             return
-        sizes = H.orbit_sizes()
-        size = sizes.item
         if largest_first:
             cands = sorted(cands, key=lambda x: -size(x))  # stable: ties stay ascending
-        parts = [(K.order(), K.orbit_sizes().item) for _, K in dels]
-        stack.append((points, k, H, H.order(), sizes, size, dels, parts,
-                      _one_per_class(cands, classes)))
+        stack.append((points, rec, dels, _candidates(cands, classes)))
 
-    enter((), _fixed_key(G), G, ())
+    enter((), _record(G), ())
     while stack:
-        points, k, H, h_ord, sizes, size, dels, parts, cands = stack[-1]
+        points, rec, dels, cands = stack[-1]
+        _, H, h_ord, size = rec
         for x in cands:
             hx_order = h_ord // size(x)
-            for order, ks in parts:
+            for _, _, order, ks in dels:
                 if order // ks(x) <= hx_order:
                     break  # not independent: x is fixed without p_j
             else:  # a break here leaves the candidate loop
-                if visit(points, x, hx_order, sizes) and hx_order > 1:
-                    enter(points + (x,), *stabilizer(k, H, x),
-                          [stabilizer(*d, x) for d in dels] + [(k, H)])
+                if visit(points, x, hx_order, H) and hx_order > 1:
+                    enter(points + (x,), stabilizer(rec, x),
+                          [stabilizer(d, x) for d in dels] + [rec])
                     break
         else:
             stack.pop()
@@ -432,7 +457,7 @@ def _independent_sets(G: PermGroup, mode: str, budget) -> tuple[dict[int, tuple[
     found: dict[int, tuple[int, ...]] = {}
     largest = 0
 
-    def visit(points, x, hx_order, sizes):
+    def visit(points, x, hx_order, H):
         nonlocal largest
         size = len(points) + 1
         largest = max(largest, size)
@@ -485,12 +510,12 @@ def min_base_size(G: PermGroup, budget=None) -> int:
             k += 1
         return k
 
-    def visit(points, x, hx_order, sizes):
+    def visit(points, x, hx_order, H):
         nonlocal best
         depth = len(points) + 1
         if hx_order == 1 and (best is None or depth < best):
             best = depth
-        return best is None or depth + bound_steps(hx_order, int(sizes.max())) < best
+        return best is None or depth + bound_steps(hx_order, int(H.orbit_sizes().max())) < best
 
     _walk_independent(G, counter, "pruned", largest_first=True, visit=visit)
     assert best is not None  # every non-trivial group has a base
@@ -521,11 +546,11 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     stabilizers, i.e. equal fixed points, share their futures, so each is
     memoized by its key, the int of its fixed points, with its reachable
     lengths, each mapped to the first candidate reaching it and that
-    candidate's child key.  Each frame keeps its group with its key, and
-    each ``(key, child)`` pair comes from ``G``'s subgroup table for the
-    mode, shared with the other searches on ``G`` in that mode (module
-    notes); a child the memo already holds still costs its budget node but
-    no stabilizer.  With
+    candidate's child key.  Each frame keeps its group's record ``(key,
+    group, order, size)`` (``_record``), and each child's record comes from
+    ``G``'s subgroup table for the mode, shared with the other searches on
+    ``G`` in that mode (module notes); a child the memo already holds still
+    costs its budget node but no stabilizer.  With
     ``witnesses=True`` a witness of each length is read off the memo by
     lookups from ``G``'s key, at no further search or stabilizer cost.
     """
@@ -534,6 +559,7 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     counter = _as_budget(budget)
     G.order()
     table = _subgroup_table(G, mode)
+    stabilizer = table.point_stabilizer
     classes = G.stabilizer_class_labels().tolist() if table.pruned else None
     memo: dict[int, dict[int, tuple[int, int | None]]] = {}
     # explicit stack; each frame keeps the candidate that led to it, and
@@ -541,31 +567,32 @@ def irredundant_base_sizes(G: PermGroup, mode: str = "pruned", budget=None, witn
     # candidate ``x`` up to the frame that tried it
     stack = []
 
-    def enter(x, key, H):
+    def enter(x, rec):
         counter.tick()
+        key, H, _, _ = rec
         if key in memo:
             return x, key
-        stack.append((x, key, H, H.order(), H.orbit_sizes().item,
-                      _one_per_class(table.candidates(key, H), classes), {}))
+        stack.append((x, rec, _candidates(table.candidates(key, H), classes), {}))
         return None
 
-    done = enter(None, _fixed_key(G), G)
+    done = enter(None, _record(G))
     while stack:
-        _, key, H, h_ord, size, cands, out = stack[-1]
+        _, rec, cands, out = stack[-1]
         if done is not None:
             x, child = done
             for l in memo[child]:
                 out.setdefault(l + 1, (x, child))
             done = None
+        _, _, h_ord, size = rec
         for x in cands:
             if h_ord // size(x) == 1:
                 out.setdefault(1, (x, None))
                 continue
-            done = enter(x, *table.point_stabilizer(key, H, x))
+            done = enter(x, stabilizer(rec, x))
             break
         else:
-            memo[key] = out
-            done = stack.pop()[0], key
+            memo[rec[0]] = out
+            done = stack.pop()[0], rec[0]
     root = done[1]
     sizes = SizeSet(memo[root])
     if not witnesses:

@@ -33,10 +33,11 @@ so a chain is the same in every process:
   of degree at least 8 with no hint, the giant certificate
   (``_giant_order``): a drawn element with a cycle of prime length ``p``,
   ``n/2 < p < n - 2``, proves the group contains ``A_n``.  A hint of
-  ``n!`` or ``n!/2`` runs the certificate too.  A proven giant is
-  completed from its standard strong generators (``_standard_generators``)
-  in place of its own, so it reaches its order in the generator phase and
-  draws nothing; its level-0 generators are those, while the group's
+  ``n!`` or ``n!/2`` runs the certificate too, and a hint of ``n!`` on a
+  proven ``A_n`` raises at once.  A proven giant is completed from its
+  standard strong generators (``_standard_generators``) in place of its
+  own, so it reaches its order in the generator phase and draws nothing;
+  its level-0 generators are those, while the group's
   ``PermGroup.generators`` stay the ones it was given;
 - a rebase (``_rebase``) of a chain on a base prefix draws uniform
   elements off that chain.
@@ -359,8 +360,10 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     completed from the giant's standard strong generators
     (``_standard_generators``), so the chain's level-0 generators are
     those and its base is ``0, 1, ...``.  The proof is the certificate's,
-    never the hint's: a hint the certificate does not prove takes its own
-    route, with the draws it would take had the certificate not run.
+    never the hint's.  A hint of ``n!`` on a proven ``A_n`` is wrong, and
+    raises ``RuntimeError`` at once, before any draw of the completion.
+    Any other hint the certificate does not prove takes its own route,
+    with the draws it would take had the certificate not run.
 
     ``known_order`` is trusted as the exact order: construction stops as
     soon as the orbit sizes multiply up to it (exact when it is the order,
@@ -382,6 +385,9 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
         proven = _giant_order(degree, generators, draws)
         if proven is not None and known_order in (None, proven):
             generators, order = _standard_generators(degree, proven), proven
+        elif proven is not None and proven < known_order:
+            # proven n!/2 is the order (the group is A_n), so a hint of n! is wrong
+            raise RuntimeError(f"stabilizer chain order {proven} != expected {known_order}")
         elif known_order is not None:
             # the hint's own route, with the draws it takes without a certificate
             draws = _product_replacement(degree, generators)

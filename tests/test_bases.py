@@ -42,7 +42,8 @@ from basekit import (
     wreath_coset_action,
 )
 from basekit import cli
-from basekit.bases import _fixed_key, _SubgroupTable, _walk_independent
+from basekit.bases import _fixed_key, _record, _SubgroupTable, _walk_independent
+from basekit.corpus import random_two_generator_subgroups
 
 import bruteforce as bf
 from test_group import count_chain_builds
@@ -120,7 +121,7 @@ def test_walker_never_enters_a_base(mode):
     for name, G in ORACLE_GROUPS:
         seen = []
 
-        def visit(points, x, hx_order, counts):
+        def visit(points, x, hx_order, H):
             seen.append(hx_order)
             return True
 
@@ -475,12 +476,13 @@ def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
     roots, modes, answered, asked = [], [], {}, []
     original = _SubgroupTable.point_stabilizer
 
-    def recording(self, k, K, x):
-        assert k == _fixed_key(K)
+    def recording(self, rec, x):
+        K = rec[1]
+        assert rec[0] == _fixed_key(K)
         asked.append((modes[-1], self, K))
-        key, Kx = original(self, k, K, x)
-        answered.setdefault(id(self), set()).add(id(Kx))
-        return key, Kx
+        child = original(self, rec, x)
+        answered.setdefault(id(self), set()).add(id(child[1]))
+        return child
 
     def in_mode(search):
         def run(G, mode, *args, **kwargs):
@@ -506,7 +508,8 @@ def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
     [G] = roots
     pruned, exhaustive = G._subgroups["pruned"], G._subgroups["exhaustive"]
     assert pruned is not exhaustive
-    assert set(map(id, pruned.groups.values())).isdisjoint(map(id, exhaustive.groups.values()))
+    assert {id(r[1]) for r in pruned.groups.values()}.isdisjoint(
+        id(r[1]) for r in exhaustive.groups.values())
     assert {mode for mode, _, _ in asked} == {"pruned", "exhaustive"}
     for mode, table, K in asked:
         assert table is G._subgroups[mode]
@@ -550,7 +553,8 @@ def test_each_keys_candidates_are_made_once_per_table(mode, monkeypatch):
     assert set(returned) == set(table.cands)
     assert all(c is lists[0] for lists in returned.values() for c in lists)
     assert sum(map(len, returned.values())) > len(returned)
-    groups = {**table.groups, _fixed_key(G): G}
+    groups = {k: r[1] for k, r in table.groups.items()}
+    groups[_fixed_key(G)] = G
     for k, cands in table.cands.items():
         labels, sizes = groups[k].orbit_partition()
         assert cands == [x for x in range(G.degree)
@@ -588,8 +592,47 @@ def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
     assert errors == []
     assert results == [want] * 4
     table = G._subgroups["exhaustive"]
-    assert all(_fixed_key(H) == key for key, H in table.groups.items())
-    assert set(table.requests.values()) == set(table.groups)
+    assert all(r[0] == key for key, r in table.groups.items())
+    assert {r[0] for r in table.requests.values()} == set(table.groups)
+    for rec in [*table.groups.values(), *table.requests.values()]:
+        _check_record(rec)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_two_generator_subgroups(1)[0][1], lambda: wreath_coset_action(4, 3),
+     lambda: symmetric(7)],
+    ids=["corpus-s8", "wreath43", "sym7"],
+)
+def test_searches_leave_no_reference_to_their_group(make):
+    # the tables live in the group's slot, so a record or cache in them that
+    # referred back to the group would be a cycle keeping every searched
+    # group alive until the cyclic collector ran.  The exhaustive M and
+    # height of wreath (4,3) walk 1.2 million nodes, so a budget stops them
+    # after thousands of stored groups, and the aborted walks leave none
+    G = make()
+    G.order()
+    before = sys.getrefcount(G)
+    for mode in ("pruned", "exhaustive"):
+        limit = 5000 if mode == "exhaustive" and G.degree > 30 else None
+        for search in (minimal_base_sizes, height):
+            try:
+                search(G, mode, limit)
+            except BudgetExceeded:
+                assert limit is not None
+        irredundant_base_sizes(G, mode, witnesses=True)
+    min_base_size(G)
+    assert G._subgroups["pruned"].groups and G._subgroups["exhaustive"].groups
+    assert sys.getrefcount(G) == before
+
+
+def _check_record(rec):
+    # a record names its group and carries the group's own order and sizes
+    key, H, order, size = rec
+    assert key == _fixed_key(H)
+    assert order == H.order()
+    assert [size(x) for x in range(H.degree)] == H.orbit_sizes().tolist()
+    assert all(type(size(x)) is int for x in range(H.degree))
 
 
 def _check_table_answers(G, mode):
@@ -609,7 +652,9 @@ def _check_table_answers(G, mode):
             fixing_s = bf.stabilizer(elements, S)
             for x in np.nonzero(K.orbit_partition()[1] > 1)[0].tolist():
                 stored = len(table.groups)
-                key, Kx = table.point_stabilizer(_fixed_key(K), K, x)
+                child = table.point_stabilizer(_record(K), x)
+                _check_record(child)
+                key, Kx, _, _ = child
                 if len(table.groups) > stored:
                     continue
                 answered += 1
@@ -867,12 +912,12 @@ def test_stored_groups_make_labels_and_inverse_conjugators_on_first_read(monkeyp
     assert irredundant_base_sizes(W) == SizeSet(range(3, 7))
     assert height(W) == 4
     pruned = W._subgroups["pruned"]
-    labelled = {k for k, H in pruned.groups.items() if H._partition is not None}
+    labelled = {k for k, (_, H, _, _) in pruned.groups.items() if H._partition is not None}
     assert labelled == set(pruned.cands) & set(pruned.groups) != set(pruned.groups)
     assert calls[0] == 13
     calls[0] = 0
     assert minimal_base_sizes(K, "exhaustive") == SizeSet({4})
-    groups = K._subgroups["exhaustive"].groups.values()
+    groups = [H for _, H, _, _ in K._subgroups["exhaustive"].groups.values()]
     assert all(H._partition is None for H in groups)
     assert any(H._view[1] is not None and H._view[2] is None for H in groups)
     assert calls[0] == 2

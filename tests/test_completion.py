@@ -337,15 +337,22 @@ def test_proven_giants_complete_from_their_standard_generators(n):
             assert G.contains(images) == (order == full or Permutation(images).is_even)
 
 
-def test_a_full_hint_on_alternating_generators_raises_promptly():
-    # the certificate proves n!/2, not the hint, so the hint's own route
-    # runs: its draws fall idle and the verification finds n!/2
-    for n in (8, 12, 20):
+def test_a_full_hint_on_alternating_generators_raises_promptly(monkeypatch):
+    # the certificate proves n!/2, the order of A_n, so the hint n! is wrong
+    # and build_chain raises before the completion draws or verifies; the
+    # hint's own route took 1.9 s to raise on A40
+    def completing(*args):
+        raise AssertionError("the completion ran")
+
+    monkeypatch.setattr(group_module, "_complete", completing)
+    for n in (8, 12, 20, 40):
         gens = [Perm(g) for g in relabelled(n, alternating_gens(n), n)]
+        full = math.factorial(n)
         start = time.perf_counter()
-        with pytest.raises(RuntimeError):
-            build_chain(n, gens, known_order=math.factorial(n))
-        assert time.perf_counter() - start < 2, n
+        with pytest.raises(RuntimeError) as caught:
+            build_chain(n, gens, known_order=full)
+        assert time.perf_counter() - start < 0.5, n
+        assert str(caught.value) == f"stabilizer chain order {full // 2} != expected {full}"
 
 
 # the base build_chain returns for the hint n!/2 on generators of S_n (plain
