@@ -12,9 +12,9 @@ cached with their inverses.  Orbits grow breadth-first with generators in
 list order, and a new base point is always the smallest point moved by the
 residue that forced it.
 
-Every chain is built by one completion, ``_complete``: sift the generators,
-then sift random elements of the group until the orbit sizes multiply up
-to its known order.  This stop is exact: the products of one transversal
+Every chain but a proven giant's is built by one completion,
+``_complete``: sift the generators, then sift random elements of the group
+until the orbit sizes multiply up to its known order.  This stop is exact: the products of one transversal
 element per level are pairwise distinct group elements, so the product of
 orbit sizes can never exceed the group order, and it reaches it exactly
 when every element sifts.  A random element lies in the group of level 0's
@@ -34,11 +34,13 @@ so a chain is the same in every process:
   (``_giant_order``): a drawn element with a cycle of prime length ``p``,
   ``n/2 < p < n - 2``, proves the group contains ``A_n``.  A hint of
   ``n!`` or ``n!/2`` runs the certificate too, and a hint of ``n!`` on a
-  proven ``A_n`` raises at once.  A proven giant is completed from its
-  standard strong generators (``_standard_generators``) in place of its
-  own, so it reaches its order in the generator phase and draws nothing;
-  its level-0 generators are those, while the group's
-  ``PermGroup.generators`` stay the ones it was given;
+  proven ``A_n`` raises at once.  A proven giant's chain is not completed
+  but written down (``_giant_chain``, Seress 2003, sections 5.4 and
+  10.2): the chain of its standard strong generators
+  (``_standard_generators``), with base ``0, 1, ...`` and every Schreier
+  vector known in closed form, exactly as the completion would build it
+  from those generators.  Its level-0 generators are those, while the
+  group's ``PermGroup.generators`` stay the ones it was given;
 - a rebase (``_rebase``) of a chain on a base prefix draws uniform
   elements off that chain.
 
@@ -246,15 +248,17 @@ class StabilizerChain:
     """Base points with per-level strong generators, orbits, and transversals.
 
     ``_points`` caches the base points as an array for ``sift``; it is made
-    again whenever the chain has grown a level since.
+    again whenever the chain has grown a level since.  ``_tail`` caches
+    ``suffix(1)``, which only a finished chain is asked for.
     """
 
-    __slots__ = ("degree", "levels", "_points")
+    __slots__ = ("degree", "levels", "_points", "_tail")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
         self._points = None
+        self._tail = None
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -326,10 +330,16 @@ class StabilizerChain:
         """The tail from level ``start`` on: a chain for the stabilizer of the first base points.
 
         Shares level objects with this chain; chains are never mutated after
-        construction, so sharing is safe.
+        construction, so sharing is safe.  The tail from level 1, which
+        every stabilizer derived from this chain reads, is made once and
+        kept, so those views share one level list.
         """
+        if start == 1 and self._tail is not None:
+            return self._tail
         sub = StabilizerChain(self.degree)
         sub.levels = self.levels[start:]
+        if start == 1:
+            self._tail = sub
         return sub
 
     def elements(self):
@@ -351,16 +361,16 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     """The default-base chain of ``<generators>``, exact.
 
     The one completion (``_complete``, see the module notes) with random
-    elements drawn by product replacement, seeded from the generators.  The
-    order it stops at is ``known_order`` or, with none, the order proven by
-    the giant certificate (``_giant_order``); a group with neither is
-    completed by the deterministic verification.  With no hint, or a hint
-    of ``n!`` or ``n!/2`` (``_giant_sized``), the certificate runs first; a
-    proven order that is the hint's, or that stands for a missing hint, is
-    completed from the giant's standard strong generators
-    (``_standard_generators``), so the chain's level-0 generators are
-    those and its base is ``0, 1, ...``.  The proof is the certificate's,
-    never the hint's.  A hint of ``n!`` on a proven ``A_n`` is wrong, and
+    elements drawn by product replacement, seeded from the generators,
+    stopped at ``known_order``; a group with no hint and no giant
+    certificate is completed by the deterministic verification.  With no
+    hint, or a hint of ``n!`` or ``n!/2`` (``_giant_sized``), the giant
+    certificate (``_giant_order``) runs first; a proven order that is the
+    hint's, or that stands for a missing hint, is not completed: the chain
+    of the giant's standard strong generators is written down
+    (``_giant_chain``), so the chain's level-0 generators are those and its
+    base is ``0, 1, ...``.  The proof is the certificate's, never the
+    hint's.  A hint of ``n!`` on a proven ``A_n`` is wrong, and
     raises ``RuntimeError`` at once, before any draw of the completion.
     Any other hint the certificate does not prove takes its own route,
     with the draws it would take had the certificate not run.
@@ -380,19 +390,20 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
     draws = _product_replacement(degree, generators)
-    order = known_order
     if known_order is None or _giant_sized(degree, known_order):
         proven = _giant_order(degree, generators, draws)
         if proven is not None and known_order in (None, proven):
-            generators, order = _standard_generators(degree, proven), proven
-        elif proven is not None and proven < known_order:
+            chain = _giant_chain(degree, proven)
+            _finish(chain)
+            return chain
+        if proven is not None and proven < known_order:
             # proven n!/2 is the order (the group is A_n), so a hint of n! is wrong
             raise RuntimeError(f"stabilizer chain order {proven} != expected {known_order}")
-        elif known_order is not None:
+        if known_order is not None:
             # the hint's own route, with the draws it takes without a certificate
             draws = _product_replacement(degree, generators)
     chain = StabilizerChain(degree)
-    _complete(chain, generators, order, draws)
+    _complete(chain, generators, known_order, draws)
     _finish(chain)
     return chain
 
@@ -518,8 +529,9 @@ def _giant_order(degree: int, generators, draws) -> int | None:
     ``sympy.combinatorics`` estimates), so for uniform draws a giant
     escapes the fixed number tried with probability at most
     ``_GIANT_MISS``.  A group no draw certifies is left to the exact path.
-    A proven order names the giant, so ``build_chain`` completes it from
-    the giant's standard strong generators, not from ``generators``.
+    A proven order names the giant, so ``build_chain`` writes down the
+    chain of its standard strong generators (``_giant_chain``), made
+    neither from ``generators`` nor by a completion.
     """
     primes = _jordan_primes(degree)
     if not primes:
@@ -556,14 +568,38 @@ def _standard_generators(degree: int, order: int) -> list[Perm]:
     """The standard strong generators of the giant of ``order`` on ``degree`` points.
 
     The transpositions ``(i, i+1)`` for ``S_n`` and the 3-cycles
-    ``(i, i+1, i+2)`` for ``A_n``.  Sifted in this order, each opens the
-    level at its smallest point, so the base is ``0, 1, ...`` and the chain
-    reaches ``order`` with its last generator: level ``i``'s generators
-    are those moving no point below ``i``, whose group is the giant on
-    ``i, ..., n-1``.
+    ``(i, i+1, i+2)`` for ``A_n``.  Level ``i`` of their chain has base
+    point ``i`` and the generators moving no point below ``i``, whose group
+    is the giant on ``i, ..., n-1``.  ``_giant_chain`` writes that chain
+    down; sifted in this order by ``_complete``, each generator would open
+    the level at its smallest point and reach the same chain, with
+    ``order`` reached at the last generator.
     """
     k = 2 if order == math.factorial(degree) else 3
     return [Perm.from_cycles(degree, tuple(range(i, i + k))) for i in range(degree - k + 1)]
+
+
+def _giant_chain(degree: int, order: int) -> StabilizerChain:
+    """The chain of the giant of ``order`` on its standard strong generators, written down.
+
+    With ``k = 2`` for ``S_n`` and ``k = 3`` for ``A_n``, level ``i`` has
+    base point ``i`` and the generators ``gens[i:]`` of level 0, the very
+    objects, for ``i <= n - k``.  Its basic orbit is ``i, ..., n-1``, in
+    that order, and ``j > i`` is reached from ``j - 1`` by the level's
+    first generator that takes ``j - 1`` to ``j``: the cycle starting at
+    ``max(j - k + 1, i)``.  This is the chain ``_complete`` builds from
+    these generators, Schreier vectors and their insertion order included,
+    made without sifting or scanning an orbit.
+    """
+    gens = _standard_generators(degree, order)
+    k = degree - len(gens) + 1  # the length of a cycle of gens
+    chain = StabilizerChain(degree)
+    for i in range(len(gens)):
+        level = _Level(i, degree)
+        level.gens = gens[i:]
+        level.transversal.update((j, (j - 1, max(j - k + 1, i) - i)) for j in range(i + 1, degree))
+        chain.levels.append(level)
+    return chain
 
 
 def _verify(chain: StabilizerChain, order: int | None) -> None:
@@ -990,22 +1026,32 @@ class PermGroup:
         off the orbit partition of ``point_stabilizer(rep)``, and carried
         breadth-first by the generators, since ``g`` maps the class of ``x``
         onto that of ``x^g``.  Each class is labelled whole on first reach,
-        so every point is labelled once.  The generators are the chain's
-        level-0 generators ``s``; a conjugated view carries ``x`` to
-        ``x^(u_inv s u)`` in three gathers, so no group's generators are made.
+        so every point is labelled once.  A class ``{rep}`` of one point is
+        carried nowhere: the generators map classes onto classes of equal
+        size, so every class of that orbit is a single point, and the orbit
+        is labelled with its own points at once.  The generators are the
+        chain's level-0 generators ``s``, read when a first class is
+        carried; a conjugated view carries ``x`` to ``x^(u_inv s u)`` in
+        three gathers, so no group's generators are made.
         """
         if self._stab_classes is not None:
             return self._stab_classes
         degree = self.degree
         labels, sizes = self.orbit_partition()
         out = np.full(degree, -1, dtype=np.int64)
-        chain, u, u_inv = self._get_view()
-        images = [s.images for s in chain.level_generators(0)]
+        images = None
         for rep in np.nonzero(labels == np.arange(degree))[0].tolist():
             if out[rep] >= 0:  # labelled with a class of an earlier orbit
                 continue
             fixed = self.point_stabilizer(rep).orbit_sizes() == 1
             row = np.nonzero(fixed & (sizes == sizes[rep]))[0]
+            if row.size == 1:  # a singleton class: so is every class of the orbit
+                orbit = np.nonzero(labels == rep)[0]
+                out[orbit] = orbit
+                continue
+            if images is None:
+                chain, u, u_inv = self._get_view()
+                images = [s.images for s in chain.level_generators(0)]
             out[row] = row[0]
             queue = [row]
             for row in queue:  # grows while walked: a breadth-first queue

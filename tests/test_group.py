@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import basekit.group as group_module
-from basekit import Perm, PermGroup, build_chain
+from basekit import Perm, PermGroup, build_chain, constructions
 from basekit.bases import SearchBudget, height, irredundant_base_sizes, minimal_base_sizes
 from basekit.constructions import cyclic_regular, wreath_coset_action
+from basekit.corpus import interval_corpus
 
 import bruteforce as bf
 
@@ -427,8 +428,8 @@ def test_point_stabilizer_range_checks(make):
             G.pointwise_stabilizer([0, bad])
 
 
-def _class_labels_oracle(G):
-    elements = bf.closure([g.to_list() for g in G.generators], limit=6000) if G.generators \
+def _class_labels_oracle(G, limit=6000):
+    elements = bf.closure([g.to_list() for g in G.generators], limit=limit) if G.generators \
         else {tuple(range(G.degree))}
     stabs = [frozenset(e for e in elements if e[x] == x) for x in range(G.degree)]
     return [min(y for y in range(G.degree) if stabs[y] == stabs[x]) for x in range(G.degree)]
@@ -456,12 +457,50 @@ CLASS_LABEL_GROUPS = SMALL_GROUPS + [
     # the class {2,3} to {4,1}, whose smallest point comes second
     ("interleaved-diagonal-s3", PermGroup(6, [Perm.from_cycles(6, (0, 2, 4), (5, 3, 1)),
                                               Perm.from_cycles(6, (2, 4), (3, 1))])),
+    # S4 x C3 on {0..3} and {4,5,6}: the orbit {0..3} is four singleton
+    # classes, labelled at once, and the orbit {4,5,6} is one class
+    ("s4xc3", PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
+                            Perm.from_cycles(7, (4, 5, 6))])),
 ]
 
 
 @pytest.mark.parametrize("name,G", CLASS_LABEL_GROUPS, ids=[n for n, _ in CLASS_LABEL_GROUPS])
 def test_stabilizer_class_labels_match_bruteforce(name, G):
     assert G.stabilizer_class_labels().tolist() == _class_labels_oracle(G)
+
+
+def test_stabilizer_class_labels_match_bruteforce_on_the_corpus():
+    # every corpus group of degree at most 30; the largest are of order 8!
+    seen = 0
+    for name, G in interval_corpus():
+        if G.degree <= 30:
+            assert G.stabilizer_class_labels().tolist() == _class_labels_oracle(G, 40320), name
+            seen += 1
+    assert seen >= 45
+
+
+def test_singleton_classes_are_labelled_without_carrying(monkeypatch):
+    # the stabilizer of 0 in S20 fixes 0 alone, so its orbit of singleton
+    # classes is labelled at once; the generators are read only to carry a
+    # class, so none is carried
+    G = constructions.symmetric(20)
+    G.order()
+    stabilizers, reads = [], []
+    point_stabilizer = PermGroup.point_stabilizer
+    level_generators = group_module.StabilizerChain.level_generators
+
+    def counting_stabilizer(self, point):
+        stabilizers.append(point)
+        return point_stabilizer(self, point)
+
+    def counting_reads(self, i):
+        reads.append(i)
+        return level_generators(self, i)
+
+    monkeypatch.setattr(PermGroup, "point_stabilizer", counting_stabilizer)
+    monkeypatch.setattr(group_module.StabilizerChain, "level_generators", counting_reads)
+    assert G.stabilizer_class_labels().tolist() == list(range(20))
+    assert stabilizers == [0] and reads == []
 
 
 def test_stabilizer_class_labels_are_linear_on_a_regular_group():
