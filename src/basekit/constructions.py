@@ -5,9 +5,13 @@ Point encodings are fixed so witness bases are reproducible:
 * ``elem_abelian_regular(p, d)``: point m encodes the vector whose i-th
   coordinate is digit i of m in base p (place value p**i); generator i adds
   the i-th unit vector.
-* ``product_action(G, H)``: pair (d, l) is point ``d * H.degree + l``;
-  more factors fold left, giving a mixed-radix encoding.
-* ``disjoint_product(G, H)``: H's points are shifted by ``G.degree``.
+* ``product_action(G, H, ...)``: the tuple (x1, ..., xk) of factor points
+  is one mixed-radix number, first factor most significant, so the pair
+  (d, l) is point ``d * H.degree + l``.  A factor's generator moves only
+  its own digit, by stride arithmetic, never on a k-dimensional grid:
+  degree-1 factors make more factors legal than numpy has dimensions.
+* ``disjoint_product(G, H, ...)``: each factor's points are shifted by the
+  sum of the degrees before it.
 * ``k_subset_action(n, k)``: points are the k-subsets of {0..n-1} in
   lexicographic order.
 * ``gl42_on_2subspaces``: the 35 planes are ordered lexicographically by
@@ -21,6 +25,11 @@ Point encodings are fixed so witness bases are reproducible:
   ``coset_action`` finds them one breadth-first level at a time,
   parent-major and generator-minor, which gives the numbering of a
   one-coset-at-a-time queue.
+
+``product_action`` and ``disjoint_product`` take any number of factors,
+at least two, and make one generator list and one group in one step: no
+partial product is built, so none builds a chain.  The order hint is the
+product of the factors' orders.
 """
 
 from __future__ import annotations
@@ -126,33 +135,36 @@ def elem_abelian_regular(p: int, d: int) -> PermGroup:
     return PermGroup(degree, gens, order_hint=degree)
 
 
-def disjoint_product(G: PermGroup, H: PermGroup) -> PermGroup:
-    """G x H acting coordinatewise on the disjoint union of the two domains."""
-    degree = G.degree + H.degree
+def disjoint_product(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
+    """G x H x ... acting coordinatewise on the disjoint union of the domains."""
+    groups = (G, H, *rest)
+    degree = sum(F.degree for F in groups)
     gens = []
-    tail = np.arange(G.degree, degree, dtype=np.int32)
-    for g in G.generators:
-        gens.append(Perm._wrap(np.concatenate([g.images, tail])))
-    head = np.arange(G.degree, dtype=np.int32)
-    for h in H.generators:
-        gens.append(Perm._wrap(np.concatenate([head, h.images + G.degree])))
-    return PermGroup(degree, gens, order_hint=G.order() * H.order())
+    start = 0
+    for F in groups:
+        for f in F.generators:
+            images = np.arange(degree, dtype=np.int32)
+            images[start : start + F.degree] = f.images + start
+            gens.append(Perm._wrap(images))
+        start += F.degree
+    return PermGroup(degree, gens, order_hint=math.prod(F.order() for F in groups))
 
 
 def product_action(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
-    """G x H acting coordinatewise on the cartesian product of the domains."""
-    if rest:
-        return product_action(product_action(G, H), *rest)
-    dg, dh = G.degree, H.degree
-    degree = dg * dh
+    """G x H x ... acting coordinatewise on the cartesian product of the domains."""
+    groups = (G, H, *rest)
+    degree = math.prod(F.degree for F in groups)
     gens = []
-    cols = np.arange(dh, dtype=np.int32)
-    for g in G.generators:
-        gens.append(Perm._wrap((g.images[:, None] * dh + cols[None, :]).ravel()))
-    rows = np.arange(dg, dtype=np.int32)
-    for h in H.generators:
-        gens.append(Perm._wrap((rows[:, None] * dh + h.images[None, :]).ravel()))
-    return PermGroup(degree, gens, order_hint=G.order() * H.order())
+    stride = degree
+    for F in groups:
+        # a point is (high, digit, low) with digit < F.degree and low < stride;
+        # F's generators move only the digit
+        stride //= F.degree
+        high = np.arange(degree // (F.degree * stride), dtype=np.int32)[:, None, None]
+        kept = high * (F.degree * stride) + np.arange(stride, dtype=np.int32)
+        for f in F.generators:
+            gens.append(Perm._wrap((kept + f.images[:, None] * stride).ravel()))
+    return PermGroup(degree, gens, order_hint=math.prod(F.order() for F in groups))
 
 
 def product_point(d: int, l: int, h_degree: int) -> int:
@@ -545,12 +557,12 @@ def _factor_groups(t: str, factors: list) -> list[tuple[PermGroup, LabeledDomain
 
 def _disjoint_group(factors: list) -> tuple[PermGroup, LabeledDomain]:
     parts = _factor_groups("disjoint_product", factors)
-    G = parts[0][0]
-    blocks = [(f"F1:{lbl}", st, sz) for lbl, st, sz in parts[0][1].blocks]
-    for i, (H, dom) in enumerate(parts[1:], start=2):
-        off = G.degree
-        G = disjoint_product(G, H)
+    blocks = []
+    off = 0
+    for i, (H, dom) in enumerate(parts, start=1):
         blocks += [(f"F{i}:{lbl}", st + off, sz) for lbl, st, sz in dom.blocks]
+        off += H.degree
+    G = disjoint_product(*(H for H, _ in parts))
     return G, LabeledDomain(G.degree, tuple(blocks))
 
 

@@ -33,8 +33,9 @@ so a chain is the same in every process:
   of degree at least 8 with no hint, the giant certificate
   (``_giant_order``): a drawn element with a cycle of prime length ``p``,
   ``n/2 < p < n - 2``, proves the group contains ``A_n``.  A hint of
-  ``n!`` or ``n!/2`` runs the certificate too, and a hint of ``n!`` on a
-  proven ``A_n`` raises at once.  A proven giant's chain is not completed
+  ``n!`` or ``n!/2`` runs the certificate too: a hint other than the
+  order it proves raises at once, and one it neither proves nor disproves
+  is completed on the same draws.  A proven giant's chain is not completed
   but written down (``_giant_chain``, Seress 2003, sections 5.4 and
   10.2): the chain of its standard strong generators
   (``_standard_generators``), with base ``0, 1, ...`` and every Schreier
@@ -370,10 +371,11 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     of the giant's standard strong generators is written down
     (``_giant_chain``), so the chain's level-0 generators are those and its
     base is ``0, 1, ...``.  The proof is the certificate's, never the
-    hint's.  A hint of ``n!`` on a proven ``A_n`` is wrong, and
-    raises ``RuntimeError`` at once, before any draw of the completion.
-    Any other hint the certificate does not prove takes its own route,
-    with the draws it would take had the certificate not run.
+    hint's.  Once the certificate proves an order, any other hint is
+    wrong, ``n!`` on ``A_n`` as much as ``n!/2`` on ``S_n``, and raises
+    ``RuntimeError`` naming both orders at once, before any draw of the
+    completion.  A hint the certificate neither proves nor disproves is
+    completed on the same draw stream, from where the certificate left it.
 
     ``known_order`` is trusted as the exact order: construction stops as
     soon as the orbit sizes multiply up to it (exact when it is the order,
@@ -392,16 +394,12 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     draws = _product_replacement(degree, generators)
     if known_order is None or _giant_sized(degree, known_order):
         proven = _giant_order(degree, generators, draws)
-        if proven is not None and known_order in (None, proven):
+        if proven is not None:
+            if known_order not in (None, proven):
+                raise RuntimeError(f"stabilizer chain order {proven} != expected {known_order}")
             chain = _giant_chain(degree, proven)
             _finish(chain)
             return chain
-        if proven is not None and proven < known_order:
-            # proven n!/2 is the order (the group is A_n), so a hint of n! is wrong
-            raise RuntimeError(f"stabilizer chain order {proven} != expected {known_order}")
-        if known_order is not None:
-            # the hint's own route, with the draws it takes without a certificate
-            draws = _product_replacement(degree, generators)
     chain = StabilizerChain(degree)
     _complete(chain, generators, known_order, draws)
     _finish(chain)

@@ -291,3 +291,36 @@ def coset_action_images(gens, points):
                 rep_inverses.append(inverse(cand))
             col.append(target)
     return images
+
+
+def product_action_fold(factors):
+    """The product action of ``factors`` by a pairwise left fold.
+
+    Each factor is a triple (degree, generators as image tuples, order); so
+    is the result.  Step by step, the pair (d, l) of a point d of the
+    product so far and a point l of the next factor is point
+    ``d * degree + l``, the running generators come first and the order is
+    the product of the two.
+    """
+    degree, gens, order = factors[0]
+    for dh, hgens, horder in factors[1:]:
+        pairs = [(d, l) for d in range(degree) for l in range(dh)]
+        gens = [tuple(g[d] * dh + l for d, l in pairs) for g in gens] + [
+            tuple(d * dh + h[l] for d, l in pairs) for h in hgens
+        ]
+        degree, order = degree * dh, order * horder
+    return degree, gens, order
+
+
+def disjoint_product_fold(factors):
+    """The disjoint product of ``factors``, triples as in
+    ``product_action_fold``, by a pairwise left fold: step by step the next
+    factor's points follow those of the product so far."""
+    degree, gens, order = factors[0]
+    for dh, hgens, horder in factors[1:]:
+        tail = tuple(range(degree, degree + dh))
+        gens = [tuple(g) + tail for g in gens] + [
+            tuple(range(degree)) + tuple(degree + x for x in h) for h in hgens
+        ]
+        degree, order = degree + dh, order * horder
+    return degree, gens, order

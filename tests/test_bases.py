@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from basekit import (
 )
 from basekit import cli
 from basekit.bases import _fixed_key, _record, _SubgroupTable, _walk_independent
-from basekit.corpus import random_two_generator_subgroups
+from basekit.corpus import interval_corpus, random_two_generator_subgroups
 
 import bruteforce as bf
 from test_group import count_chain_builds
@@ -795,6 +796,60 @@ def test_interleaved_three_factor_product_spectra_are_sumsets(monkeypatch):
     monkeypatch.setattr(PermGroup, "pointwise_stabilizer", recording)
     check_interleaved_three_factor_products()
     assert len(conjugated) >= 10, len(conjugated)
+
+
+def _spectra(G, mode="pruned"):
+    return (minimal_base_sizes(G, mode).to_list(), irredundant_base_sizes(G, mode).to_list(),
+            height(G, mode))
+
+
+def _relabelling_groups():
+    # each group with its pruned spectra: the corpus, and larger groups whose
+    # degree is past the exhaustive cross-check
+    groups = interval_corpus() + [
+        ("ksubsets(9,3)", k_subset_action(9, 3)),
+        ("wreath_coset(5,3)", wreath_coset_action(5, 3)),
+        ("prod[s3,s4,s3]", product_action(symmetric(3), symmetric(4), symmetric(3))),
+        ("disjoint[s4+c5+elemab_2_2]",
+         disjoint_product(symmetric(4), cyclic_regular(5), elem_abelian_regular(2, 2))),
+    ]
+    return [(name, G, _spectra(G)) for name, G in groups]
+
+
+def _relabelled(G, rng):
+    # the conjugate of G by a random permutation s of its points, i -> s[i],
+    # with a product of two of its generators as an extra one, and no hint
+    s = np.array(rng.sample(range(G.degree), G.degree), dtype=np.int32)
+    gens = list(G.generators)
+    gens.append(rng.choice(gens) * rng.choice(gens))
+    relabelled = []
+    for g in gens:
+        images = np.empty(G.degree, dtype=np.int32)
+        images[s] = s[g.images]
+        relabelled.append(Perm(images))
+    return PermGroup(G.degree, relabelled)
+
+
+def test_spectra_do_not_depend_on_the_labelling_or_the_generators():
+    # M, I and the height are invariants of the permutation group, so an
+    # error of the pruning that hangs on the order of the points (orbit
+    # minima, class dedup, bisected candidate lists) shows as a difference,
+    # at any degree and with no oracle
+    groups = _relabelling_groups()
+
+    @settings(max_examples=3)
+    @given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        for name, G, want in groups:
+            H = _relabelled(G, rng)
+            assert _spectra(H) == want, name
+            if G.degree <= cli.CROSS_CHECK_MAX_DEGREE:
+                assert _spectra(H, "exhaustive") == want, name
+
+    start = time.perf_counter()
+    check()
+    assert time.perf_counter() - start < 5.0
 
 
 def _relabelled_symmetric(n, seed):

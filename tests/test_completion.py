@@ -394,38 +394,58 @@ def test_a_full_hint_on_alternating_generators_raises_promptly(monkeypatch):
         assert str(caught.value) == f"stabilizer chain order {full // 2} != expected {full}"
 
 
-# the base build_chain returns for the hint n!/2 on generators of S_n (plain
-# or relabelled by the seed), or None for RuntimeError, as recorded before
-# giant hints ran the certificate: a partial chain that reaches the hint is
-# returned unchecked (build_chain), else the verification raises
-HALF_HINT_ON_SYMMETRIC_GENERATORS = {
-    (8, None): (0, 1, 2, 3, 5, 4),
-    (8, 8): (0, 1, 3, 4, 2, 5),
-    (9, None): (0, 1, 2, 3, 4, 5, 6),
-    (9, 9): (3, 0, 1, 2, 4, 5, 6),
-    (10, None): (0, 1, 3, 2, 4, 5, 7, 6),
-    (10, 10): (2, 0, 1, 3, 4, 5, 6, 7),
-    (12, None): (0, 1, 2, 10, 4, 3, 5, 6, 7, 8),
-    (12, 12): (9, 0, 1, 3, 2, 4, 6, 5, 7, 8),
-    (16, None): (0, 1, 2, 6, 3, 4, 5, 8, 9, 7, 10, 11, 12, 13),
-    (16, 16): (8, 0, 1, 2, 3, 5, 7, 9, 10, 4, 11, 6, 12, 13),
-    (20, None): (0, 1, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
-    (20, 20): None,
-}
+def count_draw_streams(monkeypatch):
+    """Record every product-replacement stream that ``build_chain`` makes."""
+    streams = []
+    make_stream = group_module._product_replacement
+
+    def counting(*args):
+        streams.append(args)
+        return make_stream(*args)
+
+    monkeypatch.setattr(group_module, "_product_replacement", counting)
+    return streams
 
 
-@pytest.mark.parametrize("n,seed", list(HALF_HINT_ON_SYMMETRIC_GENERATORS))
-def test_a_half_hint_on_symmetric_generators_keeps_the_hints_route(n, seed):
+# the hint n!/2 on generators of S_n, plain or relabelled by the seed: the
+# certificate proves n! in all 12, and in all but (20, 20) a partial chain
+# reaches n!/2, so nothing but the certificate shows that the hint is wrong
+HALF_HINT_ON_SYMMETRIC_GENERATORS = [
+    (8, None), (8, 8), (9, None), (9, 9), (10, None), (10, 10),
+    (12, None), (12, 12), (16, None), (16, 16), (20, None), (20, 20),
+]
+
+
+@pytest.mark.parametrize("n,seed", HALF_HINT_ON_SYMMETRIC_GENERATORS)
+def test_a_half_hint_on_symmetric_generators_keeps_the_hints_route(n, seed, monkeypatch):
+    # the certificate proves n!, so the hint n!/2 is wrong and raises before
+    # the completion draws or verifies, with the one draw stream it made
+    def completing(*args):
+        raise AssertionError("the completion ran")
+
+    monkeypatch.setattr(group_module, "_complete", completing)
+    streams = count_draw_streams(monkeypatch)
     gens = symmetric_gens(n) if seed is None else relabelled(n, symmetric_gens(n), seed)
     gens = [Perm(g) for g in gens]
-    want = HALF_HINT_ON_SYMMETRIC_GENERATORS[n, seed]
-    if want is None:
-        with pytest.raises(RuntimeError):
-            build_chain(n, gens, known_order=math.factorial(n) // 2)
-        return
-    chain = build_chain(n, gens, known_order=math.factorial(n) // 2)
-    assert chain.base == want
-    assert chain.orbit_sizes() == tuple(range(n, 2, -1))
+    full = math.factorial(n)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError) as caught:
+        build_chain(n, gens, known_order=full // 2)
+    assert time.perf_counter() - start < 0.5
+    assert str(caught.value) == f"stabilizer chain order {full} != expected {full // 2}"
+    assert len(streams) == 1
+
+
+def test_a_giant_hint_the_certificate_cannot_decide_completes_on_the_same_draws(monkeypatch):
+    # S7 fixing point 7 is not transitive, so the certificate proves nothing;
+    # the hint 8! runs the completion on the stream the certificate was
+    # given, and the verification finds the true order
+    streams = count_draw_streams(monkeypatch)
+    gens = [Perm.from_cycles(8, (0, 1)), Perm.from_cycles(8, tuple(range(7)))]
+    with pytest.raises(RuntimeError) as caught:
+        build_chain(8, gens, known_order=math.factorial(8))
+    assert str(caught.value) == f"stabilizer chain order {math.factorial(7)} != expected {math.factorial(8)}"
+    assert len(streams) == 1
 
 
 def test_a_hint_of_no_giant_order_computes_no_factorial_of_the_degree(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -30,6 +31,7 @@ from basekit import (
     wreath_coset_action,
     wreath_imprimitive,
 )
+from basekit import cli
 from basekit.constructions import (
     _SPEC_FIELDS,
     _SPECS,
@@ -40,6 +42,7 @@ from basekit.constructions import (
 )
 
 import bruteforce as bf
+from test_group import count_chain_builds
 
 
 def test_symmetric():
@@ -139,6 +142,71 @@ def test_product_action_many():
     p = product_action(symmetric(3), symmetric(3), symmetric(3), symmetric(3))
     assert p.degree == 81
     assert p.order() == 6**4
+
+
+# factors of degree 1 to 5, with and without generators; a list that picks
+# an index twice passes the very same object twice
+_FACTOR_POOL = [
+    symmetric(1),
+    symmetric(2),
+    symmetric(3),
+    cyclic_regular(3),
+    elem_abelian_regular(2, 2),
+    PermGroup(4, [Perm([1, 0, 2, 3])]),
+    PermGroup(5, [Perm([1, 2, 0, 4, 3]), Perm([0, 1, 2, 4, 3])]),
+]
+
+
+def _triple(G):
+    return G.degree, [tuple(g.to_list()) for g in G.generators], G.order()
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, len(_FACTOR_POOL) - 1), min_size=2, max_size=5))
+@example([0, 0])
+@example([2, 0, 2, 0, 6])
+def test_products_match_the_pairwise_fold(picks):
+    factors = [_FACTOR_POOL[i] for i in picks]
+    triples = [_triple(F) for F in factors]
+    for build, fold in ((product_action, bf.product_action_fold),
+                        (disjoint_product, bf.disjoint_product_fold)):
+        degree, gens, order = fold(triples)
+        P = build(*factors)
+        assert P.degree == degree
+        assert [tuple(g.to_list()) for g in P.generators] == gens
+        # the hint, read before anything builds the product's chain
+        assert (P._hint, P._order) == ((order, None) if gens else (None, 1))
+
+
+@pytest.mark.parametrize("t", ["product_action", "disjoint_product"])
+def test_a_product_spec_builds_one_chain_per_factor(monkeypatch, t):
+    # each factor builds its chain for its order; the product is made in
+    # one step, with no chain of a partial product
+    factors = [{"type": "sym", "n": 3}, {"type": "cyclic_regular", "p": 5},
+               {"type": "sym", "n": 4}, {"type": "sym", "n": 3}]
+    calls = count_chain_builds(monkeypatch)
+    G, _ = build_group({"type": t, "factors": factors})
+    assert calls == [()] * len(factors)
+    assert G.order() == 6 * 5 * 24 * 6
+    assert len(calls) == len(factors) + 1
+
+
+def test_a_flat_product_of_many_factors_is_built_in_one_step(capsys):
+    # 3,000 degree-1 factors are more than any recursion or numpy grid of
+    # one axis per factor allows
+    spec = {"type": "product_action",
+            "factors": [{"type": "sym", "n": 1}] * 3000 + [{"type": "sym", "n": 3}]}
+    assert cli.main(["analyze", json.dumps(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["degree"], report["order"], report["M_set"]) == (3, 6, [2])
+    start = time.perf_counter()
+    G, _ = build_group({"type": "product_action", "factors": [{"type": "sym", "n": 2}] * 20})
+    assert time.perf_counter() - start < 1.0
+    assert G.degree == MAX_SPEC_DEGREE and len(G.generators) == 20
+    start = time.perf_counter()
+    G, dom = build_group({"type": "disjoint_product", "factors": [{"type": "sym", "n": 3}] * 200})
+    assert time.perf_counter() - start < 0.5
+    assert G.degree == 600 and dom.block("F200:omega") == range(597, 600)
 
 
 def test_theorem2_degrees_and_labels():

@@ -56,3 +56,19 @@ def test_tracer_counts_wreath_cosets(monkeypatch):
     assert report["degree"] == 192
     assert t.span_summary()["constructions.coset_action"][0] == 1
     assert t.counts["constructions.cosets"] == 192
+
+
+def test_tracer_sees_one_chain_per_factor_and_one_for_the_product(monkeypatch):
+    # the product is built in one step, so no partial product builds a chain
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report = cli.analyze_report(
+            {"type": "product_action", "factors": [{"type": "sym", "n": 3}] * 4})
+    finally:
+        t.uninstall()
+    assert report["degree"] == 81
+    assert t.span_summary()["group.build_chain"][0] == 5
