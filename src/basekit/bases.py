@@ -83,9 +83,9 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   the order stop, and what each mode computes from it, its own
   stabilizers and spectra, still comes from its own table and walk.
   The tables keep their groups and candidate lists as long as ``G``
-  lives, which at degree 2400 is about 141 groups and 31 lists of 8,825
-  candidates for one M search; ``basekit.group`` keeps a stored group
-  small (its module notes).
+  lives, which at degree 2400 is about 141 groups and 31 candidate lists,
+  8,825 candidates in all, for one M search; ``basekit.group`` keeps a
+  stored group small (its module notes).
 
 All searches are deterministic functions of immutable groups.  The only
 state they leave is those tables, caches that change no result; threads

@@ -30,6 +30,14 @@ Point encodings are fixed so witness bases are reproducible:
 at least two, and make one generator list and one group in one step: no
 partial product is built, so none builds a chain.  The order hint is the
 product of the factors' orders.
+
+Every construction here but ``coset_action`` knows its group's order, and
+records it through ``PermGroup._constructed``: the order is the group's
+hint, as for any group, and a product reads it (``_proven_order``) without
+building the factor's chain.  A factor with no proven order, made from
+generators with or without a user's hint, is asked for ``order()``, which
+builds its chain and checks the hint as far as ``build_chain`` does.  The
+product's own chain is built on its first order read, like any group's.
 """
 
 from __future__ import annotations
@@ -96,7 +104,7 @@ def symmetric(n: int) -> PermGroup:
     if n == 1:
         return PermGroup(1)
     gens = [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]
-    return PermGroup(n, gens, order_hint=math.factorial(n))
+    return PermGroup._constructed(n, gens, math.factorial(n))
 
 
 def cyclic_regular(p: int) -> PermGroup:
@@ -104,7 +112,7 @@ def cyclic_regular(p: int) -> PermGroup:
     p = _as_int(p, "p")
     if p < 2:
         raise ValueError("p must be at least 2")
-    return PermGroup(p, [Perm.from_cycles(p, tuple(range(p)))], order_hint=p)
+    return PermGroup._constructed(p, [Perm.from_cycles(p, tuple(range(p)))], p)
 
 
 def _is_prime(p: int) -> bool:
@@ -132,7 +140,7 @@ def elem_abelian_regular(p: int, d: int) -> PermGroup:
         place = p**i
         digit = (points // place) % p
         gens.append(Perm._wrap(points + ((digit + 1) % p - digit) * place))
-    return PermGroup(degree, gens, order_hint=degree)
+    return PermGroup._constructed(degree, gens, degree)
 
 
 def disjoint_product(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
@@ -147,7 +155,7 @@ def disjoint_product(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
             images[start : start + F.degree] = f.images + start
             gens.append(Perm._wrap(images))
         start += F.degree
-    return PermGroup(degree, gens, order_hint=math.prod(F.order() for F in groups))
+    return PermGroup._constructed(degree, gens, math.prod(F._proven_order() for F in groups))
 
 
 def product_action(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
@@ -164,7 +172,7 @@ def product_action(G: PermGroup, H: PermGroup, *rest: PermGroup) -> PermGroup:
         kept = high * (F.degree * stride) + np.arange(stride, dtype=np.int32)
         for f in F.generators:
             gens.append(Perm._wrap((kept + f.images[:, None] * stride).ravel()))
-    return PermGroup(degree, gens, order_hint=math.prod(F.order() for F in groups))
+    return PermGroup._constructed(degree, gens, math.prod(F._proven_order() for F in groups))
 
 
 def product_point(d: int, l: int, h_degree: int) -> int:
@@ -241,7 +249,7 @@ def theorem2_group(X, p: int = 2) -> tuple[PermGroup, LabeledDomain]:
             cyc_start = starts[len(dims) + i]
             images[cyc_start : cyc_start + p] = cycle.images + cyc_start
             gens.append(Perm._wrap(images))
-        G = PermGroup(degree, gens, order_hint=p**cycles)
+        G = PermGroup._constructed(degree, gens, p**cycles)
         dom = LabeledDomain(degree, tuple(zip(labels, starts, sizes)))
     if sym_degree:
         G = disjoint_product(symmetric(sym_degree), G)
@@ -302,7 +310,7 @@ def wreath_imprimitive(n: int, k: int) -> PermGroup:
     rot = Perm._wrap(
         np.concatenate([np.arange(n, dtype=np.int32) + ((b + 1) % k) * n for b in range(k)])
     )
-    return PermGroup(degree, [t, c, rot], order_hint=math.factorial(n) ** k * k)
+    return PermGroup._constructed(degree, [t, c, rot], math.factorial(n) ** k * k)
 
 
 def coset_action(
@@ -407,9 +415,7 @@ def wreath_coset_action(n: int, k: int, max_index: int = 5000) -> PermGroup:
     W = wreath_imprimitive(n, k)
     S = ((k - 2) * n + n - 1, *range((k - 1) * n, k * n))
     action = coset_action(W, S, expected, max_index)
-    return PermGroup(
-        expected, action.generators, order_hint=math.factorial(n) ** k * k
-    )
+    return PermGroup._constructed(expected, action.generators, math.factorial(n) ** k * k)
 
 
 # -- symmetric group on k-subsets ------------------------------------------
@@ -426,7 +432,7 @@ def k_subset_action(n: int, k: int) -> PermGroup:
     for g in symmetric(n).generators:
         img = [rank[tuple(sorted(g[x] for x in s))] for s in subsets]
         gens.append(Perm(img))
-    return PermGroup(len(subsets), gens, order_hint=math.factorial(n))
+    return PermGroup._constructed(len(subsets), gens, math.factorial(n))
 
 
 # -- GL(4, 2) on planes ----------------------------------------------------
@@ -469,7 +475,7 @@ def gl42_on_2subspaces() -> PermGroup:
     for mat in (rotation, transvection):
         img = [rank[_rref_pair(apply(mat, a), apply(mat, b))] for a, b in planes]
         gens.append(Perm(img))
-    return PermGroup(35, gens, order_hint=20160)
+    return PermGroup._constructed(35, gens, 20160)
 
 
 # -- spec documents --------------------------------------------------------

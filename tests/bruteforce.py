@@ -58,7 +58,7 @@ def orbit_under(gens, point):
     seen = {point}
     frontier = [point]
     while frontier:
-        frontier = [g[x] for x in frontier for g in gens if g[x] not in seen]
+        frontier = {g[x] for x in frontier for g in gens} - seen
         seen.update(frontier)
     return seen
 

@@ -41,6 +41,7 @@ from basekit import (
     symmetric,
     theorem2_group,
     wreath_coset_action,
+    wreath_imprimitive,
 )
 from basekit import cli
 from basekit.bases import _fixed_key, _record, _SubgroupTable, _walk_independent
@@ -810,6 +811,8 @@ def _relabelling_groups():
         ("ksubsets(9,3)", k_subset_action(9, 3)),
         ("wreath_coset(5,3)", wreath_coset_action(5, 3)),
         ("prod[s3,s4,s3]", product_action(symmetric(3), symmetric(4), symmetric(3))),
+        ("prod[s6,s7]", product_action(symmetric(6), symmetric(7))),
+        ("wreath(4,3)", wreath_imprimitive(4, 3)),
         ("disjoint[s4+c5+elemab_2_2]",
          disjoint_product(symmetric(4), cyclic_regular(5), elem_abelian_regular(2, 2))),
     ]

@@ -14,7 +14,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 import basekit.group as group_module
 from basekit import Perm, PermGroup, build_chain, constructions
-from basekit.group import StabilizerChain, _add_strong_gen
+from basekit.group import StabilizerChain, _add_strong_gen, _chain_labels, _chain_sizes
+
+import bruteforce as bf
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -374,6 +376,42 @@ def test_proven_giants_chains_are_written_down_as_the_completion_builds_them(n, 
                 assert list(got.transversal.items()) == list(ref.transversal.items())
                 assert [id(g) for g in got.gens] == [id(g) for g in top[got.point:]]
                 assert [id(g) for g in ref.gens] == [id(g) for g in ref_top[ref.point:]]
+
+
+def _brute_partition(degree, gens):
+    # each point's smallest orbit point and orbit length, one orbit_under
+    # per orbit
+    labels, sizes = [None] * degree, [None] * degree
+    for x in range(degree):
+        if labels[x] is None:
+            orbit = bf.orbit_under(gens, x)
+            for y in orbit:
+                labels[y], sizes[y] = x, len(orbit)
+    return labels, sizes
+
+
+@pytest.mark.parametrize("n", range(8, 41))
+def test_proven_giants_levels_have_their_orbits_in_closed_form(n, monkeypatch):
+    # every level of a written-down chain, S_n and A_n, plain and relabelled:
+    # its sizes are written down first, with no labels, no count and no
+    # join, and then its labels, with no join; both equal the brute-force
+    # orbits of the level's generators
+    def forbidden(*args):
+        raise AssertionError("a proven giant's level computed its orbits")
+
+    monkeypatch.setattr(group_module, "_join", forbidden)
+    monkeypatch.setattr(group_module, "_with_sizes", forbidden)
+    for gens in (symmetric_gens(n), alternating_gens(n)):
+        for images in (gens, relabelled(n, gens, n)):
+            chain = build_chain(n, [Perm(g) for g in images])
+            for i, level in enumerate(chain.levels):
+                tail = chain.suffix(i)
+                want_labels, want_sizes = _brute_partition(
+                    n, [tuple(g.to_list()) for g in level.gens])
+                assert _chain_sizes(tail).tolist() == want_sizes
+                assert level._labels is None
+                assert _chain_labels(tail).tolist() == want_labels
+                assert _chain_sizes(tail) is level._sizes and _chain_labels(tail) is level._labels
 
 
 def test_a_full_hint_on_alternating_generators_raises_promptly(monkeypatch):

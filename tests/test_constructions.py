@@ -179,16 +179,35 @@ def test_products_match_the_pairwise_fold(picks):
 
 
 @pytest.mark.parametrize("t", ["product_action", "disjoint_product"])
-def test_a_product_spec_builds_one_chain_per_factor(monkeypatch, t):
-    # each factor builds its chain for its order; the product is made in
-    # one step, with no chain of a partial product
+def test_a_product_of_constructions_builds_only_its_own_chain(monkeypatch, t):
+    # each factor's construction proves its order, so the product reads it
+    # and builds no factor's chain; the product is made in one step, with
+    # no partial product, and builds its own chain for its first order read
     factors = [{"type": "sym", "n": 3}, {"type": "cyclic_regular", "p": 5},
                {"type": "sym", "n": 4}, {"type": "sym", "n": 3}]
     calls = count_chain_builds(monkeypatch)
     G, _ = build_group({"type": t, "factors": factors})
-    assert calls == [()] * len(factors)
+    assert calls == []
     assert G.order() == 6 * 5 * 24 * 6
-    assert len(calls) == len(factors) + 1
+    assert calls == [()]
+
+
+@pytest.mark.parametrize("build", [product_action, disjoint_product])
+def test_a_hinted_factor_of_a_product_builds_and_checks_its_own_chain(monkeypatch, build):
+    # a hint is the user's, not a proof: the product reads the factor's
+    # order off its chain, so a giant hint the certificate disproves raises
+    # when the product is made, naming both orders
+    n = 9
+    gens = [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]
+    half = math.factorial(n) // 2
+    calls = count_chain_builds(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"order {2 * half} != expected {half}"):
+        build(PermGroup(n, gens, order_hint=half), symmetric(3))
+    assert calls == [()]
+    hinted = PermGroup(n, gens, order_hint=2 * half)
+    P = build(symmetric(3), hinted)
+    assert calls == [(), ()] and hinted._view is not None and P._view is None
+    assert P.order() == 6 * 2 * half
 
 
 def test_a_flat_product_of_many_factors_is_built_in_one_step(capsys):
@@ -751,6 +770,7 @@ def test_order_hints_equal_sympy_orders(spec):
     assert G._view is None and G._hint is not None, spec
     want = PermutationGroup([Permutation(g.to_list()) for g in G.generators]).order()
     assert G._hint == want, spec
+    assert G._proven == want, spec  # what a product of G reads
 
 
 @given(SMALL_SPECS)

@@ -845,11 +845,11 @@ def test_a_view_reads_its_order_off_its_chain(monkeypatch):
 
 def test_relabelled_s20_sweeps_few_generators_through_partitions(monkeypatch):
     # S20 relabelled, with no order hint: M, I and height walk 19 nodes each.
-    # The conjugated views read their labels off their chain, each level
-    # joining only the generators it adds to the level below: 28 generators
-    # in all go through the labelling kernel, where a fresh partition of each
-    # level's generators sweeps 231.  Every partition is a ``_join``, so
-    # counting the kernel counts each sweep once
+    # The conjugated views read their labels off their chain, a proven
+    # giant's written-down chain, whose levels write their orbits down in
+    # closed form: no generator goes through the labelling kernel
+    # ``_join``, where a fresh partition of each level's generators would
+    # sweep 231
     gens = [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 17, 12, 13, 14, 15, 16, 11, 18, 19],
             [2, 18, 9, 6, 19, 1, 13, 5, 7, 4, 11, 17, 14, 16, 8, 10, 15, 12, 0, 3]]
     swept = []
@@ -868,7 +868,28 @@ def test_relabelled_s20_sweeps_few_generators_through_partitions(monkeypatch):
         assert (got if search is height else got.to_list()) == want
         nodes.append(budget.used)
     assert nodes == [19, 19, 19]
-    assert 0 < sum(swept) <= 60, swept
+    assert swept == []
+
+
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+def test_proven_giants_searches_make_no_orbit_join(monkeypatch, mode):
+    # S9 and A9, relabelled and with no hint: the certificate tests
+    # transitivity by an orbit walk and the chain is written down, so
+    # neither the build nor M, I and height join anything
+    def forbidden(*args):
+        raise AssertionError("a proven giant joined orbits")
+
+    monkeypatch.setattr(group_module, "_join", forbidden)
+    n = 9
+    rng = random.Random(9)
+    label = rng.sample(range(n), n)
+    for cycles, m in ((((0, 1), tuple(range(n))), n - 1), (((0, 1, 2), tuple(range(n))), n - 2)):
+        gens = [Perm.from_cycles(n, tuple(label[x] for x in c)) for c in cycles]
+        G = PermGroup(n, gens)
+        assert G.order() == math.factorial(n) // (1 if m == n - 1 else 2)
+        assert minimal_base_sizes(G, mode).to_list() == [m]
+        assert irredundant_base_sizes(G, mode).to_list() == [m]
+        assert height(G, mode) == m
 
 
 # -- points must be integers -----------------------------------------------
