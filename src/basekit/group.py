@@ -10,7 +10,9 @@ there, and every generator to the points it adds.  Coset representatives
 are products along the Schreier tree, formed only when read and then
 cached with their inverses.  Orbits grow breadth-first with generators in
 list order, and a new base point is always the smallest point moved by the
-residue that forced it.
+residue that forced it.  Each read of a point's image in these scans is a
+``.item`` call, which returns a Python int at about half the cost of
+indexing the array and converting.
 
 Every chain but a proven giant's is built by one completion,
 ``_complete``: sift the generators, then sift random elements of the group
@@ -43,7 +45,14 @@ so a chain is the same in every process:
   from those generators.  Its level-0 generators are those, while the
   group's ``PermGroup.generators`` stay the ones it was given;
 - a rebase (``_rebase``) of a chain on a base prefix draws uniform
-  elements off that chain.
+  elements off that chain.  A rebase knows a bound on each level it
+  opens (Seress 2003, sections 4.2 and 5.4): the level's group fixes the
+  earlier base points and lies in the source's group, so the orbit of its
+  base point lies in the source's level-0 orbit of that point, less the
+  earlier base points in it.  That bound is the level's ``cap``, and
+  ``add_gen`` stops scanning once the orbit holds it: the scan could add
+  no further point, so the Schreier vector is the same as without a cap,
+  insertion order included.  A root chain has no such bound and no cap.
 
 Every strong generator of a finished level is an edge of the level's
 Schreier tree or a strong generator, the same object, of the level
@@ -160,6 +169,9 @@ class _Level:
     completed rebase drops its levels' entries, and random draws
     (``element(..., cache=False)``) add none (module notes).
 
+    ``cap`` is ``None`` or, on a level a rebase opened, the most points
+    its orbit can hold (``_rebase``); ``add_gen`` stops scanning there.
+
     Four values of the group of this level's generators are kept once the
     chain is finished: ``suffix_order``, the product of the orbit sizes
     from this level to the bottom, set by ``_finish``; ``_labels``, the
@@ -171,11 +183,12 @@ class _Level:
     keeps all four ``None``.
     """
 
-    __slots__ = ("point", "gens", "transversal", "suffix_order", "_elements", "_inverses",
+    __slots__ = ("point", "gens", "transversal", "cap", "suffix_order", "_elements", "_inverses",
                  "_labels", "_sizes", "_rebases")
 
-    def __init__(self, point: int, degree: int):
+    def __init__(self, point: int, degree: int, cap: int | None = None):
         self.point = point
+        self.cap = cap
         self.gens: list[Perm] = []
         self.transversal: dict[int, tuple[int, int] | None] = {point: None}
         ident = Perm.identity(degree)
@@ -191,23 +204,34 @@ class _Level:
 
         Only ``g`` is applied to the points already in the orbit; every
         generator is applied to the points it gains, breadth-first in list
-        order.
+        order.  A level with a ``cap`` stops at the insertion that fills
+        it, and scans nothing when its orbit already holds it: no later
+        insertion could happen, so the Schreier vector and its insertion
+        order are those of the full scan.
         """
         trans = self.transversal
         gens = self.gens
         gens.append(g)
+        cap = self.cap
+        if len(trans) == cap:
+            return
         images = g.images
+        k = len(gens) - 1
         new = []
         for beta in list(trans):
-            gamma = int(images[beta])
+            gamma = images.item(beta)
             if gamma not in trans:
-                trans[gamma] = (beta, len(gens) - 1)
+                trans[gamma] = (beta, k)
+                if len(trans) == cap:
+                    return
                 new.append(gamma)
         for beta in new:  # grows while walked: a breadth-first queue
             for i, s in enumerate(gens):
-                gamma = int(s.images[beta])
+                gamma = s.images.item(beta)
                 if gamma not in trans:
                     trans[gamma] = (beta, i)
+                    if len(trans) == cap:
+                        return
                     new.append(gamma)
 
     def element(self, point: int, cache: bool = True) -> Perm:
@@ -422,17 +446,20 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
     return chain
 
 
-def _add_strong_gen(chain: StabilizerChain, low: int, g: Perm, stuck: int) -> None:
+def _add_strong_gen(chain: StabilizerChain, low: int, g: Perm, stuck: int, cap=None) -> None:
     # g fixes the base points of all levels before ``stuck``; a new level
-    # takes the smallest point g moves
+    # takes the smallest point g moves, and a rebase's ``cap(base, point)``
+    # bounds its orbit
     levels = chain.levels
     if stuck == len(levels):
-        levels.append(_Level(g.smallest_moved(), chain.degree))
+        point = g.smallest_moved()
+        bound = None if cap is None else cap(chain.base, point)
+        levels.append(_Level(point, chain.degree, bound))
     for l in range(low, stuck + 1):
         levels[l].add_gen(g)
 
 
-def _complete(chain: StabilizerChain, generators, order: int | None, draws) -> None:
+def _complete(chain: StabilizerChain, generators, order: int | None, draws, cap=None) -> None:
     """Complete ``chain`` to a chain of ``<generators>`` of order ``order``.
 
     The one completion of root chains and rebases.  Sift the generators in;
@@ -443,12 +470,13 @@ def _complete(chain: StabilizerChain, generators, order: int | None, draws) -> N
     on.  Every residue is a tree edge of the last level it joins (module
     notes), so no level needs pruning afterwards.  With no order, or after
     ``_IDLE_DRAWS`` consecutive draws that add nothing, ``_verify``
-    finishes the chain.
+    finishes the chain.  A rebase passes ``cap``, which bounds the orbit of
+    each level it opens (``_rebase``); a root chain passes none.
     """
     for g in generators:
         residue, j = chain.sift(g)
         if not residue.is_identity():
-            _add_strong_gen(chain, 0, residue, j)
+            _add_strong_gen(chain, 0, residue, j, cap)
             if chain.order() == order:
                 return
     if chain.order() == order:
@@ -463,10 +491,10 @@ def _complete(chain: StabilizerChain, generators, order: int | None, draws) -> N
                     break
                 continue
             idle = 0
-            _add_strong_gen(chain, 1, residue, j)
+            _add_strong_gen(chain, 1, residue, j, cap)
             if chain.order() == order:
                 return
-    _verify(chain, order)
+    _verify(chain, order, cap)
 
 
 def _finish(chain: StabilizerChain) -> None:
@@ -555,10 +583,11 @@ def _giant_order(degree: int, generators, draws) -> int | None:
         return None
     if not _is_transitive(degree, generators):
         return None
-    weight = sum(1 / p for p in primes)
+    weight = sum(1 / p for p in primes)  # over the ascending list, so ``tries`` is fixed
     tries = math.ceil(math.log(1 / _GIANT_MISS) / weight)
+    lengths = set(primes)
     for g in itertools.islice(draws, tries):
-        if any(len(c) in primes for c in g.cycles()):
+        if any(len(c) in lengths for c in g.cycles()):
             odd = any(sum(len(c) - 1 for c in s.cycles()) % 2 for s in generators)
             return math.factorial(degree) // (1 if odd else 2)
     return None
@@ -649,12 +678,12 @@ def _giant_chain(degree: int, order: int) -> StabilizerChain:
     return chain
 
 
-def _verify(chain: StabilizerChain, order: int | None) -> None:
+def _verify(chain: StabilizerChain, order: int | None, cap=None) -> None:
     """Complete ``chain`` by sifting its Schreier generators, bottom-up.
 
     A new strong generator at level ``j`` restarts verification there.
     Stops early once the chain's order is ``order``; if the complete chain
-    has another order, raises ``RuntimeError``.
+    has another order, raises ``RuntimeError``.  ``cap`` is ``_complete``'s.
     """
     levels = chain.levels
     i = len(levels) - 1
@@ -664,7 +693,7 @@ def _verify(chain: StabilizerChain, order: int | None) -> None:
         trans = level.transversal
         for beta in sorted(trans):
             for gi, s in enumerate(level.gens):
-                gamma = int(s.images[beta])
+                gamma = s.images.item(beta)
                 if trans[gamma] == (beta, gi):
                     continue  # a tree edge: its Schreier generator is trivial
                 w = level.element(beta) * s
@@ -674,7 +703,7 @@ def _verify(chain: StabilizerChain, order: int | None) -> None:
                 residue, j = chain.sift(schreier, i + 1)
                 if residue.is_identity():
                     continue
-                _add_strong_gen(chain, i + 1, residue, j)
+                _add_strong_gen(chain, i + 1, residue, j, cap)
                 if chain.order() == order:
                     return
                 restart_at = j
@@ -702,14 +731,37 @@ def _rebase(source: StabilizerChain, prefix: tuple[int, ...], order: int) -> Sta
     never read.  A wrong order raises ``RuntimeError`` from the
     verification.  The finished levels keep no cached transversal element
     but the base point's (module notes).
+
+    Every level the rebase opens, a prefix level or one that the
+    completion appends, gets a ``cap`` (``_level_cap``): the orbit of its
+    base point under ``source``'s level 0, less the earlier base points in
+    that orbit.  The level's group is a subgroup of ``<source>`` that
+    fixes the earlier base points, so its orbit never exceeds the cap, and
+    ``add_gen`` stops scanning once the orbit holds it.
     """
+    labels, sizes = _chain_labels(source), _chain_sizes(source)
+
+    def cap(base, point):
+        return _level_cap(labels, sizes, base, point)
+
     chain = StabilizerChain(source.degree)
-    chain.levels = [_Level(b, source.degree) for b in prefix]
-    _complete(chain, source.level_generators(0), order, _uniform_elements(source, prefix, order))
+    chain.levels = [_Level(b, source.degree, cap(prefix[:k], b)) for k, b in enumerate(prefix)]
+    _complete(chain, source.level_generators(0), order, _uniform_elements(source, prefix, order), cap)
     for level in chain.levels:
         level.drop_caches()
     _finish(chain)
     return chain
+
+
+def _level_cap(labels: np.ndarray, sizes: np.ndarray, base, point: int) -> int:
+    """The most points a rebased level at ``point`` can reach, below ``base``.
+
+    ``labels`` and ``sizes`` are the source chain's level-0 orbit labels and
+    sizes: the size of ``point``'s orbit, less the points of ``base`` in it,
+    which the level's group fixes.
+    """
+    label = labels.item(point)
+    return sizes.item(point) - sum(labels.item(b) == label for b in base)
 
 
 def _orbit_rebase(chain: StabilizerChain, y: int) -> StabilizerChain:

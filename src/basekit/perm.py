@@ -135,18 +135,18 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its smallest point."""
+        images = self.images.tolist()
         out = []
-        seen = np.zeros(self.images.size, dtype=bool)
-        for start in range(self.images.size):
-            if seen[start] or self.images[start] == start:
+        seen = [False] * len(images)
+        for start, nxt in enumerate(images):
+            if seen[start] or nxt == start:
                 continue
             cyc = [start]
             seen[start] = True
-            nxt = int(self.images[start])
             while nxt != start:
                 cyc.append(nxt)
                 seen[nxt] = True
-                nxt = int(self.images[nxt])
+                nxt = images[nxt]
             out.append(tuple(cyc))
         return out
 

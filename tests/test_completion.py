@@ -247,14 +247,14 @@ def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
     add, verify = group_module._add_strong_gen, group_module._verify
     in_verify = []
 
-    def recording_add(chain, low, g, stuck):
+    def recording_add(chain, low, g, stuck, *cap):
         phases.append("verify" if in_verify else "draw" if low == 1 else "generator")
-        add(chain, low, g, stuck)
+        add(chain, low, g, stuck, *cap)
 
-    def recording_verify(chain, order):
+    def recording_verify(chain, order, *cap):
         in_verify.append(True)
         try:
-            verify(chain, order)
+            verify(chain, order, *cap)
         finally:
             in_verify.pop()
 

@@ -649,6 +649,114 @@ def test_public_rebase_of_a_conjugated_view_is_a_chain_of_the_view():
     assert not chain.contains(Perm.from_cycles(8, (0, 3)))
 
 
+def _chain_record(chain):
+    # base, generator images, Schreier vectors in insertion order, suffix orders
+    return chain.base, [([g.images.tolist() for g in level.gens], list(level.transversal.items()),
+                         level.suffix_order) for level in chain.levels]
+
+
+def test_rebase_caps_change_no_chain(monkeypatch):
+    # every rebase is made twice: with its levels' caps, and with the cap
+    # helper leaving every cap None, the uncapped scan of every root chain.
+    # Both must be the same chain; each level a rebase opens has a cap, and
+    # no orbit outgrows it
+    rebase = group_module._rebase
+    pairs = []
+
+    def twin(source, prefix, order):
+        chain = rebase(source, prefix, order)
+        with monkeypatch.context() as m:
+            m.setattr(group_module, "_level_cap", lambda *args: None)
+            reference = rebase(source, prefix, order)
+        pairs.append((prefix, chain, reference))
+        return chain
+
+    monkeypatch.setattr(group_module, "_rebase", twin)
+    groups = [G for _, G in interval_corpus()] + [wreath_coset_action(4, 3)]
+    for G in groups:
+        minimal_base_sizes(G)
+        assert all(level.cap is None for level in G.stabilizer_chain().levels)
+    searched = len(pairs)
+    assert searched >= 400 and all(len(prefix) == 1 for prefix, _, _ in pairs[:searched])
+
+    # S8 on two points of its one orbit; the 2-subsets of 7 points on two
+    # points of its one orbit and a third; a stabilizer of S6 on the point
+    # it fixes, then on two it moves
+    S8, K = sym(8), constructions.k_subset_action(7, 2)
+    H = sym(6).point_stabilizer(3)
+    for G, prefix, caps in ((S8, (5, 2), [8, 7]), (K, (3, 10, 0), [21, 20, 19]), (H, (3, 0, 1), [1, 5, 4])):
+        chain = G.stabilizer_chain(prefix)
+        assert [level.cap for level in chain.levels[:len(prefix)]] == caps
+    assert [prefix for prefix, _, _ in pairs[searched:]] == [(5, 2), (3, 10, 0), (3, 0, 1)]
+
+    full = 0
+    for _, chain, reference in pairs:
+        assert _chain_record(chain) == _chain_record(reference)
+        assert all(level.cap is None for level in reference.levels)
+        for level in chain.levels:
+            assert level.cap is not None and len(level.transversal) <= level.cap
+            full += len(level.transversal) == level.cap
+    assert full >= 500
+
+
+def _unreadable():
+    # a permutation whose images raise on any read
+    class Unreadable(Perm):
+        __slots__ = ()
+
+        @property
+        def images(self):
+            raise AssertionError("a full level read a generator's images")
+
+    return object.__new__(Unreadable)
+
+
+def _counting_perm(images, reads):
+    # a Perm whose images record every point read through ``item``
+    class Counting(np.ndarray):
+        def item(self, *args):
+            reads.append(args)
+            return super().item(*args)
+
+    return Perm._wrap(np.array(images, dtype=np.int32).view(Counting))
+
+
+def test_a_level_at_its_cap_scans_nothing():
+    # the 6-cycle from 0 reaches 1 in the rescan and 2 in the breadth-first
+    # loop, which fills the cap 3 and stops it after two reads, where the
+    # uncapped scan reads all six points; a further generator is appended
+    # unread, so the Schreier vector stays the full scan's
+    cycle = [1, 2, 3, 4, 5, 0]
+    reads = []
+    level = group_module._Level(0, 6, 3)
+    level.add_gen(_counting_perm(cycle, reads))
+    assert reads == [(0,), (1,)]
+    assert list(level.transversal.items()) == [(0, None), (1, (0, 0)), (2, (1, 0))]
+    extra = _unreadable()
+    level.add_gen(extra)
+    assert level.gens[-1] is extra and len(level.gens) == 2
+    assert list(level.transversal.items()) == [(0, None), (1, (0, 0)), (2, (1, 0))]
+
+    del reads[:]
+    uncapped = group_module._Level(0, 6)
+    uncapped.add_gen(_counting_perm(cycle, reads))
+    assert len(reads) == 6 and len(uncapped.transversal) == 6
+
+    # a rescan that fills the cap stops there too
+    del reads[:]
+    level = group_module._Level(0, 6, 2)
+    level.add_gen(_counting_perm(cycle, reads))
+    assert reads == [(0,)] and list(level.transversal) == [0, 1]
+
+    # the levels of a real rebase: S8 on (5, 2) fills both prefix levels
+    chain = sym(8).stabilizer_chain((5, 2))
+    for level in chain.levels:
+        assert len(level.transversal) == level.cap
+        count = len(level.gens)
+        level.add_gen(extra)
+        assert len(level.gens) == count + 1 and level.gens[-1] is extra
+
+
 # -- level labels and suffix orders of finished chains ---------------------
 
 
