@@ -28,16 +28,16 @@ Point encodings are fixed so witness bases are reproducible:
 
 ``product_action`` and ``disjoint_product`` take any number of factors,
 at least two, and make one generator list and one group in one step: no
-partial product is built, so none builds a chain.  The order hint is the
-product of the factors' orders.
+partial product is built, so none builds a chain.  The product's proven
+order is the product of the factors' orders.
 
-Every construction here but ``coset_action`` knows its group's order, and
-records it through ``PermGroup._constructed``: the order is the group's
-hint, as for any group, and a product reads it (``_proven_order``) without
-building the factor's chain.  A factor with no proven order, made from
-generators with or without a user's hint, is asked for ``order()``, which
-builds its chain and checks the hint as far as ``build_chain`` does.  The
-product's own chain is built on its first order read, like any group's.
+Every construction here but ``coset_action`` proves its group's order,
+and records it through ``PermGroup._constructed``, the one route by which
+a group gets an order that no chain of its own has proven: its chain stops
+at that order, and a product reads it (``_proven_order``) without building
+the factor's chain.  A factor made from plain generators is asked for
+``order()``, which builds its own chain.  The product's own chain is
+built on its first order read, like any group's.
 """
 
 from __future__ import annotations

@@ -31,13 +31,14 @@ random elements come from, and both streams are seeded from their inputs,
 so a chain is the same in every process:
 
 - a root chain (``build_chain``) draws by product replacement from the
-  generators.  Its order is the caller's hint or, for a transitive group
-  of degree at least 8 with no hint, the giant certificate
-  (``_giant_order``): a drawn element with a cycle of prime length ``p``,
-  ``n/2 < p < n - 2``, proves the group contains ``A_n``.  A hint of
-  ``n!`` or ``n!/2`` runs the certificate too: a hint other than the
-  order it proves raises at once, and one it neither proves nor disproves
-  is completed on the same draws.  A proven giant's chain is not completed
+  generators.  Its order is the one its construction proved
+  (``PermGroup._constructed``) or, for a transitive group of degree at
+  least 8 with none, the giant certificate (``_giant_order``): a drawn
+  element with a cycle of prime length ``p``, ``n/2 < p < n - 2``, proves
+  the group contains ``A_n``.  A known order of ``n!`` or ``n!/2`` runs
+  the certificate too: a known order other than the one it proves raises
+  at once, and one it neither proves nor disproves is completed on the
+  same draws.  A proven giant's chain is not completed
   but written down (``_giant_chain``, Seress 2003, sections 5.4 and
   10.2): the chain of its standard strong generators
   (``_standard_generators``), with base ``0, 1, ...`` and every Schreier
@@ -403,29 +404,31 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
 
     The one completion (``_complete``, see the module notes) with random
     elements drawn by product replacement, seeded from the generators,
-    stopped at ``known_order``; a group with no hint and no giant
+    stopped at ``known_order``; a group with no known order and no giant
     certificate is completed by the deterministic verification.  With no
-    hint, or a hint of ``n!`` or ``n!/2`` (``_giant_sized``), the giant
+    known order, or one of ``n!`` or ``n!/2`` (``_giant_sized``), the giant
     certificate (``_giant_order``) runs first; a proven order that is the
-    hint's, or that stands for a missing hint, is not completed: the chain
-    of the giant's standard strong generators is written down
+    known one, or that stands for a missing one, is not completed: the
+    chain of the giant's standard strong generators is written down
     (``_giant_chain``), so the chain's level-0 generators are those and its
-    base is ``0, 1, ...``.  The proof is the certificate's, never the
-    hint's.  Once the certificate proves an order, any other hint is
-    wrong, ``n!`` on ``A_n`` as much as ``n!/2`` on ``S_n``, and raises
-    ``RuntimeError`` naming both orders at once, before any draw of the
-    completion.  A hint the certificate neither proves nor disproves is
-    completed on the same draw stream, from where the certificate left it.
+    base is ``0, 1, ...``.  Once the certificate proves an order, any other
+    known order is wrong, ``n!`` on ``A_n`` as much as ``n!/2`` on
+    ``S_n``, and raises ``RuntimeError`` naming both orders at once, before
+    any draw of the completion.  A known order the certificate neither
+    proves nor disproves is completed on the same draw stream, from where
+    the certificate left it.
 
-    ``known_order`` is trusted as the exact order: construction stops as
-    soon as the orbit sizes multiply up to it (exact when it is the order,
-    by the module notes).  A value no partial chain reaches, such as one
-    larger than the order, raises ``RuntimeError`` once ``_IDLE_DRAWS``
-    draws in a row add nothing and the verification finds the true order;
-    a smaller one that a partial chain reaches is returned as the order
-    unchecked, since checking it would cost the verification the hint
-    exists to skip.  Chains with a prescribed base prefix come from
-    ``_rebase`` (``PermGroup.stabilizer_chain`` in the public API).
+    ``known_order`` is an order proven elsewhere, and must be exact: the
+    order a construction proved (``PermGroup._constructed``), or a view's
+    order that ``PermGroup.stabilizer_chain`` rebuilds a chain for.  The
+    completion stops as soon as the orbit sizes multiply up to it (exact
+    when it is the order, by the module notes).  A value no partial chain
+    reaches, such as one larger than the order, raises ``RuntimeError``
+    once ``_IDLE_DRAWS`` draws in a row add nothing and the verification
+    finds the true order; a smaller one that a partial chain reaches would
+    be returned as the order unchecked, which is why only proven orders
+    reach it.  Chains with a prescribed base prefix come from ``_rebase``
+    (``PermGroup.stabilizer_chain`` in the public API).
     """
     generators = tuple(generators)
     for g in generators:
@@ -602,7 +605,7 @@ def _is_transitive(degree: int, generators) -> bool:
     on relabelled ``S_n`` generators, on a shared 2-core VM, it took 4
     against 48 us at degree 20 and 55 against 133 us at degree 400, and
     is slower only far beyond the searchable degrees (41 against 27 ms at
-    degree 100,000, once per hintless root chain).
+    degree 100,000, once per root chain with no proven order).
     """
     images = [g.images.tolist() for g in generators]
     seen = [False] * degree
@@ -956,7 +959,11 @@ class PermGroup:
     ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
     group's own chain.  A group made from generators fills its view from
     ``build_chain`` on first use, and its first order, membership, orbit
-    or stabilizer read is such a use; a stabilizer is born a view of a
+    or stabilizer read is such a use.  Its order comes only from a proof:
+    the chain's, or the one its construction made, which
+    ``_constructed`` keeps in ``_proven`` for its chain to stop at and for
+    a product to read (``_proven_order``); a group with no generators is
+    proven trivial.  A stabilizer is born a view of a
     suffix of its parent's chain or of its rebase (see the module notes),
     whose generators are made only when ``generators`` is first read, and
     whose ``u_inv`` stays ``None`` until ``_get_view`` first makes it.
@@ -973,7 +980,6 @@ class PermGroup:
         "_generators",
         "_view",
         "_order",
-        "_hint",
         "_proven",
         "_sizes",
         "_partition",
@@ -981,14 +987,10 @@ class PermGroup:
         "_subgroups",
     )
 
-    def __init__(self, degree: int, generators=(), *, order_hint: int | None = None):
+    def __init__(self, degree: int, generators=()):
         degree = _as_int(degree, "degree")
         if degree < 1:
             raise ValueError("degree must be positive")
-        if order_hint is not None:
-            order_hint = _as_int(order_hint, "order hint")
-            if order_hint < 1:
-                raise ValueError(f"order hint {order_hint} is not positive")
         gens = []
         seen = set()
         for g in generators:
@@ -1003,20 +1005,11 @@ class PermGroup:
         self.degree = degree
         self._generators = tuple(gens)
         self._view = None
-        self._proven = None
+        self._order = self._proven = None if gens else 1
         self._sizes = None
         self._partition = None
         self._stab_classes = None
         self._subgroups = None
-        if not gens:
-            if order_hint is not None and order_hint != 1:
-                raise ValueError("generator-free group must have order 1")
-            self._order = 1
-            self._hint = None
-        else:
-            # the hint is trusted as the exact order (see build_chain)
-            self._order = None
-            self._hint = order_hint
 
     @classmethod
     def _from_view(cls, degree: int, chain: StabilizerChain, u=None, u_inv=None) -> "PermGroup":
@@ -1030,22 +1023,22 @@ class PermGroup:
         g.degree = degree
         g._view = (chain, u, u_inv)
         g._order = chain.order()
-        g._generators = g._hint = g._proven = g._sizes = g._partition = g._stab_classes = None
+        g._generators = g._proven = g._sizes = g._partition = g._stab_classes = None
         g._subgroups = None
         return g
 
     @classmethod
     def _constructed(cls, degree: int, generators, order: int) -> "PermGroup":
-        # a group whose construction proves its order: the order is its hint,
-        # which its own chain stops at as at any hint, and a product of it
-        # reads the order (``_proven_order``) without building that chain
-        g = cls(degree, generators, order_hint=order)
+        # a group whose construction proves its order: its own chain stops
+        # at that order, and a product of it reads the order
+        # (``_proven_order``) without building that chain
+        g = cls(degree, generators)
         g._proven = order
         return g
 
     def _proven_order(self) -> int:
         # the order a construction proved, else ``order()``, which builds
-        # the chain of a group made from generators and checks its hint
+        # the chain of a group made from plain generators
         return self._proven or self.order()
 
     def _get_view(self, inverse: bool = True) -> tuple:
@@ -1054,11 +1047,7 @@ class PermGroup:
         # only chain and u
         view = self._view
         if view is None:
-            chain = build_chain(
-                self.degree,
-                self.generators,
-                known_order=self._order if self._order is not None else self._hint,
-            )
+            chain = build_chain(self.degree, self.generators, known_order=self._proven)
             self._order = chain.order()
             view = self._view = (chain, None, None)
         elif inverse and view[2] is None and view[1] is not None:
@@ -1085,10 +1074,17 @@ class PermGroup:
         return self._order
 
     def contains(self, p) -> bool:
-        """Membership of ``p``, a ``Perm`` or an image sequence; the chain checks it."""
+        """Membership of ``p``, a ``Perm`` or an image sequence; the chain checks it.
+
+        A conjugated view conjugates ``p`` only if its degree is the
+        group's, so on every route a ``p`` of another degree reaches the
+        chain, which raises ``ValueError`` naming that degree first.
+        """
+        if not isinstance(p, Perm):
+            p = Perm(p)
         chain, u, u_inv = self._get_view()
-        if u is not None:  # the conjugation checks the degree
-            p = u * (p if isinstance(p, Perm) else Perm(p)) * u_inv
+        if u is not None and p.degree == self.degree:
+            p = u * p * u_inv
         return chain.contains(p)
 
     def orbit_sizes(self) -> np.ndarray:

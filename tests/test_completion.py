@@ -13,8 +13,8 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import basekit.group as group_module
-from basekit import Perm, PermGroup, build_chain, constructions
-from basekit.group import StabilizerChain, _add_strong_gen, _chain_labels, _chain_sizes
+from basekit import Perm, PermGroup, constructions
+from basekit.group import StabilizerChain, _add_strong_gen, _chain_labels, _chain_sizes, build_chain
 
 import bruteforce as bf
 
@@ -102,7 +102,8 @@ def test_sift_matches_the_scalar_loop_while_the_chain_grows():
 
 _CHILD = """
 import json, sys
-from basekit import Perm, build_chain
+from basekit import Perm
+from basekit.group import build_chain
 n, gens, hint = json.loads(sys.stdin.read())
 chain = build_chain(n, [Perm(g) for g in gens], known_order=hint)
 print(json.dumps([chain.base, [[g.to_list() for g in level.gens] for level in chain.levels]]))
@@ -316,16 +317,17 @@ def test_no_completion_leaves_a_generator_to_prune(monkeypatch):
 
 @pytest.mark.parametrize("n", range(8, 41))
 def test_proven_giants_complete_from_their_standard_generators(n):
-    # hinted and hintless, S_n and A_n: the certificate proves the order, and
-    # the chain is that of the transpositions (i, i+1) or the 3-cycles
-    # (i, i+1, i+2), with base 0, 1, ...; the group keeps its own generators
+    # with a proven order and without, S_n and A_n: the certificate proves
+    # the order, and the chain is that of the transpositions (i, i+1) or the
+    # 3-cycles (i, i+1, i+2), with base 0, 1, ...; the group keeps its own
+    # generators
     full, half = math.factorial(n), math.factorial(n) // 2
     plain = [Perm(g) for g in symmetric_gens(n)]  # those of constructions.symmetric
     sym_gens = [Perm(g) for g in relabelled(n, symmetric_gens(n), n)]
     alt_gens = [Perm(g) for g in relabelled(n, alternating_gens(n), n)]
     cases = [(constructions.symmetric(n), plain, full),
              (PermGroup(n, sym_gens), sym_gens, full),
-             (PermGroup(n, alt_gens, order_hint=half), alt_gens, half),
+             (PermGroup._constructed(n, alt_gens, half), alt_gens, half),
              (PermGroup(n, alt_gens), alt_gens, half)]
     rng = random.Random(n)
     probes = [rng.sample(range(n), n) for _ in range(40)]

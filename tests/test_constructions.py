@@ -174,8 +174,8 @@ def test_products_match_the_pairwise_fold(picks):
         P = build(*factors)
         assert P.degree == degree
         assert [tuple(g.to_list()) for g in P.generators] == gens
-        # the hint, read before anything builds the product's chain
-        assert (P._hint, P._order) == ((order, None) if gens else (None, 1))
+        # the proven order, read before anything builds the product's chain
+        assert (P._proven, P._order) == (order, None if gens else 1)
 
 
 @pytest.mark.parametrize("t", ["product_action", "disjoint_product"])
@@ -193,21 +193,19 @@ def test_a_product_of_constructions_builds_only_its_own_chain(monkeypatch, t):
 
 
 @pytest.mark.parametrize("build", [product_action, disjoint_product])
-def test_a_hinted_factor_of_a_product_builds_and_checks_its_own_chain(monkeypatch, build):
-    # a hint is the user's, not a proof: the product reads the factor's
-    # order off its chain, so a giant hint the certificate disproves raises
-    # when the product is made, naming both orders
+def test_a_plain_product_factor_builds_its_own_chain_once(monkeypatch, build):
+    # a factor made from plain generators has no proven order, so a product
+    # asks it for ``order()``, which builds that factor's chain, once; the
+    # constructed factors' proven orders are read, so no other chain is built
     n = 9
-    gens = [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))]
-    half = math.factorial(n) // 2
+    plain = PermGroup(n, [Perm.from_cycles(n, (0, 1)), Perm.from_cycles(n, tuple(range(n)))])
     calls = count_chain_builds(monkeypatch)
-    with pytest.raises(RuntimeError, match=f"order {2 * half} != expected {half}"):
-        build(PermGroup(n, gens, order_hint=half), symmetric(3))
-    assert calls == [()]
-    hinted = PermGroup(n, gens, order_hint=2 * half)
-    P = build(symmetric(3), hinted)
-    assert calls == [(), ()] and hinted._view is not None and P._view is None
-    assert P.order() == 6 * 2 * half
+    P = build(symmetric(3), plain, cyclic_regular(5))
+    assert calls == [()] and plain._view is not None and P._view is None
+    Q = build(plain, symmetric(4))
+    assert calls == [()] and Q._view is None
+    assert P.order() == 6 * math.factorial(n) * 5
+    assert calls == [(), ()]
 
 
 def test_a_flat_product_of_many_factors_is_built_in_one_step(capsys):
@@ -762,15 +760,15 @@ SMALL_SPECS = _small_spec_strategies()
 
 @settings(max_examples=60)
 @given(SMALL_SPECS)
-def test_order_hints_equal_sympy_orders(spec):
-    # every construction passes an order hint that build_chain trusts as
-    # exact, so each must equal the order sympy computes from the same
-    # generators; the hint is read before any chain of this group exists
+def test_proven_orders_equal_sympy_orders(spec):
+    # every construction records the order it proves, which its chain stops
+    # at unchecked and a product of it reads, so each must equal the order
+    # sympy computes from the same generators; it is read before any chain
+    # of this group exists
     G, _ = build_group(spec)
-    assert G._view is None and G._hint is not None, spec
+    assert G._view is None and G._proven is not None, spec
     want = PermutationGroup([Permutation(g.to_list()) for g in G.generators]).order()
-    assert G._hint == want, spec
-    assert G._proven == want, spec  # what a product of G reads
+    assert G._proven == want, spec
 
 
 @given(SMALL_SPECS)

@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+import basekit
 import basekit.group as group_module
-from basekit import Perm, PermGroup, build_chain, constructions
+from basekit import Perm, PermGroup, constructions
 from basekit.bases import SearchBudget, height, irredundant_base_sizes, minimal_base_sizes
 from basekit.constructions import cyclic_regular, wreath_coset_action
 from basekit.corpus import interval_corpus
+from basekit.group import build_chain
 
 import bruteforce as bf
 
@@ -90,6 +92,14 @@ def test_contains():
     assert alt.contains(g1 * g2)
     with pytest.raises(ValueError):
         G.contains(Perm.identity(5))
+    # the input's degree first, on a root group and on a conjugated view,
+    # which checks it before it conjugates
+    H = G.point_stabilizer(3)
+    assert H._view[1] is not None
+    for group in (G, H):
+        for p in (Perm([1, 0]), [1, 0]):
+            with pytest.raises(ValueError, match="^degree mismatch: 2 vs 4$"):
+                group.contains(p)
 
 
 def test_contains_takes_image_sequences():
@@ -222,12 +232,6 @@ def test_orbit_stabilizer(name, G):
         assert len(G.orbit(x)) * G.point_stabilizer(x).order() == G.order()
 
 
-def test_order_hint_checked():
-    with pytest.raises(RuntimeError):
-        PermGroup(3, [Perm([1, 0, 2])], order_hint=3).order()
-    assert PermGroup(3, [Perm([1, 0, 2])], order_hint=2).order() == 2
-
-
 @pytest.mark.parametrize("bad", [3.0, True, "3", 0, -1])
 def test_degree_is_a_positive_int(bad):
     # 3.0 used to be accepted and fail later with a TypeError
@@ -235,14 +239,19 @@ def test_degree_is_a_positive_int(bad):
         PermGroup(bad, [Perm([1, 0, 2])])
     with pytest.raises(ValueError):
         PermGroup(bad, [])
+    assert PermGroup(np.int64(3), [Perm([1, 0, 2])]).order() == 2
 
 
-@pytest.mark.parametrize("bad", [0, -2, 4.0, True, "2"])
-def test_order_hint_is_none_or_a_positive_int(bad):
-    # 0, -2 and 4.0 used to fail only later, as a RuntimeError
-    with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        PermGroup(3, [Perm([1, 0, 2])], order_hint=bad)
-    assert PermGroup(np.int64(3), [Perm([1, 0, 2])], order_hint=np.int64(2)).order() == 2
+def test_orders_come_only_from_proofs():
+    # a caller cannot state an order: a chain would stop at any order a
+    # partial chain reaches, such as 12 here, and take it unchecked
+    gens = [Perm.from_cycles(4, (0, 1)), Perm.from_cycles(4, (0, 1, 2, 3))]
+    G = PermGroup(4, gens)
+    assert G.order() == 24
+    assert minimal_base_sizes(G).to_list() == [3]
+    with pytest.raises(TypeError):
+        PermGroup(4, gens, order_hint=12)
+    assert not hasattr(basekit, "build_chain") and "build_chain" not in basekit.__all__
 
 
 def test_identity_never_stored():
@@ -538,12 +547,16 @@ def test_rebase_with_a_wrong_order_raises_promptly(wrong, root):
     # |S8| = 40320; neither wrong order is a product of orbit sizes (each
     # at most 8, and 40319 = 23 * 1753), so no partial chain stops on it.
     # With the true root chain in place, the random phase runs out of
-    # useful draws and the deterministic verification must raise.
+    # useful draws and the deterministic verification must raise.  Fresh,
+    # the wrong order is the one slot a construction records its proof in,
+    # and the root chain's completion must raise.
     G = sym(8)
     H = PermGroup(8, G.generators)
-    H._order = wrong
     if root:
+        H._order = wrong
         H._view = (G.stabilizer_chain(), None, None)
+    else:
+        H._proven = wrong
     start = time.perf_counter()
     with pytest.raises(RuntimeError):
         H.stabilizer_chain((3,))
@@ -1211,15 +1224,18 @@ def large_groups(draw):
 @settings(max_examples=25)
 @given(large_groups(), st.data())
 def test_build_chain_matches_sympy_at_larger_degree(case, data):
-    # no prefix: the root chain, with or without a hint; a prefix: the rebase
+    # no prefix: the root chain, with or without a known order; a prefix:
+    # the rebase of a group made from generators or with a proven order
     n, gens = case
     ref = PermutationGroup([Permutation(g) for g in gens])
     prefix = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)))
-    hint = ref.order() if data.draw(st.booleans()) else None
+    known = ref.order() if data.draw(st.booleans()) else None
+    perms = [Perm(g) for g in gens]
     if prefix:
-        chain = PermGroup(n, [Perm(g) for g in gens], order_hint=hint).stabilizer_chain(prefix)
+        G = PermGroup(n, perms) if known is None else PermGroup._constructed(n, perms, known)
+        chain = G.stabilizer_chain(prefix)
     else:
-        chain = build_chain(n, [Perm(g) for g in gens], known_order=hint)
+        chain = build_chain(n, perms, known_order=known)
     assert chain.base[: len(prefix)] == prefix
     assert chain.order() == ref.order()
     # basic orbits and every level's orbit labels, top-down as a view reads
