@@ -1,99 +1,16 @@
-"""Base-size analytics for finite permutation groups."""
+"""Base-size analytics for finite permutation groups.
 
-from .errors import BudgetExceeded, SpecError
-from .perm import Perm
-from .group import PermGroup, StabilizerChain
-from .bases import (
-    BaseStats,
-    IndicatorVectors,
-    SearchBudget,
-    SizeSet,
-    base_stats,
-    grid_minimal_base,
-    height,
-    indicator_vectors,
-    irredundant_base_sizes,
-    is_base,
-    is_ibis,
-    is_independent_set,
-    is_irredundant_sequence,
-    is_mibis,
-    is_minimal_base,
-    min_base_size,
-    minimal_base_sizes,
-)
-from .constructions import (
-    LabeledDomain,
-    build_group,
-    cyclic_regular,
-    disjoint_product,
-    elem_abelian_regular,
-    gl42_on_2subspaces,
-    k_subset_action,
-    product_action,
-    product_coords,
-    product_point,
-    symmetric,
-    theorem2_group,
-    theorem3_groups,
-    wreath_coset_action,
-    wreath_imprimitive,
-)
-from .formulas import (
-    ProductIntervalPrediction,
-    gill_loda_I,
-    halasi_b,
-    measure_epsilon,
-    predict_product_I,
-    predict_prodsym_M,
-    predict_thm41,
-    section6_replay,
-)
+The package exports every name of its modules' ``__all__`` lists, and no
+other.
+"""
 
-__all__ = [
-    "BaseStats",
-    "BudgetExceeded",
-    "IndicatorVectors",
-    "LabeledDomain",
-    "Perm",
-    "PermGroup",
-    "ProductIntervalPrediction",
-    "SearchBudget",
-    "SizeSet",
-    "SpecError",
-    "StabilizerChain",
-    "base_stats",
-    "build_group",
-    "cyclic_regular",
-    "disjoint_product",
-    "elem_abelian_regular",
-    "gill_loda_I",
-    "gl42_on_2subspaces",
-    "grid_minimal_base",
-    "halasi_b",
-    "height",
-    "indicator_vectors",
-    "irredundant_base_sizes",
-    "is_base",
-    "is_ibis",
-    "is_independent_set",
-    "is_irredundant_sequence",
-    "is_mibis",
-    "is_minimal_base",
-    "k_subset_action",
-    "measure_epsilon",
-    "min_base_size",
-    "minimal_base_sizes",
-    "predict_product_I",
-    "predict_prodsym_M",
-    "predict_thm41",
-    "product_action",
-    "product_coords",
-    "product_point",
-    "section6_replay",
-    "symmetric",
-    "theorem2_group",
-    "theorem3_groups",
-    "wreath_coset_action",
-    "wreath_imprimitive",
-]
+from . import bases, constructions, errors, formulas, group, perm
+from .bases import *  # noqa: F403
+from .constructions import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .formulas import *  # noqa: F403
+from .group import *  # noqa: F403
+from .perm import *  # noqa: F403
+
+__all__ = sorted({name for module in (errors, perm, group, bases, constructions, formulas)
+                  for name in module.__all__})

@@ -37,8 +37,10 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   search in that mode on ``G`` and lives as long as ``G``.  A request
   ``K.point_stabilizer(x)``, with ``K`` a node or a deletion stabilizer, is
   named by ``R = Fix(K) ∪ {x}``, the int ``Fix(K) | 1 << x``, and
-  ``K_x = G_(R)`` because ``K = G_(Fix(K))``.  A repeated ``R`` is one
-  lookup.  Otherwise
+  ``K_x = G_(R)`` because ``K = G_(Fix(K))``.  The table is one map from a
+  point set ``S`` to ``G_(S)``, and it holds both kinds of point set: the
+  requests it answered, and the key ``Fix(L)`` of each stored ``L``.  So a
+  repeated ``R``, or one that is a stored key, is one lookup.  Otherwise
   let ``t = |K| / |x^K|``: a stored ``L`` with ``|L| = t`` and
   ``Fix(L) ⊇ R`` is ``G_(R) = K_x``, because ``L = G_(Fix(L)) ≤ G_(R)`` and
   ``|G_(R)| = |K_x| = t``.  Only when no stored ``L`` qualifies is ``K_x``
@@ -68,8 +70,9 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   exhaustive mode, iterates its slice of the candidate list directly.
   Most stored groups are deletion stabilizers that no walk enters, and the
   walks read only their sizes: a stored group holds its sizes and makes
-  its labels and its inverse conjugator on first read (``basekit.group``'s
-  module notes), so only the groups a pruned walk enters ever hold labels.
+  its labels on first read, and no search makes the inverse of its
+  conjugator (``basekit.group``'s module notes), so only the groups a
+  pruned walk enters ever hold labels.
 * Each mode has its own table, never the other's.  The exhaustive searches
   are the cross-check of the pruned ones, so no subgroup a pruned search
   computed may answer an exhaustive request: a wrong stored group would
@@ -268,13 +271,13 @@ def is_base(G: PermGroup, points) -> bool:
 
 
 def is_minimal_base(G: PermGroup, points) -> bool:
-    """True iff ``points`` is a base and no single deletion stays one."""
-    pts = tuple(sorted({_as_point(x, G.degree) for x in points}))
-    if not is_base(G, pts):
-        return False
-    return all(
-        not is_base(G, pts[:i] + pts[i + 1 :]) for i in range(len(pts))
-    )
+    """True iff ``points`` is a base and no single deletion stays one.
+
+    For a base, a deletion that is no base has a larger stabilizer, so a
+    minimal base is exactly an independent base.
+    """
+    pts = tuple(points)
+    return is_base(G, pts) and is_independent_set(G, pts)
 
 
 def is_irredundant_sequence(G: PermGroup, seq) -> bool:
@@ -320,23 +323,23 @@ class _SubgroupTable:
     """The pointwise stabilizers of one group that its searches in one mode computed.
 
     Each stored subgroup is one record ``(key, group, order, size)``
-    (``_record``), made when the group is stored.  ``requests`` maps a
-    request key ``Fix(K) | 1 << x`` to the record of ``K_x``, ``groups`` a
-    subgroup key to its record, and ``by_order`` an order to the keys of
-    the stored groups of that order.  Each subgroup is stored once (module
-    notes).  ``cands`` maps the key of each group a search entered, the
-    root's included, to its ascending candidate points: the minima of its
-    moved orbits when ``pruned``, else its moved points.  The root's own
-    record is never stored: the root holds its tables, so a stored record
-    of it would be a reference cycle.
+    (``_record``), made when the group is stored.  ``known`` maps a point
+    set ``S``, as an int, to the record of ``G_(S)``: every request key
+    ``Fix(K) | 1 << x`` answered, and every stored group's key ``Fix(L)``.
+    ``by_order`` maps an order to the keys of the stored groups of that
+    order.  Each subgroup is stored once (module notes).  ``cands`` maps
+    the key of each group a search entered, the root's included, to its
+    ascending candidate points: the minima of its moved orbits when
+    ``pruned``, else its moved points.  The root's own record is never
+    stored: the root holds its tables, so a stored record of it would be a
+    reference cycle.
     """
 
-    __slots__ = ("pruned", "requests", "groups", "by_order", "cands")
+    __slots__ = ("pruned", "known", "by_order", "cands")
 
     def __init__(self, pruned: bool):
         self.pruned = pruned
-        self.requests: dict[int, tuple] = {}
-        self.groups: dict[int, tuple] = {}
+        self.known: dict[int, tuple] = {}
         self.by_order: dict[int, list[int]] = {}
         self.cands: dict[int, list[int]] = {}
 
@@ -354,23 +357,24 @@ class _SubgroupTable:
     def point_stabilizer(self, rec: tuple, x: int) -> tuple:
         """The record of ``K_x``, for ``rec`` the record of a pointwise stabilizer ``K``.
 
-        A repeated request is one lookup.  Otherwise a stored ``L`` of order
+        A request that is a known point set, answered before or a stored
+        key, is one lookup.  Otherwise a stored ``L`` of order
         ``|K| / |x^K|`` fixing every point of the request is ``K_x``; only
         when there is none is ``K_x`` computed, and then stored.
         """
         request = rec[0] | 1 << x
-        child = self.requests.get(request)
+        child = self.known.get(request)
         if child is None:
             _, K, order, size = rec
             stored = self.by_order.setdefault(order // size(x), [])
             key = next((f for f in stored if f & request == request), None)
             if key is None:
                 child = _record(K.point_stabilizer(x))
-                self.groups[child[0]] = child
+                self.known[child[0]] = child
                 stored.append(child[0])
             else:
-                child = self.groups[key]
-            self.requests[request] = child
+                child = self.known[key]
+            self.known[request] = child
         return child
 
 
@@ -642,11 +646,11 @@ def indicator_vectors(G: PermGroup, H: PermGroup, base) -> IndicatorVectors:
     fixing every other first coordinate, i.e. iff the pointwise stabilizer in
     G of the other first coordinates does not fix it; the H-vector likewise.
     """
-    from .constructions import product_action
+    from .constructions import product_action, product_point
 
     pairs = [(_as_point(d, G.degree), _as_point(l, H.degree)) for d, l in base]
     prod = product_action(G, H)
-    points = {d * H.degree + l for d, l in pairs}
+    points = {product_point(d, l, H.degree) for d, l in pairs}
     if not is_minimal_base(prod, points):
         raise ValueError("the given pairs are not a minimal base of the product action")
 

@@ -49,7 +49,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, SpecError
-from .group import PermGroup, _as_int, _as_point
+from .group import PermGroup, _as_int, _as_point, _is_prime
 from .perm import Perm
 
 __all__ = [
@@ -59,6 +59,8 @@ __all__ = [
     "elem_abelian_regular",
     "disjoint_product",
     "product_action",
+    "product_point",
+    "product_coords",
     "theorem2_group",
     "theorem3_groups",
     "wreath_imprimitive",
@@ -113,17 +115,6 @@ def cyclic_regular(p: int) -> PermGroup:
     if p < 2:
         raise ValueError("p must be at least 2")
     return PermGroup._constructed(p, [Perm.from_cycles(p, tuple(range(p)))], p)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
 
 
 def elem_abelian_regular(p: int, d: int) -> PermGroup:

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["BudgetExceeded", "SpecError"]
+
 
 class BudgetExceeded(RuntimeError):
     """A search hit its node-count ceiling before completing.

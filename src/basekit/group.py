@@ -74,16 +74,17 @@ that level lives.  Uniform draws read the parent's transversal elements
 without caching them, so a stored parent does not grow with every rebase
 below it.  And a stored group makes only what is read of it.  The
 searches read most stored groups only for their orbit sizes, so a
-group holds its int32 sizes (``orbit_sizes``) and makes its labels and
-its inverse conjugator on first read.  A level of a finished chain
-caches its generators' orbit ``labels`` and ``sizes``, both int32;
-a root group's sizes are the level's array, and a conjugated view's are
-one scatter of it through ``u``.  ``orbit_partition`` makes a group's
-``labels`` on its first call, widened to int64 because they index
-arrays (``_conjugated_labels``), and a view's ``u_inv`` waits for its
-first membership test, generator read or class labels (``_get_view``).
-Deriving a stabilizer makes no ``u_inv``: it needs only ``x^(u^-1)``, the
-point that ``u`` sends to ``x``, found by one comparison over ``u``.
+group holds its int32 sizes (``orbit_sizes``) and makes its labels on
+first read.  A level of a finished chain caches its generators' orbit
+``labels`` and ``sizes``, both int32; a root group's sizes are the
+level's array, and a conjugated view's are one scatter of it through
+``u``.  ``orbit_partition`` makes a group's ``labels`` on its first
+call, widened to int64 because they index arrays
+(``_conjugated_labels``).  A view keeps no inverse of its
+conjugator: deriving a stabilizer needs only ``x^(u^-1)``, the point that
+``u`` sends to ``x``, found by one comparison over ``u``, so no search
+forms ``u^-1``; a membership test forms it for each call, and the first
+read of a conjugated view's generators once.
 
 Every orbit label of a group comes from its chain (``_chain_labels``),
 through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
@@ -101,7 +102,7 @@ giant certificate tests transitivity by one orbit walk from point 0
 (``_is_transitive``).  A finished level also keeps its suffix order
 (``_finish``), so a view's order is a read.
 
-Every group reads a chain through one view ``(chain, u, u_inv)``: the group
+Every group reads a chain through one view ``(chain, u)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
 membership sifts ``u p u^-1`` through the chain.  A group made from
 generators builds its chain on first use; a stabilizer is born a view of
@@ -113,7 +114,7 @@ of level 0 and ``t_y`` its transversal element taking ``b`` to ``y``.
 In ``<chain>`` the stabilizer of ``b`` is the group of the suffix from
 level 1, and that of ``y`` is ``t_y^-1 <suffix> t_y``.  So for
 ``y = x^(u^-1)`` the view's stabilizer of ``x`` is the view ``(suffix,
-t_y u, (t_y u)^-1)``, or ``(suffix, u, u_inv)`` when ``y = b``.  A point
+t_y u)``, or ``(suffix, u)`` when ``y = b``.  A point
 ``x`` outside that basic orbit (moved by the group, but in another orbit)
 takes the same route from a chain whose level 0 is the orbit of ``y``:
 the rebase of the view's chain, never of the view, on one point of that
@@ -138,7 +139,7 @@ import numpy as np
 
 from .perm import Perm, _as_int
 
-__all__ = ["PermGroup", "StabilizerChain", "build_chain"]
+__all__ = ["PermGroup", "StabilizerChain"]
 
 # consecutive random draws that add nothing before a completion falls back
 # to the deterministic verification; a uniform draw from an incomplete chain
@@ -551,10 +552,13 @@ def _product_replacement(degree: int, generators):
             yield acc
 
 
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
 def _jordan_primes(degree: int) -> list[int]:
     # the primes p with degree/2 < p < degree - 2; none below degree 8
-    return [p for p in range(degree // 2 + 1, degree - 2)
-            if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    return [p for p in range(degree // 2 + 1, degree - 2) if _is_prime(p)]
 
 
 def _giant_order(degree: int, generators, draws) -> int | None:
@@ -955,9 +959,8 @@ class PermGroup:
     The trivial group is an empty generator list (the identity is never
     stored).  The group never changes after construction; its caches fill
     lazily and are safe for concurrent reads.  It reads its chain through
-    one view, ``_view = (chain, u, u_inv)``: the group is
-    ``u_inv * <chain> * u``, and ``u`` is ``None`` when ``chain`` is the
-    group's own chain.  A group made from generators fills its view from
+    one view, ``_view = (chain, u)``: the group is ``u^-1 <chain> u``, and
+    ``u`` is ``None`` when ``chain`` is the group's own chain.  A group made from generators fills its view from
     ``build_chain`` on first use, and its first order, membership, orbit
     or stabilizer read is such a use.  Its order comes only from a proof:
     the chain's, or the one its construction made, which
@@ -965,8 +968,8 @@ class PermGroup:
     a product to read (``_proven_order``); a group with no generators is
     proven trivial.  A stabilizer is born a view of a
     suffix of its parent's chain or of its rebase (see the module notes),
-    whose generators are made only when ``generators`` is first read, and
-    whose ``u_inv`` stays ``None`` until ``_get_view`` first makes it.
+    whose generators are made only when ``generators`` is first read; no
+    view keeps ``u^-1``.
     ``_subgroups`` maps a search mode of ``basekit.bases``, ``"pruned"`` or
     ``"exhaustive"``, to the table of pointwise stabilizers that the
     searches in that mode fill and share; the two are kept apart so that
@@ -1012,16 +1015,15 @@ class PermGroup:
         self._subgroups = None
 
     @classmethod
-    def _from_view(cls, degree: int, chain: StabilizerChain, u=None, u_inv=None) -> "PermGroup":
-        # the group u^-1 <chain> u, sharing the chain's levels; u_inv is
-        # u's inverse if already made, else None; the trivial group is its
-        # own conjugate, so it keeps no conjugator
+    def _from_view(cls, degree: int, chain: StabilizerChain, u=None) -> "PermGroup":
+        # the group u^-1 <chain> u, sharing the chain's levels; the trivial
+        # group is its own conjugate, so it keeps no conjugator
         g = object.__new__(cls)
         levels = chain.levels
         if not levels or not levels[0].gens:
-            u = u_inv = None
+            u = None
         g.degree = degree
-        g._view = (chain, u, u_inv)
+        g._view = (chain, u)
         g._order = chain.order()
         g._generators = g._proven = g._sizes = g._partition = g._stab_classes = None
         g._subgroups = None
@@ -1041,26 +1043,24 @@ class PermGroup:
         # the chain of a group made from plain generators
         return self._proven or self.order()
 
-    def _get_view(self, inverse: bool = True) -> tuple:
-        # the view, after building the chain of a group made from generators,
-        # and after making a conjugated view's u_inv unless the caller reads
-        # only chain and u
-        view = self._view
-        if view is None:
+    def _get_view(self) -> tuple:
+        # the view ``(chain, u)``, after building the chain of a group made
+        # from generators
+        if self._view is None:
             chain = build_chain(self.degree, self.generators, known_order=self._proven)
             self._order = chain.order()
-            view = self._view = (chain, None, None)
-        elif inverse and view[2] is None and view[1] is not None:
-            chain, u, _ = view
-            view = self._view = (chain, u, u.inverse())
-        return view
+            self._view = (chain, None)
+        return self._view
 
     @property
     def generators(self) -> tuple[Perm, ...]:
         if self._generators is None:  # a view's, made on first read
-            chain, u, u_inv = self._get_view()
+            chain, u = self._get_view()
             gens = chain.level_generators(0)
-            self._generators = gens if u is None else tuple(u_inv * s * u for s in gens)
+            if u is not None:
+                inv = u.inverse()
+                gens = tuple(inv * s * u for s in gens)
+            self._generators = gens
         return self._generators
 
     def is_trivial(self) -> bool:
@@ -1082,9 +1082,9 @@ class PermGroup:
         """
         if not isinstance(p, Perm):
             p = Perm(p)
-        chain, u, u_inv = self._get_view()
+        chain, u = self._get_view()
         if u is not None and p.degree == self.degree:
-            p = u * p * u_inv
+            p = u * p * u.inverse()
         return chain.contains(p)
 
     def orbit_sizes(self) -> np.ndarray:
@@ -1094,11 +1094,11 @@ class PermGroup:
         group reads the array its chain's level 0 keeps (``_chain_sizes``);
         a conjugated view ``u^-1 <chain> u`` scatters that array through
         ``u`` once, since the orbit of ``y^u`` is as long as that of ``y``.
-        No labels and no inverse conjugator are made, and the first read on
-        a group made from generators builds its chain.
+        No labels are made, and the first read on a group made from
+        generators builds its chain.
         """
         if self._sizes is None:
-            chain, u, _ = self._get_view(inverse=False)
+            chain, u = self._get_view()
             sizes = _chain_sizes(chain)
             if u is not None:
                 out = np.empty_like(sizes)
@@ -1120,7 +1120,7 @@ class PermGroup:
         makes no labels.
         """
         if self._partition is None:
-            chain, u, _ = self._get_view(inverse=False)
+            chain, u = self._get_view()
             self._partition = (_conjugated_labels(_chain_labels(chain), u), self.orbit_sizes())
         return self._partition
 
@@ -1156,10 +1156,10 @@ class PermGroup:
         so every point is labelled once.  A class ``{rep}`` of one point is
         carried nowhere: the generators map classes onto classes of equal
         size, so every class of that orbit is a single point, and the orbit
-        is labelled with its own points at once.  The generators are the
-        chain's level-0 generators ``s``, read when a first class is
-        carried; a conjugated view carries ``x`` to ``x^(u_inv s u)`` in
-        three gathers, so no group's generators are made.
+        is labelled with its own points at once.  The generators are read
+        when a first class is carried: a root group's are its chain's level-0
+        generators, and a conjugated view's are its own ``generators``, made
+        then if not yet read, so every carry is one gather.
         """
         if self._stab_classes is not None:
             return self._stab_classes
@@ -1177,13 +1177,14 @@ class PermGroup:
                 out[orbit] = orbit
                 continue
             if images is None:
-                chain, u, u_inv = self._get_view()
-                images = [s.images for s in chain.level_generators(0)]
+                chain, u = self._get_view()
+                gens = chain.level_generators(0) if u is None else self.generators
+                images = [s.images for s in gens]
             out[row] = row[0]
             queue = [row]
             for row in queue:  # grows while walked: a breadth-first queue
                 for im in images:
-                    image = im[row] if u is None else u.images[im[u_inv.images[row]]]
+                    image = im[row]
                     if out[image[0]] < 0:
                         out[image] = image.min()
                         queue.append(image)
@@ -1206,10 +1207,10 @@ class PermGroup:
         for k, b in enumerate(prefix):
             if b in prefix[:k]:
                 raise ValueError(f"duplicate base point {b}")
-        chain, u, _ = self._get_view()
+        chain, u = self._get_view()
         if u is not None:
             chain = build_chain(self.degree, self.generators, known_order=self._order)
-            self._view = (chain, None, None)
+            self._view = (chain, None)
         return _rebase(chain, prefix, self.order()) if prefix else chain
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
@@ -1234,10 +1235,8 @@ class PermGroup:
         # H_x, for a point x that H moves, by the module notes' suffix and
         # conjugator route, from the rebase of y's orbit when y lies outside
         # the basic orbit of level 0.  y = x^(u^-1) is the point u sends to
-        # x, found by one comparison, so a derived view makes no inverse
-        # conjugator: the parent's is passed on if made, and a new
-        # conjugator's is left for the stabilizer's own first read
-        chain, u, u_inv = self._get_view(inverse=False)
+        # x, found by one comparison, so no inverse conjugator is made
+        chain, u = self._get_view()
         y = x if u is None else int((u.images == x).argmax())
         if y not in chain.levels[0].transversal:
             chain = _orbit_rebase(chain, y)
@@ -1245,14 +1244,13 @@ class PermGroup:
         if y != level.point:
             t = level.element(y)
             u = t if u is None else t * u
-            u_inv = None
-        return PermGroup._from_view(self.degree, chain.suffix(1), u, u_inv)
+        return PermGroup._from_view(self.degree, chain.suffix(1), u)
 
     def __repr__(self) -> str:
         # a view counts its chain's level-0 generators, left unmade
         gens = self._generators
         if gens is None:
-            count = len(self._get_view(inverse=False)[0].level_generators(0))
+            count = len(self._get_view()[0].level_generators(0))
         else:
             count = len(gens)
         return f"PermGroup(degree={self.degree}, gens={count})"

@@ -29,6 +29,8 @@ from .constructions import (
     gl42_on_2subspaces,
     k_subset_action,
     product_action,
+    product_coords,
+    product_point,
     symmetric,
     theorem2_group,
     theorem3_groups,
@@ -319,7 +321,7 @@ def suite_lemmavect(slow: bool, budget) -> SuiteResult:
         b_a = minimal_base_sizes(A, "pruned", budget).max
         b_b = minimal_base_sizes(B, "pruned", budget).max
         for size, points in sorted(wits.items()):
-            pairs_k = [divmod(p, B.degree) for p in points]
+            pairs_k = [product_coords(p, B.degree) for p in points]
             iv = indicator_vectors(A, B, pairs_k)
             k = len(pairs_k)
             label = f"{na} x {nb}, witness of size {size}"
@@ -348,7 +350,7 @@ def suite_lemmavect(slow: bool, budget) -> SuiteResult:
     s4 = symmetric(4)
     p44 = product_action(s4, s4)
     for k in (3, 4):
-        pts = {d * 4 + l for d, l in grid_minimal_base(base_a, base_b, k)}
+        pts = {product_point(d, l, s4.degree) for d, l in grid_minimal_base(base_a, base_b, k)}
         res.add(f"grid recipe size {k} is a minimal base of S4 x S4", True, is_minimal_base(p44, pts))
     return res
 

@@ -313,8 +313,8 @@ def test_searches_run_within_a_few_spare_frames():
     "run",
     [lambda: cli.analyze_report({"type": "k_subsets", "n": 5, "k": 2}, witnesses=True),
      lambda: cli.analyze_report({"type": "wreath_coset", "n": 4, "k": 2}, witnesses=True),
-     # a search on a conjugated view carries its stabilizer classes through
-     # its conjugator, not by its generators
+     # a search on a conjugated view whose stabilizer classes are single
+     # points carries none of them, so it makes no generators either
      lambda: minimal_base_sizes(symmetric(7).point_stabilizer(3))],
     ids=["k_subsets(5,2)", "wreath_coset(4,2)", "sym7-stab3"],
 )
@@ -510,8 +510,8 @@ def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
     [G] = roots
     pruned, exhaustive = G._subgroups["pruned"], G._subgroups["exhaustive"]
     assert pruned is not exhaustive
-    assert {id(r[1]) for r in pruned.groups.values()}.isdisjoint(
-        id(r[1]) for r in exhaustive.groups.values())
+    assert {id(r[1]) for r in pruned.known.values()}.isdisjoint(
+        id(r[1]) for r in exhaustive.known.values())
     assert {mode for mode, _, _ in asked} == {"pruned", "exhaustive"}
     for mode, table, K in asked:
         assert table is G._subgroups[mode]
@@ -521,13 +521,13 @@ def test_pruned_and_exhaustive_searches_keep_separate_tables(monkeypatch):
     H = k_subset_action(6, 2)
     height(H, "exhaustive")
     table = H._subgroups["exhaustive"]
-    before = (dict(table.requests), dict(table.groups), dict(table.cands))
+    before = (dict(table.known), dict(table.cands))
     minimal_base_sizes(H)
     irredundant_base_sizes(H, witnesses=True)
     height(H)
     min_base_size(H)
-    assert (table.requests, table.groups, table.cands) == before
-    assert H._subgroups["pruned"].groups and H._subgroups["pruned"].cands
+    assert (table.known, table.cands) == before
+    assert H._subgroups["pruned"].known and H._subgroups["pruned"].cands
 
 
 @pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
@@ -555,12 +555,52 @@ def test_each_keys_candidates_are_made_once_per_table(mode, monkeypatch):
     assert set(returned) == set(table.cands)
     assert all(c is lists[0] for lists in returned.values() for c in lists)
     assert sum(map(len, returned.values())) > len(returned)
-    groups = {k: r[1] for k, r in table.groups.items()}
+    groups = {k: r[1] for k, r in _stored(table).items()}
     groups[_fixed_key(G)] = G
     for k, cands in table.cands.items():
         labels, sizes = groups[k].orbit_partition()
         assert cands == [x for x in range(G.degree)
                          if sizes[x] > 1 and (mode == "exhaustive" or labels[x] == x)]
+
+
+def test_a_request_for_a_stored_key_is_one_lookup(monkeypatch):
+    # the table's one map holds each stored group under its key Fix(L) as
+    # well as every request it answered, so a request whose point set is a
+    # stored key, and that no search asked before, is answered by one
+    # lookup: it reads no ``by_order`` list, so it scans and computes nothing.
+    # On S4 + C3 a stabilizer that fixes a point of the C3 orbit fixes it
+    # all, so its key holds more points than the request that stored it
+    G = disjoint_product(symmetric(4), cyclic_regular(3))
+    requested = set()
+    original = _SubgroupTable.point_stabilizer
+
+    def recording(self, rec, x):
+        requested.add(rec[0] | 1 << x)
+        return original(self, rec, x)
+
+    monkeypatch.setattr(_SubgroupTable, "point_stabilizer", recording)
+    minimal_base_sizes(G)
+    monkeypatch.undo()
+    table = G._subgroups["pruned"]
+    # for x in F = Fix(L), K = G_(F \ {x}) contains L, so it fixes F \ {x}
+    # and no point outside F; if it moves x, Fix(K) | 1 << x is F
+    asks = []
+    for F, rec in _stored(table).items():
+        points = [x for x in range(G.degree) if F >> x & 1]
+        for x in points:
+            K = G.pointwise_stabilizer([p for p in points if p != x])
+            if F not in requested and K.orbit_sizes()[x] > 1:
+                asks.append((_record(K), x, rec))
+    assert asks
+
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError(f"by_order.{name} read")
+
+    table.by_order = Unread()
+    for rec, x, want in asks:
+        assert rec[0] | 1 << x == want[0]
+        assert table.point_stabilizer(rec, x) is want
 
 
 def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
@@ -593,11 +633,7 @@ def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [want] * 4
-    table = G._subgroups["exhaustive"]
-    assert all(r[0] == key for key, r in table.groups.items())
-    assert {r[0] for r in table.requests.values()} == set(table.groups)
-    for rec in [*table.groups.values(), *table.requests.values()]:
-        _check_record(rec)
+    _check_table(G, G._subgroups["exhaustive"])
 
 
 @pytest.mark.parametrize(
@@ -624,7 +660,7 @@ def test_searches_leave_no_reference_to_their_group(make):
                 assert limit is not None
         irredundant_base_sizes(G, mode, witnesses=True)
     min_base_size(G)
-    assert G._subgroups["pruned"].groups and G._subgroups["exhaustive"].groups
+    assert G._subgroups["pruned"].known and G._subgroups["exhaustive"].known
     assert sys.getrefcount(G) == before
 
 
@@ -635,6 +671,27 @@ def _check_record(rec):
     assert order == H.order()
     assert [size(x) for x in range(H.degree)] == H.orbit_sizes().tolist()
     assert all(type(size(x)) is int for x in range(H.degree))
+
+
+def _stored(table):
+    # the records of the groups the table stores, by key: every entry of
+    # its one map answers with a stored group
+    return {rec[0]: rec for rec in table.known.values()}
+
+
+def _check_table(G, table):
+    # the table's one map sends each point set S to the record of G_(S):
+    # that group fixes S and has G_(S)'s order, and its record is sound.
+    # The stored groups are exactly those ``by_order`` lists, each under
+    # its own key
+    stored = _stored(table)
+    assert set(stored) == {f for keys in table.by_order.values() for f in keys}
+    assert all(table.known[key][0] == key for key in stored)
+    for S, rec in table.known.items():
+        assert rec[0] & S == S
+        assert rec[2] == G.pointwise_stabilizer([x for x in range(G.degree) if S >> x & 1]).order()
+    for rec in stored.values():
+        _check_record(rec)
 
 
 def _check_table_answers(G, mode):
@@ -653,11 +710,11 @@ def _check_table_answers(G, mode):
             K = G.pointwise_stabilizer(S)
             fixing_s = bf.stabilizer(elements, S)
             for x in np.nonzero(K.orbit_partition()[1] > 1)[0].tolist():
-                stored = len(table.groups)
+                stored = sum(map(len, table.by_order.values()))
                 child = table.point_stabilizer(_record(K), x)
                 _check_record(child)
                 key, Kx, _, _ = child
-                if len(table.groups) > stored:
+                if sum(map(len, table.by_order.values())) > stored:
                     continue
                 answered += 1
                 want = frozenset(bf.stabilizer(fixing_s, (x,)))
@@ -665,6 +722,7 @@ def _check_table_answers(G, mode):
                     closures[id(Kx)] = frozenset(closure_of(Kx) | {tuple(range(G.degree))})
                 assert closures[id(Kx)] == want, (S, x)
                 assert key == _fixed_key(G.pointwise_stabilizer(S + (x,))), (S, x)
+    _check_table(G, table)
     return answered
 
 
@@ -953,11 +1011,11 @@ def test_each_orbit_of_a_chain_level_is_rebased_once(monkeypatch):
 
 def test_stored_groups_make_labels_and_inverse_conjugators_on_first_read(monkeypatch):
     # the walks read a stored group's orbit sizes; its labels are made only
-    # for a pruned walk's candidates, and its inverse conjugator only by a
-    # membership test, a generator read or its class labels, never by
-    # deriving a stabilizer from it.  Made for every stored group, the
-    # inverses were 23 and 56, and every stored group held labels; made for
-    # every group a stabilizer was derived from, 16 and 22
+    # for a pruned walk's candidates, and no view keeps the inverse of its
+    # conjugator: only a membership test or a generator read forms one, and
+    # no search makes either.  Made for every stored group, the inverses
+    # were 23 and 56, and every stored group held labels; made for every
+    # group a stabilizer was derived from, 16 and 22
     W, K = wreath_coset_action(4, 3), k_subset_action(6, 2)
     W.order(), K.order()
     original = Perm.inverse
@@ -971,15 +1029,15 @@ def test_stored_groups_make_labels_and_inverse_conjugators_on_first_read(monkeyp
     assert minimal_base_sizes(W) == SizeSet({3, 4})
     assert irredundant_base_sizes(W) == SizeSet(range(3, 7))
     assert height(W) == 4
-    pruned = W._subgroups["pruned"]
-    labelled = {k for k, (_, H, _, _) in pruned.groups.items() if H._partition is not None}
-    assert labelled == set(pruned.cands) & set(pruned.groups) != set(pruned.groups)
+    pruned = _stored(W._subgroups["pruned"])
+    labelled = {k for k, (_, H, _, _) in pruned.items() if H._partition is not None}
+    assert labelled == set(W._subgroups["pruned"].cands) & set(pruned) != set(pruned)
     assert calls[0] == 13
     calls[0] = 0
     assert minimal_base_sizes(K, "exhaustive") == SizeSet({4})
-    groups = [H for _, H, _, _ in K._subgroups["exhaustive"].groups.values()]
+    groups = [H for _, H, _, _ in _stored(K._subgroups["exhaustive"]).values()]
     assert all(H._partition is None for H in groups)
-    assert any(H._view[1] is not None and H._view[2] is None for H in groups)
+    assert any(H._view[1] is not None for H in groups)
     assert calls[0] == 2
 
 

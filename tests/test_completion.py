@@ -531,7 +531,7 @@ def test_a_too_large_hint_raises_within_five_seconds(route):
                 # the true root chain, read by a group told the wrong order
                 H = PermGroup(n, gens)
                 H._order = 2 * order
-                H._view = (build_chain(n, gens, known_order=order), None, None)
+                H._view = (build_chain(n, gens, known_order=order), None)
                 H.stabilizer_chain((n - 1,))
         assert time.perf_counter() - start < 5, name
 

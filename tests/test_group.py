@@ -254,6 +254,24 @@ def test_orders_come_only_from_proofs():
     assert not hasattr(basekit, "build_chain") and "build_chain" not in basekit.__all__
 
 
+def test_the_package_exports_its_modules_public_names():
+    # each public name is listed once, in its module's ``__all__``; the
+    # package exports exactly their union, and every name resolves
+    from basekit import bases, errors, formulas, perm
+
+    modules = (errors, perm, group_module, bases, constructions, formulas)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names)) == 45
+    assert sorted(basekit.__all__) == sorted(names)
+    for module in modules:
+        assert "build_chain" not in module.__all__
+        for name in module.__all__:
+            assert getattr(basekit, name) is getattr(module, name), name
+    namespace = {}
+    exec("from basekit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+
+
 def test_identity_never_stored():
     G = PermGroup(3, [Perm.identity(3), Perm([1, 0, 2]), Perm([1, 0, 2])])
     assert len(G.generators) == 1
@@ -341,7 +359,7 @@ def test_own_chain_of_a_conjugated_view_is_built_once(monkeypatch):
     chain = K.stabilizer_chain()
     assert len(calls) == 1 and chain.order() == K.order() == 24
     # the view is now the group's own chain, and a second call reuses it
-    assert K._view == (chain, None, None) and K.stabilizer_chain() is chain
+    assert K._view == (chain, None) and K.stabilizer_chain() is chain
     assert len(calls) == 1
     before = answers(L)
     assert answers(K) == before
@@ -412,7 +430,7 @@ def test_every_level_of_a_view_chain_moves_its_base_point():
         groups = [G] + [G.pointwise_stabilizer(S) for r in (1, 2, 3)
                         for S in itertools.combinations(range(G.degree), r)]
         for H in groups:
-            chain, u, _ = H._get_view()
+            chain, u = H._get_view()
             assert all(len(level.transversal) > 1 for level in chain.levels), name
             if chain.levels and not any(chain.levels[0] is level for level in root.levels):
                 routes.add("rebased")
@@ -470,6 +488,10 @@ CLASS_LABEL_GROUPS = SMALL_GROUPS + [
     # classes, labelled at once, and the orbit {4,5,6} is one class
     ("s4xc3", PermGroup(7, [Perm.from_cycles(7, (0, 1, 2, 3)), Perm.from_cycles(7, (0, 1)),
                             Perm.from_cycles(7, (4, 5, 6))])),
+    # S4 on the 2-subsets, stabilizer of point 2, a conjugated view: a
+    # 2-subset and its complement share a stabilizer, and the view's own
+    # generators carry those classes; its chain's would not
+    ("ksub42-stab2", constructions.k_subset_action(4, 2).point_stabilizer(2)),
 ]
 
 
@@ -554,7 +576,7 @@ def test_rebase_with_a_wrong_order_raises_promptly(wrong, root):
     H = PermGroup(8, G.generators)
     if root:
         H._order = wrong
-        H._view = (G.stabilizer_chain(), None, None)
+        H._view = (G.stabilizer_chain(), None)
     else:
         H._proven = wrong
     start = time.perf_counter()
@@ -644,7 +666,7 @@ def test_rebase_of_a_conjugated_view_keeps_no_generators(monkeypatch):
     K = H.point_stabilizer(5)
     assert len(calls) == 1 and calls[0] != ()
     assert H._generators is None
-    assert K._view[1] is H._view[1] and K._view[2] is H._view[2]
+    assert K._view[1] is H._view[1]
     assert K.order() == 12 and K.orbits() == [[0, 1, 3], [2], [4, 6], [5]]
 
 
@@ -865,7 +887,7 @@ def test_root_orbit_partition_is_read_off_its_chain():
               cyclic_regular(5)]
     for G in groups:
         labels, sizes = G.orbit_partition()
-        chain, u, _ = G._view
+        chain, u = G._view
         assert u is None and chain.levels[0]._labels.tolist() == labels.tolist()
     for G in (PermGroup(1), PermGroup(4), sym(4).pointwise_stabilizer([0, 1, 2])):
         labels, sizes = G.orbit_partition()
@@ -920,19 +942,23 @@ def _s4_x_s3(*stabilized):
 def test_orbit_sizes_match_bruteforce_orbit_lengths(make, points, kind, monkeypatch):
     # a root reads its chain's level sizes, a derived view scatters them
     # through its conjugator; either way sizes are read without making
-    # labels or a conjugated view's inverse conjugator, and the
-    # partition's sizes are the very same array
+    # labels or any inverse, a conjugated view's inverse conjugator
+    # included, and the partition's sizes are the very same array
     G = make()
     G.order()
     calls = count_chain_builds(monkeypatch)
     H = G.pointwise_stabilizer(points)
+    inverses = []
+    inverse = Perm.inverse
+    monkeypatch.setattr(Perm, "inverse", lambda p: inverses.append(p) or inverse(p))
     sizes = H.orbit_sizes()
+    assert inverses == []
     assert sizes.dtype == np.int32 and not sizes.flags.writeable
     assert H._partition is None
     if kind == "root":
         assert H is G and H._view[1] is None
     elif kind == "conjugated":
-        assert H._view[1] is not None and H._view[2] is None
+        assert H._view[1] is not None
     elif kind == "rebased":
         assert any(calls)
     else:
