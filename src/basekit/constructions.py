@@ -351,7 +351,7 @@ def _coset_table(gens, seed: np.ndarray, max_index: int) -> np.ndarray:
     frontier = seed[None, :]
     while len(frontier):
         # (F, G, L): the frontier's rows in order, each times every generator
-        moved = np.stack([g.images[frontier] for g in gens], axis=1)
+        moved = np.stack([g.images.take(frontier) for g in gens], axis=1)
         new = []
         for key in moved.reshape(-1, len(seed)).view(row).ravel().tolist():
             t = number.get(key)

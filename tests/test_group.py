@@ -879,6 +879,45 @@ def test_orbit_partitions_match_bruteforce_orbits(case):
         assert sizes.tolist() == [len(orbit) for orbit in want]
 
 
+def test_joins_above_degree_1000_match_bruteforce_orbits():
+    # S10 wr C120 on 1,200 points, relabelled: K's orbits (from the oracle,
+    # never the single points) joined with generators that merge some of
+    # them; each result is checked against the oracle's orbits of <K, gens>
+    n, k = 10, 120
+    W = constructions.wreath_imprimitive(n, k)
+    t, c, rot = W.generators
+    sigma = Perm(np.random.default_rng(5).permutation(n * k))
+    relabel = lambda g: sigma.inverse() * g * sigma
+    power = lambda g, e: g if e == 1 else g * power(g, e - 1)
+    blocks = [c]
+    for _ in range(k - 1):
+        blocks.append(rot.inverse() * blocks[-1] * rot)
+    cases = [(blocks, [power(rot, 3)]),        # three orbits of 400 points
+             ([t, c], [power(rot, 2)]),        # 600 points, and orbits of 60
+             ([power(rot, 4)], [t]),           # one orbit of 60, the rest of 30
+             ([t], blocks[1:] + [rot])]        # transitive
+
+    def orbits(generators):
+        tuples = [g.to_list() for g in generators]
+        found = {}
+        for x in range(n * k):
+            if x not in found:
+                orbit = bf.orbit_under(tuples, x)
+                found.update((y, orbit) for y in orbit)
+        return [found[x] for x in range(n * k)]
+
+    for K_gens, gens in cases:
+        K_gens, gens = [relabel(g) for g in K_gens], [relabel(g) for g in gens]
+        below = np.array([min(orbit) for orbit in orbits(K_gens)], dtype=np.int32)
+        assert len(set(below.tolist())) < n * k
+        labels, sizes = group_module._with_sizes(group_module._join(below, gens))
+        want = orbits(K_gens + gens)
+        assert labels.dtype == np.int64 and sizes.dtype == np.int32
+        assert not labels.flags.writeable and not sizes.flags.writeable
+        assert labels.tolist() == [min(orbit) for orbit in want]
+        assert sizes.tolist() == [len(orbit) for orbit in want]
+
+
 def test_root_orbit_partition_is_read_off_its_chain():
     # a group made from generators reads its orbits off its own chain: the
     # first read builds the chain and leaves level 0's labels equal to the

@@ -92,6 +92,20 @@ def test_compose_matches_reference(p, q):
     assert (p * q).to_list() == list(bf.compose(p.to_list(), q.to_list()))
 
 
+@pytest.mark.parametrize("degree", [1, 2, 2400])
+def test_compose_matches_reference_at_every_degree(degree):
+    # the product is a fresh read-only int32 array, and neither operand changes
+    rng = np.random.default_rng(degree)
+    a, b = rng.permutation(degree).tolist(), rng.permutation(degree).tolist()
+    p, q = Perm(a), Perm(b)
+    for x, y, want in ((p, q, bf.compose(a, b)), (q, p, bf.compose(b, a)), (p, p, bf.compose(a, a))):
+        r = x * y
+        assert r.to_list() == list(want)
+        assert r.images.dtype == np.int32
+        assert not r.images.flags.writeable and r.images.flags.owndata
+    assert p.images.tolist() == a and q.images.tolist() == b
+
+
 @given(perms)
 def test_inverse_law(p):
     assert (p * p.inverse()).is_identity()
