@@ -44,7 +44,18 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   let ``t = |K| / |x^K|``: a stored ``L`` with ``|L| = t`` and
   ``Fix(L) ⊇ R`` is ``G_(R) = K_x``, because ``L = G_(Fix(L)) ≤ G_(R)`` and
   ``|G_(R)| = |K_x| = t``.  Only when no stored ``L`` qualifies is ``K_x``
-  computed, and it is stored once, under ``Fix(K_x)``.  So each subgroup is
+  computed, and it is stored once, under ``Fix(K_x)``.  Two proofs spare
+  most of that naming and scanning.  ``Fix(K_x)`` contains ``R``, so when
+  ``K_x`` fixes exactly as many points as ``R`` holds, ``Fix(K_x) = R``
+  and the request is the key.  That count is cached on the chain level
+  ``K_x`` views (``basekit.group``'s module notes), so it costs no array
+  work; only when it is larger is ``Fix(K_x)`` read off ``K_x``'s sizes.
+  And a stored key of order ``t`` that contains ``R`` with no more points
+  than ``R`` is ``R`` itself, which the lookup has tried: so the table
+  keeps, per order, the largest popcount among the stored keys, and scans
+  the keys of order ``t`` only when it exceeds ``R``'s.  On ``S_n`` every
+  request is a new subgroup fixing exactly its own points, so no request
+  scans, and no key but the root's is computed.  So each subgroup is
   computed once per group and mode, whichever search or key asks for it:
   pruned height after pruned M on the same group computes none.  The table
   stores each subgroup as one immutable record ``(key, group, order,
@@ -92,7 +103,10 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
 
 All searches are deterministic functions of immutable groups.  The only
 state they leave is those tables, caches that change no result; threads
-racing on one at worst compute a subgroup twice.
+racing on one at worst compute a subgroup twice, and store it twice.  A
+largest popcount that another thread's store left stale skips a scan that
+would have found a stored group: that too costs only a recomputation,
+never a wrong answer.
 They run on explicit stacks, so their depth is not bounded by Python's
 recursion limit.  Node budgets abort with ``BudgetExceeded`` rather than
 truncate a result.
@@ -312,11 +326,14 @@ def _fixed_key(H: PermGroup) -> int:
     return int.from_bytes(np.packbits(fixed, bitorder="little").tobytes(), "little")
 
 
-def _record(H: PermGroup) -> tuple:
+def _record(H: PermGroup, key: int | None = None) -> tuple:
     """``(key, H, order, size)``: what the walks read of a pointwise
     stabilizer ``H``, with ``key = Fix(H)``, ``order = |H|`` and
-    ``size(x)`` the length of ``x``'s orbit, a Python int."""
-    return _fixed_key(H), H, H.order(), H.orbit_sizes().item
+    ``size(x)`` the length of ``x``'s orbit, a Python int.  ``key`` is
+    ``Fix(H)`` when the caller proved it, and computed otherwise."""
+    if key is None:
+        key = _fixed_key(H)
+    return key, H, H.order(), H.orbit_sizes().item
 
 
 class _SubgroupTable:
@@ -327,7 +344,8 @@ class _SubgroupTable:
     set ``S``, as an int, to the record of ``G_(S)``: every request key
     ``Fix(K) | 1 << x`` answered, and every stored group's key ``Fix(L)``.
     ``by_order`` maps an order to the keys of the stored groups of that
-    order.  Each subgroup is stored once (module notes).  ``cands`` maps
+    order, and ``most_fixed`` maps it to the largest popcount among those
+    keys.  Each subgroup is stored once (module notes).  ``cands`` maps
     the key of each group a search entered, the root's included, to its
     ascending candidate points: the minima of its moved orbits when
     ``pruned``, else its moved points.  The root's own record is never
@@ -335,12 +353,13 @@ class _SubgroupTable:
     reference cycle.
     """
 
-    __slots__ = ("pruned", "known", "by_order", "cands")
+    __slots__ = ("pruned", "known", "by_order", "most_fixed", "cands")
 
     def __init__(self, pruned: bool):
         self.pruned = pruned
         self.known: dict[int, tuple] = {}
         self.by_order: dict[int, list[int]] = {}
+        self.most_fixed: dict[int, int] = {}
         self.cands: dict[int, list[int]] = {}
 
     def candidates(self, k: int, H: PermGroup) -> list[int]:
@@ -359,19 +378,28 @@ class _SubgroupTable:
 
         A request that is a known point set, answered before or a stored
         key, is one lookup.  Otherwise a stored ``L`` of order
-        ``|K| / |x^K|`` fixing every point of the request is ``K_x``; only
-        when there is none is ``K_x`` computed, and then stored.
+        ``|K| / |x^K|`` fixing every point of the request is ``K_x``, and
+        its key has more points than the request, so the keys of that
+        order are scanned only when one has.  Only when there is none is
+        ``K_x`` computed, and then stored, under the request itself when
+        ``K_x`` fixes as many points as the request names.
         """
         request = rec[0] | 1 << x
         child = self.known.get(request)
         if child is None:
             _, K, order, size = rec
-            stored = self.by_order.setdefault(order // size(x), [])
-            key = next((f for f in stored if f & request == request), None)
+            t = order // size(x)
+            count = request.bit_count()
+            key = None
+            if self.most_fixed.get(t, 0) > count:
+                key = next((f for f in self.by_order[t] if f & request == request), None)
             if key is None:
-                child = _record(K.point_stabilizer(x))
-                self.known[child[0]] = child
-                stored.append(child[0])
+                Kx = K.point_stabilizer(x)
+                child = _record(Kx, request if Kx._fixed_count() == count else None)
+                key = child[0]
+                self.known[key] = child
+                self.by_order.setdefault(t, []).append(key)
+                self.most_fixed[t] = max(self.most_fixed.get(t, 0), key.bit_count())
             else:
                 child = self.known[key]
             self.known[request] = child

@@ -88,13 +88,18 @@ group holds its int32 sizes (``orbit_sizes``) and makes its labels on
 first read.  A level of a finished chain caches its generators' orbit
 ``labels`` and ``sizes``, both int32; a root group's sizes are the
 level's array, and a conjugated view's are one scatter of it through
-``u``.  ``orbit_partition`` makes a group's ``labels`` on its first
-call, widened to int64 because they index arrays
-(``_conjugated_labels``).  A view keeps no inverse of its
-conjugator: deriving a stabilizer needs only ``x^(u^-1)``, the point that
-``u`` sends to ``x``, found by one comparison over ``u``, so no search
-forms ``u^-1``; a membership test forms it for each call, and the first
-read of a conjugated view's generators once.
+``u``.  The level also caches how many points its group fixes, counted
+once off those sizes, and every view of the level reads that count
+(``PermGroup._fixed_count``): conjugation keeps it, so no view scatters
+or scans for it.  ``basekit.bases`` reads it to name a new stored
+stabilizer by the request that made it, with no degree-long key.
+``orbit_partition`` makes a group's ``labels`` on its first call,
+widened to int64 because they index arrays (``_conjugated_labels``).  A
+view keeps no inverse of its conjugator: deriving a stabilizer needs only
+``x^(u^-1)``, the point that ``u`` sends to ``x``, found by one
+comparison over ``u``, so no search forms ``u^-1``; a membership test
+forms it for each call, and the first read of a conjugated view's
+generators once.
 
 Every orbit label of a group comes from its chain (``_chain_labels``),
 through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
@@ -184,19 +189,20 @@ class _Level:
     ``cap`` is ``None`` or, on a level a rebase opened, the most points
     its orbit can hold (``_rebase``); ``add_gen`` stops scanning there.
 
-    Four values of the group of this level's generators are kept once the
+    Five values of the group of this level's generators are kept once the
     chain is finished: ``suffix_order``, the product of the orbit sizes
     from this level to the bottom, set by ``_finish``; ``_labels``, the
     int32 orbit labels that ``_chain_labels`` fills for every view;
     ``_sizes``, the int32 orbit sizes that ``_chain_sizes`` counts from
-    them once; and ``_rebases``, the group's rebases on single points, at
-    most one per orbit, keyed by the orbit's label (``_orbit_rebase``).
-    None is reset by a later ``add_gen``, so a chain still being completed
-    keeps all four ``None``.
+    them once; ``_fixed``, how many points the group fixes, counted once
+    from those sizes (``PermGroup._fixed_count``); and ``_rebases``, the
+    group's rebases on single points, at most one per orbit, keyed by the
+    orbit's label (``_orbit_rebase``).  None is reset by a later
+    ``add_gen``, so a chain still being completed keeps all five ``None``.
     """
 
     __slots__ = ("point", "gens", "transversal", "cap", "suffix_order", "_elements", "_inverses",
-                 "_labels", "_sizes", "_rebases")
+                 "_labels", "_sizes", "_fixed", "_rebases")
 
     def __init__(self, point: int, degree: int, cap: int | None = None):
         self.point = point
@@ -209,6 +215,7 @@ class _Level:
         self.suffix_order: int | None = None
         self._labels = None
         self._sizes = None
+        self._fixed: int | None = None
         self._rebases: dict[int, StabilizerChain] | None = None
 
     def add_gen(self, g: Perm) -> None:
@@ -291,7 +298,8 @@ class _GiantLevel(_Level):
     it fixes every point below ``i``.  So its orbit labels are the points
     themselves below ``i`` and ``i`` from ``i`` on, and its orbit sizes are
     1 below ``i`` and ``n - i`` from ``i`` on: ``_chain_labels`` and
-    ``_chain_sizes`` write them down on first read, with no join.
+    ``_chain_sizes`` write them down on first read, with no join, and
+    ``PermGroup._fixed_count`` reads that it fixes ``i`` points.
     """
 
     __slots__ = ()
@@ -1117,6 +1125,21 @@ class PermGroup:
                 sizes = out
             self._sizes = sizes
         return self._sizes
+
+    def _fixed_count(self) -> int:
+        # how many points the group fixes: conjugation keeps the count, so
+        # a view reads the one its chain's level 0 caches, counted once off
+        # the level's sizes (a proven giant's level at i fixes i points)
+        chain = self._get_view()[0]
+        if not chain.levels:
+            return self.degree
+        level = chain.levels[0]
+        if level._fixed is None:
+            if type(level) is _GiantLevel:
+                level._fixed = level.point
+            else:
+                level._fixed = int(np.count_nonzero(_chain_sizes(chain) == 1))
+        return level._fixed
 
     def orbit_partition(self):
         """``(labels, sizes)``: x's orbit's smallest point and its int32 length.

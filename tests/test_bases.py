@@ -603,6 +603,80 @@ def test_a_request_for_a_stored_key_is_one_lookup(monkeypatch):
         assert table.point_stabilizer(rec, x) is want
 
 
+class _CountedList(list):
+    # a ``by_order`` list that counts how often it is iterated
+    iterations = 0
+
+    def __iter__(self):
+        _CountedList.iterations += 1
+        return super().__iter__()
+
+
+class _CountedLists(dict):
+    # a ``by_order`` map whose lists, however stored, count their iterations
+    def __setitem__(self, order, keys):
+        super().__setitem__(order, _CountedList(keys))
+
+    def setdefault(self, order, keys=()):
+        if order not in self:
+            self[order] = keys
+        return self[order]
+
+
+def _count_fixed_keys(monkeypatch):
+    # the keys ``_record`` computes, in order; a key it takes from its caller is not one
+    computed = []
+    original = basekit.bases._fixed_key
+
+    def counting(H):
+        computed.append(original(H))
+        return computed[-1]
+
+    monkeypatch.setattr(basekit.bases, "_fixed_key", counting)
+    return computed
+
+
+@pytest.mark.parametrize("search", [minimal_base_sizes, height, irredundant_base_sizes],
+                         ids=["minimal", "height", "irredundant"])
+def test_symmetric_stabilizers_take_their_keys_from_their_requests(search, monkeypatch):
+    # a nontrivial stabilizer of S10 fixes exactly the points it was asked
+    # to fix, so every stored group's key is its request, proven by its
+    # level's fixed-point count, and no order holds a key with more points
+    # than a request: the walk computes the root's key only, and scans no
+    # ``by_order`` list
+    G = symmetric(10)
+    table = basekit.bases._subgroup_table(G, "pruned")
+    table.by_order = _CountedLists()
+    computed = _count_fixed_keys(monkeypatch)
+    _CountedList.iterations = 0
+    search(G)
+    assert _CountedList.iterations == 0
+    monkeypatch.undo()
+    assert computed == [_fixed_key(G)] == [0]
+    assert len(_stored(table)) >= 8
+    _check_table(G, table)
+
+
+@pytest.mark.parametrize("mode", ["pruned", "exhaustive"])
+def test_stabilizers_fixing_more_than_their_requests_compute_their_keys(mode, monkeypatch):
+    # on S4 + C3 a stabilizer that fixes one point of the C3 orbit fixes
+    # all three, so its fixed-point count exceeds its request's, and its
+    # key is computed; every other stored group takes its request's
+    G = disjoint_product(symmetric(4), cyclic_regular(3))
+    computed = _count_fixed_keys(monkeypatch)
+    minimal_base_sizes(G, mode)
+    irredundant_base_sizes(G, mode)
+    height(G, mode)
+    monkeypatch.undo()
+    table = G._subgroups[mode]
+    stored = _stored(table)
+    taken = set(computed) & set(stored)
+    assert _fixed_key(G) not in taken
+    assert any(k >> 4 & 7 == 7 for k in taken)
+    assert len(stored) > len(taken)
+    _check_table(G, table)
+
+
 def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
     # threads racing on one group's table may compute a subgroup twice, but
     # every answer stays the same, and so does every stored entry's name
@@ -633,7 +707,7 @@ def test_threads_sharing_a_subgroup_table_get_the_sequential_answers():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [want] * 4
-    _check_table(G, G._subgroups["exhaustive"])
+    _check_table(G, G._subgroups["exhaustive"], sequential=False)
 
 
 @pytest.mark.parametrize(
@@ -679,13 +753,21 @@ def _stored(table):
     return {rec[0]: rec for rec in table.known.values()}
 
 
-def _check_table(G, table):
+def _check_table(G, table, sequential=True):
     # the table's one map sends each point set S to the record of G_(S):
     # that group fixes S and has G_(S)'s order, and its record is sound.
     # The stored groups are exactly those ``by_order`` lists, each under
-    # its own key
+    # its own key.  A table filled by one thread lists each key once, and
+    # keeps for each order its keys' largest popcount; threads racing on
+    # one table may store a group twice or leave that popcount stale
     stored = _stored(table)
-    assert set(stored) == {f for keys in table.by_order.values() for f in keys}
+    listed = [f for keys in table.by_order.values() for f in keys]
+    if sequential:
+        assert sorted(listed) == sorted(stored)
+        assert table.most_fixed == {t: max(f.bit_count() for f in keys)
+                                    for t, keys in table.by_order.items()}
+    else:
+        assert set(listed) == set(stored)
     assert all(table.known[key][0] == key for key in stored)
     for S, rec in table.known.items():
         assert rec[0] & S == S
