@@ -104,14 +104,14 @@ generators once.
 Every orbit label of a group comes from its chain (``_chain_labels``),
 through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
 from the labels of ``K``, each orbit labelled by its smallest point.  A
-level of a finished chain joins the generators it adds onto the labels of
-the level below, so a level that shares most of its generators with the
-next level joins the few it adds, and a level whose generators are all
-shared keeps the very array of the level below; a chain with no levels
-labels the single points.  A level of a proven giant's written-down chain
-(``_GiantLevel``) acts on the points from its base point on and fixes the
-rest, so its labels and sizes are written down in closed form on first
-read, and a proven giant's chain never joins.  A group made from
+view reads the labels of its chain's level 0 only, so that level alone
+is labelled: its own generators are joined onto the single points once,
+on first read, and no level below it is read or labelled.  A chain with
+no levels labels the single points.  A level of a proven giant's
+written-down chain (``_GiantLevel``) acts on the points from its base
+point on and fixes the rest, so its labels and sizes are written down in
+closed form on first read, its fixed-point count is set as it is written,
+and a proven giant's chain never joins.  A group made from
 generators builds its chain for its first orbit read; before that, the
 giant certificate tests transitivity by one orbit walk from point 0
 (``_is_transitive``).  A finished level also keeps its suffix order
@@ -192,7 +192,8 @@ class _Level:
     Five values of the group of this level's generators are kept once the
     chain is finished: ``suffix_order``, the product of the orbit sizes
     from this level to the bottom, set by ``_finish``; ``_labels``, the
-    int32 orbit labels that ``_chain_labels`` fills for every view;
+    int32 orbit labels that ``_chain_labels`` makes for every view of a
+    chain headed by this level, by one join of its own generators;
     ``_sizes``, the int32 orbit sizes that ``_chain_sizes`` counts from
     them once; ``_fixed``, how many points the group fixes, counted once
     from those sizes (``PermGroup._fixed_count``); and ``_rebases``, the
@@ -298,8 +299,9 @@ class _GiantLevel(_Level):
     it fixes every point below ``i``.  So its orbit labels are the points
     themselves below ``i`` and ``i`` from ``i`` on, and its orbit sizes are
     1 below ``i`` and ``n - i`` from ``i`` on: ``_chain_labels`` and
-    ``_chain_sizes`` write them down on first read, with no join, and
-    ``PermGroup._fixed_count`` reads that it fixes ``i`` points.
+    ``_chain_sizes`` write them down on first read, with no join.  It fixes
+    ``i`` points, and ``_giant_chain`` sets ``_fixed`` to ``i`` as it
+    writes the level, so ``PermGroup._fixed_count`` reads it.
     """
 
     __slots__ = ()
@@ -698,6 +700,7 @@ def _giant_chain(degree: int, order: int) -> StabilizerChain:
     for i in range(len(gens)):
         level = _GiantLevel(i, degree)
         level.gens = gens[i:]
+        level._fixed = i
         level.transversal.update((j, (j - 1, max(j - k + 1, i) - i)) for j in range(i + 1, degree))
         chain.levels.append(level)
     return chain
@@ -873,56 +876,27 @@ def _join(labels: np.ndarray, gens) -> np.ndarray:
 
 
 def _chain_labels(chain: StabilizerChain) -> np.ndarray:
-    """The int32 orbit labels of the group of ``chain``'s level 0, cached on each level.
+    """The int32 orbit labels of the group of ``chain``'s level 0, cached on that level.
 
-    A level's group contains the next level's group, by the definition of
-    a stabilizer chain (Seress 2003), so its orbits are the next level's
-    orbits joined by the level's generators that are not in the next
-    level's list (``_join``).  The route walks down while a level shares at
-    least half of its generators, by identity, with the next level, since
-    then its join sweeps at most half of them; it stops at a level whose
-    labels are cached, at the first level that shares fewer, or at the
-    bottom level, joins all of that level's generators onto the single
-    points, and joins back up.  A level that adds no generator keeps the
-    array of the level below.  A chain with no levels, of the trivial
-    group, labels the single points, and a proven giant's level
-    (``_GiantLevel``) is labelled in closed form, with no join.  Only for a
-    finished chain: a later ``add_gen`` would not reset the labels.
+    One join of the level's own generators onto the single points
+    (``_join``), made on first read; no level below is read or labelled.
+    A chain with no levels, of the trivial group, labels the single
+    points, and a proven giant's level (``_GiantLevel``) is labelled in
+    closed form, with no join.  Only for a finished chain: a later
+    ``add_gen`` would not reset the labels.
     """
     levels = chain.levels
-    if not levels:
-        labels = np.arange(chain.degree, dtype=np.int32)
-        labels.setflags(write=False)
-        return labels
-    level = levels[0]
-    if level._labels is None and type(level) is _GiantLevel:
-        labels = np.arange(chain.degree, dtype=np.int32)
-        labels[level.point:] = level.point
-        labels.setflags(write=False)
+    if levels and levels[0]._labels is not None:
+        return levels[0]._labels
+    labels = np.arange(chain.degree, dtype=np.int32)
+    if levels:
+        level = levels[0]
+        if type(level) is _GiantLevel:
+            labels[level.point:] = level.point
+        else:
+            labels = _join(labels, level.gens).astype(np.int32)
         level._labels = labels
-        return labels
-    path = []
-    i = 0
-    while levels[i]._labels is None and i + 1 < len(levels):
-        below = {id(g) for g in levels[i + 1].gens}
-        new = [g for g in levels[i].gens if id(g) not in below]
-        if 2 * len(new) > len(levels[i].gens):
-            break
-        path.append(new)
-        i += 1
-    labels = levels[i]._labels
-    if labels is None:  # join all of this level's generators onto the single points
-        labels = np.arange(chain.degree, dtype=np.int32)
-        labels.setflags(write=False)
-        path.append(levels[i].gens)
-        i += 1
-    while path:
-        new = path.pop()
-        i -= 1
-        if new:
-            labels = _join(labels, new).astype(np.int32)
-            labels.setflags(write=False)
-        levels[i]._labels = labels
+    labels.setflags(write=False)
     return labels
 
 
@@ -1129,16 +1103,13 @@ class PermGroup:
     def _fixed_count(self) -> int:
         # how many points the group fixes: conjugation keeps the count, so
         # a view reads the one its chain's level 0 caches, counted once off
-        # the level's sizes (a proven giant's level at i fixes i points)
+        # the level's sizes (a proven giant's level is given its count at build)
         chain = self._get_view()[0]
         if not chain.levels:
             return self.degree
         level = chain.levels[0]
         if level._fixed is None:
-            if type(level) is _GiantLevel:
-                level._fixed = level.point
-            else:
-                level._fixed = int(np.count_nonzero(_chain_sizes(chain) == 1))
+            level._fixed = int(np.count_nonzero(_chain_sizes(chain) == 1))
         return level._fixed
 
     def orbit_partition(self):
@@ -1189,10 +1160,9 @@ class PermGroup:
         so every point is labelled once.  A class ``{rep}`` of one point is
         carried nowhere: the generators map classes onto classes of equal
         size, so every class of that orbit is a single point, and the orbit
-        is labelled with its own points at once.  The generators are read
-        when a first class is carried: a root group's are its chain's level-0
-        generators, and a conjugated view's are its own ``generators``, made
-        then if not yet read, so every carry is one gather.
+        is labelled with its own points at once.  The group's own
+        ``generators`` carry the classes, made when a first class is carried
+        if not yet read (a view's), so every carry is one gather.
         """
         if self._stab_classes is not None:
             return self._stab_classes
@@ -1210,9 +1180,7 @@ class PermGroup:
                 out[orbit] = orbit
                 continue
             if images is None:
-                chain, u = self._get_view()
-                gens = chain.level_generators(0) if u is None else self.generators
-                images = [s.images for s in gens]
+                images = [s.images for s in self.generators]
             out[row] = row[0]
             queue = [row]
             for row in queue:  # grows while walked: a breadth-first queue

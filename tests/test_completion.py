@@ -357,8 +357,7 @@ def test_proven_giants_chains_are_written_down_as_the_completion_builds_them(n, 
     # written down with no completion, and equals the one the completion
     # builds from the standard generators: base, suffix orders, Schreier
     # vectors in insertion order, and each level's generators the very
-    # objects of level 0 from its own base point on (_chain_labels joins
-    # only the generators a level does not share with the next)
+    # objects of level 0 from its own base point on
     complete = group_module._complete
 
     def completing(*args):

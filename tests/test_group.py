@@ -812,9 +812,9 @@ def _finished_chains(G):
 
 
 def test_level_labels_and_orders_match_bruteforce(monkeypatch):
-    # every level of every finished chain: its labels, read top-down so that
-    # levels above join the labels of those below, are those of its own
-    # generators; its suffix order is the product of its orbit sizes
+    # every level of every finished chain, read as the top level of its
+    # suffix: its labels are the orbits of its own generators; its suffix
+    # order is the product of its orbit sizes
     joined = []
     join = group_module._join
 
@@ -833,11 +833,41 @@ def test_level_labels_and_orders_match_bruteforce(monkeypatch):
                 images = [g.to_list() for g in level.gens]
                 assert labels.tolist() == [min(bf.orbit_under(images, x)) for x in range(G.degree)]
                 assert level.suffix_order == math.prod(len(lv.transversal) for lv in levels[i:])
-                # the join's premise: the next level's group lies in this one's
+                # a stabilizer chain: the next level's group lies in this one's
                 if i + 1 < len(levels):
                     assert all(chain.suffix(i).contains(g) for g in levels[i + 1].gens), name
                 levels_seen += 1
     assert levels_seen > 4000 and len(joined) > 2000
+
+
+def test_an_orbit_partition_labels_only_its_chains_top_level(monkeypatch):
+    # S4 x S3 in product action, whose chain has 4 levels, and one derived
+    # stabilizer of it (a conjugated view of the chain's suffix from level
+    # 1): a first orbit partition makes one join, of the very generator
+    # list of its chain's level 0 onto the single points, and leaves every
+    # lower level unlabelled
+    joins = []
+    join = group_module._join
+
+    def recording_join(labels, gens):
+        joins.append((labels.tolist(), gens))
+        return join(labels, gens)
+
+    monkeypatch.setattr(group_module, "_join", recording_join)
+    G = constructions.product_action(constructions.symmetric(4), constructions.symmetric(3))
+    assert len(G._get_view()[0].levels) == 4
+    for K in (G, None):
+        if K is None:  # made after G's partition, since it reads G's sizes
+            K = G.point_stabilizer(1)
+            assert K._view[1] is not None
+        joins.clear()
+        chain = K._get_view()[0]
+        labels, _ = K.orbit_partition()
+        assert len(joins) == 1
+        assert joins[0][0] == list(range(K.degree)) and joins[0][1] is chain.levels[0].gens
+        assert all(level._labels is None for level in chain.levels[1:])
+        images = [g.to_list() for g in K.generators]
+        assert labels.tolist() == [min(bf.orbit_under(images, x)) for x in range(K.degree)]
 
 
 def test_join_merges_whole_orbits_of_the_level_below():
