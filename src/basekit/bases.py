@@ -47,7 +47,7 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   computed, and it is stored once, under ``Fix(K_x)``.  Two proofs spare
   most of that naming and scanning.  ``Fix(K_x)`` contains ``R``, so when
   ``K_x`` fixes exactly as many points as ``R`` holds, ``Fix(K_x) = R``
-  and the request is the key.  That count is cached on the chain level
+  and the request is the key.  That count is cached on the chain
   ``K_x`` views (``basekit.group``'s module notes), so it costs no array
   work; only when it is larger is ``Fix(K_x)`` read off ``K_x``'s sizes.
   And a stored key of order ``t`` that contains ``R`` with no more points
@@ -90,8 +90,8 @@ Search notes, which justify the pruned mode and the searches' stabilizer reuse:
   then give both modes the same wrong answer, and the check would pass.
   The price is that a subgroup both modes need is computed once in each.
   Below the tables, both modes share the group layer, as they always
-  have: the root chain, and the rebases ``basekit.group`` keeps on a
-  chain's levels, one per orbit, so an exhaustive stabilizer may read a
+  have: the root chain, and the rebases ``basekit.group`` keeps on each
+  chain, one per orbit, so an exhaustive stabilizer may read a
   rebase a pruned search made.  The cross-check still means something:
   a rebase is a deterministic function of its chain and point, exact by
   the order stop, and what each mode computes from it, its own

@@ -79,17 +79,17 @@ lives as long as the search's root group, so three things keep a stored
 group small.  A completed rebase drops the transversal elements and
 inverses its levels cached while completing, keeping only the base
 point's identity; the derived stabilizers read from it form the few they
-need again.  The level it rebased keeps it, one per orbit, as long as
-that level lives.  Uniform draws read the parent's transversal elements
+need again.  The chain it rebased keeps it, one per orbit, as long as
+that chain lives.  Uniform draws read the parent's transversal elements
 without caching them, so a stored parent does not grow with every rebase
 below it.  And a stored group makes only what is read of it.  The
 searches read most stored groups only for their orbit sizes, so a
 group holds its int32 sizes (``orbit_sizes``) and makes its labels on
-first read.  A level of a finished chain caches its generators' orbit
-``labels`` and ``sizes``, both int32; a root group's sizes are the
-level's array, and a conjugated view's are one scatter of it through
-``u``.  The level also caches how many points its group fixes, counted
-once off those sizes, and every view of the level reads that count
+first read.  A finished chain caches its group's orbit ``labels`` and
+``sizes``, both int32; a root group's sizes are the chain's array, and a
+conjugated view's are one scatter of it through ``u``.  The chain also
+caches how many points its group fixes, counted once off those sizes,
+and every view of the chain reads that count
 (``PermGroup._fixed_count``): conjugation keeps it, so no view scatters
 or scans for it.  ``basekit.bases`` reads it to name a new stored
 stabilizer by the request that made it, with no degree-long key.
@@ -104,18 +104,18 @@ generators once.
 Every orbit label of a group comes from its chain (``_chain_labels``),
 through one kernel, ``_join(labels, gens)``: the orbits of ``<K, gens>``
 from the labels of ``K``, each orbit labelled by its smallest point.  A
-view reads the labels of its chain's level 0 only, so that level alone
-is labelled: its own generators are joined onto the single points once,
-on first read, and no level below it is read or labelled.  A chain with
-no levels labels the single points.  A level of a proven giant's
-written-down chain (``_GiantLevel``) acts on the points from its base
-point on and fixes the rest, so its labels and sizes are written down in
-closed form on first read, its fixed-point count is set as it is written,
-and a proven giant's chain never joins.  A group made from
-generators builds its chain for its first orbit read; before that, the
-giant certificate tests transitivity by one orbit walk from point 0
-(``_is_transitive``).  A finished level also keeps its suffix order
-(``_finish``), so a view's order is a read.
+view's chain is labelled by its level 0 alone: that level's own
+generators are joined onto the single points once, on first read, and
+no level below it is read or labelled.  A chain with no levels labels
+the single points.  A level of a proven giant's written-down chain
+(``_GiantLevel``) acts on the points from its base point on and fixes
+the rest, so its chain's labels, sizes and fixed-point count are written
+down in closed form on first read, and a proven giant's chain never
+joins.  A group made from generators builds its chain for its first
+orbit read; before that, the giant certificate tests transitivity by one
+orbit walk from point 0 (``_is_transitive``).  A finished chain also
+keeps its order, set as it is finished, and ``suffix(1)`` divides it by
+level 0's orbit size, so a view's order is a read.
 
 Every group reads a chain through one view ``(chain, u)``: the group
 is ``u^-1 <chain> u`` (``u`` is ``None`` for the chain's own group), and
@@ -133,13 +133,13 @@ t_y u)``, or ``(suffix, u)`` when ``y = b``.  A point
 ``x`` outside that basic orbit (moved by the group, but in another orbit)
 takes the same route from a chain whose level 0 is the orbit of ``y``:
 the rebase of the view's chain, never of the view, on one point of that
-orbit (``_orbit_rebase``).  Level 0 of the view's chain keeps that rebase
-under the orbit's label, so each orbit of each level's group is rebased
-at most once, for every view of the level, every conjugator and every
-point of the orbit: the first request rebases on its own ``y``, and a
-later one reads ``t_y`` off the rebase's level 0.  This is base change by
-conjugation (Seress 2003, section 5.4), one orbit at a time: no rebase
-takes or applies a conjugator.  Stabilizer class labels take this same
+orbit (``_orbit_rebase``).  The view's chain keeps that rebase under the
+orbit's label, and each level heads one chain, so each orbit of each
+level's group is rebased at most once, for every view of the level,
+every conjugator and every point of the orbit: the first request rebases
+on its own ``y``, and a later one reads ``t_y`` off the rebase's level 0.
+This is base change by conjugation (Seress 2003, section 5.4), one orbit
+at a time: no rebase takes or applies a conjugator.  Stabilizer class labels take this same
 route, at most one ``point_stabilizer`` per orbit.
 """
 
@@ -188,22 +188,11 @@ class _Level:
 
     ``cap`` is ``None`` or, on a level a rebase opened, the most points
     its orbit can hold (``_rebase``); ``add_gen`` stops scanning there.
-
-    Five values of the group of this level's generators are kept once the
-    chain is finished: ``suffix_order``, the product of the orbit sizes
-    from this level to the bottom, set by ``_finish``; ``_labels``, the
-    int32 orbit labels that ``_chain_labels`` makes for every view of a
-    chain headed by this level, by one join of its own generators;
-    ``_sizes``, the int32 orbit sizes that ``_chain_sizes`` counts from
-    them once; ``_fixed``, how many points the group fixes, counted once
-    from those sizes (``PermGroup._fixed_count``); and ``_rebases``, the
-    group's rebases on single points, at most one per orbit, keyed by the
-    orbit's label (``_orbit_rebase``).  None is reset by a later
-    ``add_gen``, so a chain still being completed keeps all five ``None``.
+    A level keeps only this Schreier-Sims data: what is known of the group
+    of its generators is kept by the chain it heads (``StabilizerChain``).
     """
 
-    __slots__ = ("point", "gens", "transversal", "cap", "suffix_order", "_elements", "_inverses",
-                 "_labels", "_sizes", "_fixed", "_rebases")
+    __slots__ = ("point", "gens", "transversal", "cap", "_elements", "_inverses")
 
     def __init__(self, point: int, degree: int, cap: int | None = None):
         self.point = point
@@ -213,11 +202,6 @@ class _Level:
         ident = Perm.identity(degree)
         self._elements: dict[int, Perm] = {point: ident}
         self._inverses: dict[int, Perm] = {point: ident}
-        self.suffix_order: int | None = None
-        self._labels = None
-        self._sizes = None
-        self._fixed: int | None = None
-        self._rebases: dict[int, StabilizerChain] | None = None
 
     def add_gen(self, g: Perm) -> None:
         """Append a strong generator and extend the orbit.
@@ -299,9 +283,8 @@ class _GiantLevel(_Level):
     it fixes every point below ``i``.  So its orbit labels are the points
     themselves below ``i`` and ``i`` from ``i`` on, and its orbit sizes are
     1 below ``i`` and ``n - i`` from ``i`` on: ``_chain_labels`` and
-    ``_chain_sizes`` write them down on first read, with no join.  It fixes
-    ``i`` points, and ``_giant_chain`` sets ``_fixed`` to ``i`` as it
-    writes the level, so ``PermGroup._fixed_count`` reads it.
+    ``_chain_sizes`` write them down on first read, with no join, and
+    ``_chain_sizes`` sets the count of ``i`` fixed points with the sizes.
     """
 
     __slots__ = ()
@@ -313,15 +296,28 @@ class StabilizerChain:
     ``_points`` caches the base points as an array for ``sift``; it is made
     again whenever the chain has grown a level since.  ``_tail`` caches
     ``suffix(1)``, which only a finished chain is asked for.
+
+    Five values of the chain's group are kept once the chain is finished,
+    for every view of it: ``_order``, set as the chain is finished
+    (``build_chain``, ``_rebase``, ``_giant_chain``, ``suffix(1)``);
+    ``_labels``, its int32 orbit labels (``_chain_labels``); ``_sizes``,
+    its int32 orbit sizes (``_chain_sizes``); ``_fixed``, how many points
+    it fixes (``PermGroup._fixed_count``); and ``_rebases``, its rebases on
+    single points, at most one per orbit, keyed by the orbit's label
+    (``_orbit_rebase``).  A chain still being completed keeps all five
+    ``None``.  Inside basekit each level heads one chain object, a root
+    chain, a rebase or a cached tail, so every view of a level reads the
+    same values.
     """
 
-    __slots__ = ("degree", "levels", "_points", "_tail")
+    __slots__ = ("degree", "levels", "_points", "_tail", "_order", "_labels", "_sizes", "_fixed",
+                 "_rebases")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
-        self._points = None
-        self._tail = None
+        self._points = self._tail = self._order = None
+        self._labels = self._sizes = self._fixed = self._rebases = None
 
     @property
     def base(self) -> tuple[int, ...]:
@@ -332,8 +328,8 @@ class StabilizerChain:
 
     def order(self) -> int:
         """The product of the orbit sizes: a read once the chain is finished."""
-        if self.levels and self.levels[0].suffix_order is not None:
-            return self.levels[0].suffix_order
+        if self._order is not None:
+            return self._order
         n = 1
         for level in self.levels:
             n *= len(level.transversal)
@@ -395,13 +391,17 @@ class StabilizerChain:
         Shares level objects with this chain; chains are never mutated after
         construction, so sharing is safe.  The tail from level 1, which
         every stabilizer derived from this chain reads, is made once and
-        kept, so those views share one level list.
+        kept, so those views share one level list and its caches; its order
+        is this chain's over the orbit size of level 0.  Any other tail is
+        a fresh chain with its own caches.
         """
         if start == 1 and self._tail is not None:
             return self._tail
         sub = StabilizerChain(self.degree)
         sub.levels = self.levels[start:]
         if start == 1:
+            if self.levels:
+                sub._order = self.order() // len(self.levels[0].transversal)
             self._tail = sub
         return sub
 
@@ -461,12 +461,10 @@ def build_chain(degree: int, generators, known_order: int | None = None) -> Stab
         if proven is not None:
             if known_order not in (None, proven):
                 raise RuntimeError(f"stabilizer chain order {proven} != expected {known_order}")
-            chain = _giant_chain(degree, proven)
-            _finish(chain)
-            return chain
+            return _giant_chain(degree, proven)
     chain = StabilizerChain(degree)
     _complete(chain, generators, known_order, draws)
-    _finish(chain)
+    chain._order = chain.order()
     return chain
 
 
@@ -519,15 +517,6 @@ def _complete(chain: StabilizerChain, generators, order: int | None, draws, cap=
             if chain.order() == order:
                 return
     _verify(chain, order, cap)
-
-
-def _finish(chain: StabilizerChain) -> None:
-    # a finished chain never changes, so each level keeps its suffix's
-    # order, bottom-up, and a view's order is a read
-    n = 1
-    for level in reversed(chain.levels):
-        n *= len(level.transversal)
-        level.suffix_order = n
 
 
 def _seed(degree: int, generators) -> int:
@@ -700,9 +689,9 @@ def _giant_chain(degree: int, order: int) -> StabilizerChain:
     for i in range(len(gens)):
         level = _GiantLevel(i, degree)
         level.gens = gens[i:]
-        level._fixed = i
         level.transversal.update((j, (j - 1, max(j - k + 1, i) - i)) for j in range(i + 1, degree))
         chain.levels.append(level)
+    chain._order = order
     return chain
 
 
@@ -777,7 +766,7 @@ def _rebase(source: StabilizerChain, prefix: tuple[int, ...], order: int) -> Sta
     _complete(chain, source.level_generators(0), order, _uniform_elements(source, prefix, order), cap)
     for level in chain.levels:
         level.drop_caches()
-    _finish(chain)
+    chain._order = order
     return chain
 
 
@@ -796,17 +785,15 @@ def _orbit_rebase(chain: StabilizerChain, y: int) -> StabilizerChain:
     """The rebase of the finished ``chain`` on the orbit of ``y``, made once per orbit.
 
     The first request in an orbit makes ``_rebase(chain, (y,), order)`` and
-    keeps it on ``chain``'s level 0 under the orbit's label; a later
-    request for any point of that orbit reads it, and ``y`` is then in its
-    level 0's basic orbit.  A level heads the same levels below it in
-    every chain that shares it, so its group, and the rebase, is the same
-    whichever chain or view asks.
+    keeps it on ``chain`` under the orbit's label; a later request for any
+    point of that orbit reads it, and ``y`` is then in its level 0's basic
+    orbit.  Every view of ``chain`` reads the same rebases, whatever its
+    conjugator.
     """
-    level = chain.levels[0]
     label = int(_chain_labels(chain)[y])
-    rebases = level._rebases
+    rebases = chain._rebases
     if rebases is None:
-        rebases = level._rebases = {}
+        rebases = chain._rebases = {}
     rebased = rebases.get(label)
     if rebased is None:
         rebased = rebases[label] = _rebase(chain, (y,), chain.order())
@@ -839,12 +826,11 @@ def _as_point(x, degree: int) -> int:
     return x
 
 
-def _with_sizes(labels: np.ndarray):
-    """``(labels, sizes)``, read-only, with ``sizes[x]`` the int32 length of x's orbit."""
+def _with_sizes(labels: np.ndarray) -> np.ndarray:
+    """``sizes``, read-only, with ``sizes[x]`` the int32 length of x's orbit under ``labels``."""
     sizes = np.bincount(labels, minlength=labels.size).astype(np.int32).take(labels)
-    labels.setflags(write=False)
     sizes.setflags(write=False)
-    return labels, sizes
+    return sizes
 
 
 def _join(labels: np.ndarray, gens) -> np.ndarray:
@@ -876,52 +862,48 @@ def _join(labels: np.ndarray, gens) -> np.ndarray:
 
 
 def _chain_labels(chain: StabilizerChain) -> np.ndarray:
-    """The int32 orbit labels of the group of ``chain``'s level 0, cached on that level.
+    """The int32 orbit labels of ``chain``'s group, cached on the chain.
 
-    One join of the level's own generators onto the single points
+    One join of level 0's own generators onto the single points
     (``_join``), made on first read; no level below is read or labelled.
     A chain with no levels, of the trivial group, labels the single
     points, and a proven giant's level (``_GiantLevel``) is labelled in
     closed form, with no join.  Only for a finished chain: a later
     ``add_gen`` would not reset the labels.
     """
-    levels = chain.levels
-    if levels and levels[0]._labels is not None:
-        return levels[0]._labels
-    labels = np.arange(chain.degree, dtype=np.int32)
-    if levels:
-        level = levels[0]
-        if type(level) is _GiantLevel:
-            labels[level.point:] = level.point
-        else:
-            labels = _join(labels, level.gens).astype(np.int32)
-        level._labels = labels
-    labels.setflags(write=False)
-    return labels
+    if chain._labels is None:
+        labels = np.arange(chain.degree, dtype=np.int32)
+        if chain.levels:
+            level = chain.levels[0]
+            if type(level) is _GiantLevel:
+                labels[level.point:] = level.point
+            else:
+                labels = _join(labels, level.gens).astype(np.int32)
+        labels.setflags(write=False)
+        chain._labels = labels
+    return chain._labels
 
 
 def _chain_sizes(chain: StabilizerChain) -> np.ndarray:
-    """The int32 orbit sizes of the group of ``chain``'s level 0, cached on that level.
+    """The int32 orbit sizes of ``chain``'s group, cached on the chain.
 
-    Counted once from the level's labels (``_chain_labels``), so every
-    view of the level reads the same array.  A chain with no levels, of
-    the trivial group, has all sizes 1, and a proven giant's level
+    Counted once from the chain's labels (``_chain_labels``), so every
+    view of the chain reads the same array.  A proven giant's level
     (``_GiantLevel``) writes its sizes down in closed form, with no labels
-    and no count.  Only for a finished chain.
+    and no count, and sets the chain's fixed-point count with them.  Only
+    for a finished chain.
     """
-    levels = chain.levels
-    if not levels:
-        return _with_sizes(np.arange(chain.degree, dtype=np.int32))[1]
-    level = levels[0]
-    if level._sizes is None:
+    if chain._sizes is None:
+        level = chain.levels[0] if chain.levels else None
         if type(level) is _GiantLevel:
             sizes = np.ones(chain.degree, dtype=np.int32)
             sizes[level.point:] = chain.degree - level.point
             sizes.setflags(write=False)
-            level._sizes = sizes
+            chain._fixed = level.point
         else:
-            level._sizes = _with_sizes(_chain_labels(chain))[1]
-    return level._sizes
+            sizes = _with_sizes(_chain_labels(chain))
+        chain._sizes = sizes
+    return chain._sizes
 
 
 def _conjugated_labels(labels: np.ndarray, u: Perm | None) -> np.ndarray:
@@ -1007,16 +989,13 @@ class PermGroup:
         self._subgroups = None
 
     @classmethod
-    def _from_view(cls, degree: int, chain: StabilizerChain, u=None) -> "PermGroup":
+    def _from_view(cls, chain: StabilizerChain, u=None) -> "PermGroup":
         # the group u^-1 <chain> u, sharing the chain's levels; the trivial
         # group is its own conjugate, so it keeps no conjugator
         g = object.__new__(cls)
-        levels = chain.levels
-        if not levels or not levels[0].gens:
-            u = None
-        g.degree = degree
-        g._view = (chain, u)
+        g.degree = chain.degree
         g._order = chain.order()
+        g._view = (chain, None if g._order == 1 else u)
         g._generators = g._proven = g._sizes = g._partition = g._stab_classes = None
         g._subgroups = None
         return g
@@ -1083,7 +1062,7 @@ class PermGroup:
         """``sizes[x]``: the int32 length of x's orbit, read-only and cached.
 
         The group fixes exactly the points with ``sizes == 1``.  A root
-        group reads the array its chain's level 0 keeps (``_chain_sizes``);
+        group reads the array its chain keeps (``_chain_sizes``);
         a conjugated view ``u^-1 <chain> u`` scatters that array through
         ``u`` once, since the orbit of ``y^u`` is as long as that of ``y``.
         No labels are made, and the first read on a group made from
@@ -1102,15 +1081,13 @@ class PermGroup:
 
     def _fixed_count(self) -> int:
         # how many points the group fixes: conjugation keeps the count, so
-        # a view reads the one its chain's level 0 caches, counted once off
-        # the level's sizes (a proven giant's level is given its count at build)
+        # a view reads the one its chain caches, counted once off the
+        # chain's sizes (a proven giant's chain sets it with its sizes)
         chain = self._get_view()[0]
-        if not chain.levels:
-            return self.degree
-        level = chain.levels[0]
-        if level._fixed is None:
-            level._fixed = int(np.count_nonzero(_chain_sizes(chain) == 1))
-        return level._fixed
+        sizes = _chain_sizes(chain)
+        if chain._fixed is None:
+            chain._fixed = int(np.count_nonzero(sizes == 1))
+        return chain._fixed
 
     def orbit_partition(self):
         """``(labels, sizes)``: x's orbit's smallest point and its int32 length.
@@ -1118,7 +1095,7 @@ class PermGroup:
         ``labels[x]`` is the smallest point of x's orbit, int64, and
         ``sizes`` is the very array ``orbit_sizes`` returns.  Both are
         read-only and cached.  The labels are made on the first call, off
-        the chain's level-0 labels (``_chain_labels``), relabelled through
+        the chain's labels (``_chain_labels``), relabelled through
         the conjugator of a conjugated view (``_conjugated_labels``); a
         caller that reads only sizes should call ``orbit_sizes``, which
         makes no labels.
@@ -1245,7 +1222,7 @@ class PermGroup:
         if y != level.point:
             t = level.element(y)
             u = t if u is None else t * u
-        return PermGroup._from_view(self.degree, chain.suffix(1), u)
+        return PermGroup._from_view(chain.suffix(1), u)
 
     def __repr__(self) -> str:
         # a view counts its chain's level-0 generators, left unmade

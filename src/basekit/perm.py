@@ -43,6 +43,9 @@ class Perm:
         arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a permutation needs at least one point")
+        if isinstance(images, (list, tuple)) and bool in map(type, images):
+            # numpy reads a bool among ints as 0 or 1
+            raise ValueError(f"images must be integers, not bool: {images!r}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"images must be integers, not {arr.dtype}: {images!r}")
         n = arr.size

@@ -110,6 +110,7 @@ NON_INTEGER_SPECS = {
     "product-string-factors": '{"type":"disjoint_product","factors":"ab"}',
     "explicit-float-images": '{"type":"explicit","degree":3,"generators":[[1.5,0.2,2]]}',
     "explicit-string-images": '{"type":"explicit","degree":3,"generators":[["1","0","2"]]}',
+    "explicit-bool-images": '{"type":"explicit","degree":3,"generators":[[true,false,2]]}',
     "explicit-float-degree": '{"type":"explicit","degree":3.0,"generators":[[1,0,2]]}',
 }
 

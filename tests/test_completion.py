@@ -347,8 +347,15 @@ def _incremental_giant_chain(n, order, complete):
     # the oracle: the chain the completion builds from the standard generators
     chain = StabilizerChain(n)
     complete(chain, group_module._standard_generators(n, order), order, iter(()))
-    group_module._finish(chain)
     return chain
+
+
+def _tails(chain):
+    # the chain and the tails that suffix(1) caches below it, one per level
+    tails = [chain]
+    for _ in chain.levels[1:]:
+        tails.append(tails[-1].suffix(1))
+    return tails
 
 
 @pytest.mark.parametrize("n", range(8, 41))
@@ -372,8 +379,9 @@ def test_proven_giants_chains_are_written_down_as_the_completion_builds_them(n, 
             assert chain.base == want.base
             top, ref_top = chain.levels[0].gens, want.levels[0].gens
             assert top == ref_top
+            assert chain._order == want.order()
+            assert [t.order() for t in _tails(chain)] == [t.order() for t in _tails(want)]
             for got, ref in zip(chain.levels, want.levels, strict=True):
-                assert got.suffix_order == ref.suffix_order
                 assert list(got.transversal.items()) == list(ref.transversal.items())
                 assert [id(g) for g in got.gens] == [id(g) for g in top[got.point:]]
                 assert [id(g) for g in ref.gens] == [id(g) for g in ref_top[ref.point:]]
@@ -393,10 +401,11 @@ def _brute_partition(degree, gens):
 
 @pytest.mark.parametrize("n", range(8, 41))
 def test_proven_giants_levels_have_their_orbits_in_closed_form(n, monkeypatch):
-    # every level of a written-down chain, S_n and A_n, plain and relabelled:
-    # its sizes are written down first, with no labels, no count and no
-    # join, and then its labels, with no join; both equal the brute-force
-    # orbits of the level's generators
+    # every level of a written-down chain, S_n and A_n, plain and relabelled,
+    # read through the tail it heads: the tail's sizes are written down
+    # first, with no labels, no count and no join, together with its
+    # fixed-point count, and then its labels, with no join; both equal the
+    # brute-force orbits of the level's generators and are made once
     def forbidden(*args):
         raise AssertionError("a proven giant's level computed its orbits")
 
@@ -405,14 +414,13 @@ def test_proven_giants_levels_have_their_orbits_in_closed_form(n, monkeypatch):
     for gens in (symmetric_gens(n), alternating_gens(n)):
         for images in (gens, relabelled(n, gens, n)):
             chain = build_chain(n, [Perm(g) for g in images])
-            for i, level in enumerate(chain.levels):
-                tail = chain.suffix(i)
+            for level, tail in zip(chain.levels, _tails(chain), strict=True):
                 want_labels, want_sizes = _brute_partition(
                     n, [tuple(g.to_list()) for g in level.gens])
                 assert _chain_sizes(tail).tolist() == want_sizes
-                assert level._labels is None
+                assert tail._labels is None and tail._fixed == level.point
                 assert _chain_labels(tail).tolist() == want_labels
-                assert _chain_sizes(tail) is level._sizes and _chain_labels(tail) is level._labels
+                assert _chain_sizes(tail) is tail._sizes and _chain_labels(tail) is tail._labels
 
 
 def test_a_full_hint_on_alternating_generators_raises_promptly(monkeypatch):

@@ -706,6 +706,9 @@ SPEC_ERRORS = {
     "explicit-rejected-degree": ({"type": "explicit", "degree": 4, "generators": [[1, 0, 2]]},
         "invalid spec {'type': 'explicit', 'degree': 4, 'generators': [[1, 0, 2]]}: "
         "generator degree 3 != group degree 4"),
+    "explicit-bool-images": ({"type": "explicit", "degree": 3, "generators": [[True, False, 2]]},
+        "invalid spec {'type': 'explicit', 'degree': 3, 'generators': [[True, False, 2]]}: "
+        "images must be integers, not bool: [True, False, 2]"),
     "explicit-oversized": ({"type": "explicit", "degree": MAX_SPEC_DEGREE + 1, "generators": []},
         "spec 'explicit' acts on more than 1048576 points"),
 }

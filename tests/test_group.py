@@ -684,10 +684,18 @@ def test_public_rebase_of_a_conjugated_view_is_a_chain_of_the_view():
     assert not chain.contains(Perm.from_cycles(8, (0, 3)))
 
 
+def _tails(chain):
+    # the chain and the tails that suffix(1) caches below it, one per level
+    tails = [chain]
+    for _ in chain.levels[1:]:
+        tails.append(tails[-1].suffix(1))
+    return tails
+
+
 def _chain_record(chain):
     # base, generator images, Schreier vectors in insertion order, suffix orders
     return chain.base, [([g.images.tolist() for g in level.gens], list(level.transversal.items()),
-                         level.suffix_order) for level in chain.levels]
+                         tail.order()) for level, tail in zip(chain.levels, _tails(chain))]
 
 
 def test_rebase_caps_change_no_chain(monkeypatch):
@@ -812,9 +820,9 @@ def _finished_chains(G):
 
 
 def test_level_labels_and_orders_match_bruteforce(monkeypatch):
-    # every level of every finished chain, read as the top level of its
-    # suffix: its labels are the orbits of its own generators; its suffix
-    # order is the product of its orbit sizes
+    # every level of every finished chain, read as the top level of the
+    # tail it heads: its labels are the orbits of its own generators; the
+    # tail's order is the product of its orbit sizes
     joined = []
     join = group_module._join
 
@@ -827,15 +835,15 @@ def test_level_labels_and_orders_match_bruteforce(monkeypatch):
     for name, G in CLASS_LABEL_GROUPS[1:]:
         for chain in _finished_chains(G):
             levels = chain.levels
-            for i, level in enumerate(levels):
-                labels = group_module._chain_labels(chain.suffix(i))
+            for i, (level, tail) in enumerate(zip(levels, _tails(chain))):
+                labels = group_module._chain_labels(tail)
                 assert labels.dtype == np.int32 and not labels.flags.writeable, name
                 images = [g.to_list() for g in level.gens]
                 assert labels.tolist() == [min(bf.orbit_under(images, x)) for x in range(G.degree)]
-                assert level.suffix_order == math.prod(len(lv.transversal) for lv in levels[i:])
+                assert tail.order() == math.prod(len(lv.transversal) for lv in levels[i:])
                 # a stabilizer chain: the next level's group lies in this one's
                 if i + 1 < len(levels):
-                    assert all(chain.suffix(i).contains(g) for g in levels[i + 1].gens), name
+                    assert all(tail.contains(g) for g in levels[i + 1].gens), name
                 levels_seen += 1
     assert levels_seen > 4000 and len(joined) > 2000
 
@@ -865,7 +873,7 @@ def test_an_orbit_partition_labels_only_its_chains_top_level(monkeypatch):
         labels, _ = K.orbit_partition()
         assert len(joins) == 1
         assert joins[0][0] == list(range(K.degree)) and joins[0][1] is chain.levels[0].gens
-        assert all(level._labels is None for level in chain.levels[1:])
+        assert all(tail._labels is None for tail in _tails(chain)[1:])
         images = [g.to_list() for g in K.generators]
         assert labels.tolist() == [min(bf.orbit_under(images, x)) for x in range(K.degree)]
 
@@ -901,10 +909,12 @@ def test_orbit_partitions_match_bruteforce_orbits(case):
     n, gens = case
     perms = [Perm(g) for g in gens]
     want = [bf.orbit_under(gens, x) for x in range(n)]
-    for labels, sizes in (PermGroup(n, perms).orbit_partition(),
-                          group_module._with_sizes(group_module._join(np.arange(n), perms))):
+    partition = PermGroup(n, perms).orbit_partition()
+    assert not partition[0].flags.writeable
+    joined = group_module._join(np.arange(n), perms)
+    for labels, sizes in (partition, (joined, group_module._with_sizes(joined))):
         assert labels.dtype == np.int64 and sizes.dtype == np.int32
-        assert not labels.flags.writeable and not sizes.flags.writeable
+        assert not sizes.flags.writeable
         assert labels.tolist() == [min(orbit) for orbit in want]
         assert sizes.tolist() == [len(orbit) for orbit in want]
 
@@ -940,10 +950,11 @@ def test_joins_above_degree_1000_match_bruteforce_orbits():
         K_gens, gens = [relabel(g) for g in K_gens], [relabel(g) for g in gens]
         below = np.array([min(orbit) for orbit in orbits(K_gens)], dtype=np.int32)
         assert len(set(below.tolist())) < n * k
-        labels, sizes = group_module._with_sizes(group_module._join(below, gens))
+        labels = group_module._join(below, gens)
+        sizes = group_module._with_sizes(labels)
         want = orbits(K_gens + gens)
         assert labels.dtype == np.int64 and sizes.dtype == np.int32
-        assert not labels.flags.writeable and not sizes.flags.writeable
+        assert not sizes.flags.writeable
         assert labels.tolist() == [min(orbit) for orbit in want]
         assert sizes.tolist() == [len(orbit) for orbit in want]
 
@@ -957,12 +968,26 @@ def test_root_orbit_partition_is_read_off_its_chain():
     for G in groups:
         labels, sizes = G.orbit_partition()
         chain, u = G._view
-        assert u is None and chain.levels[0]._labels.tolist() == labels.tolist()
+        assert u is None and chain._labels.tolist() == labels.tolist()
     for G in (PermGroup(1), PermGroup(4), sym(4).pointwise_stabilizer([0, 1, 2])):
         labels, sizes = G.orbit_partition()
         assert G._view[0].levels == []
         assert labels.tolist() == list(range(G.degree)) and sizes.tolist() == [1] * G.degree
         assert labels.dtype == np.int64 and sizes.dtype == np.int32
+
+
+def test_a_chain_with_no_levels_caches_its_orbits_once():
+    # the trivial group's chain keeps its labels, sizes and fixed-point
+    # count as any chain does; its tail is a chain with no levels of order 1
+    G = PermGroup(4)
+    chain = G.stabilizer_chain()
+    assert chain.levels == [] and chain.order() == 1
+    labels, sizes = group_module._chain_labels(chain), group_module._chain_sizes(chain)
+    assert labels.tolist() == [0, 1, 2, 3] and sizes.tolist() == [1, 1, 1, 1]
+    assert group_module._chain_labels(chain) is labels and group_module._chain_sizes(chain) is sizes
+    assert G._fixed_count() == 4 and chain._fixed == 4
+    tail = chain.suffix(1)
+    assert tail.levels == [] and tail.order() == 1 and chain.suffix(1) is tail
 
 
 def test_degree_2400_orbit_partitions_match_breadth_first_search():
@@ -1047,14 +1072,15 @@ def test_repr_leaves_a_views_generators_unmade():
 
 
 def test_a_view_reads_its_order_off_its_chain(monkeypatch):
-    # a finished chain keeps each level's suffix order, so the views of the
-    # search take their order without multiplying orbit sizes again
+    # a finished chain keeps its order, and each tail it caches is given
+    # its own, so the views of the search take their order without
+    # multiplying orbit sizes again
     G = sym(8)
     G.order()
     reads = []
     order = group_module.StabilizerChain.order
     monkeypatch.setattr(group_module.StabilizerChain, "order",
-                        lambda chain: reads.append(chain.levels[0].suffix_order) or order(chain))
+                        lambda chain: reads.append(chain._order) or order(chain))
     H = G.pointwise_stabilizer([3, 5])
     assert H.order() == 720 and reads and None not in reads
 

@@ -76,6 +76,11 @@ def test_images_must_be_integers():
     for bad in ([1.5, 0.2, 2], [1.0, 0.0], ["1", "0", "2"], [True, False], [2**70, 0]):
         with pytest.raises(ValueError):
             Perm(bad)
+    # numpy reads a bool among ints as 0 or 1, so the array's dtype alone
+    # would take this one as [1, 0, 2]
+    for bad in ([True, False, 2], (2, 0, False), [True, False]):
+        with pytest.raises(ValueError, match=re.escape(f"images must be integers, not bool: {bad!r}")):
+            Perm(bad)
     assert Perm(np.array([1, 0, 2], dtype=np.uint8)).to_list() == [1, 0, 2]
     assert Perm(np.array([1, 0, 2], dtype=np.int64)).images.dtype == np.int32
 
